@@ -164,11 +164,13 @@ class Agent:
 
 def submit_via_agent(agent: Agent, user_payload: bytes, op: UserOp,
                      chain: ChainNetwork, fabric: storage.StorageFabric | None = None,
+                     schedule: vm.GasSchedule = vm.DEFAULT_GAS_SCHEDULE,
                      inline: bytes | None = None) -> BundleTicket:
     """Buffer a registered user's operation; flushes when the buffer fills.
 
     Data hits the storage fabric now (the user uploads before handing the
     reference to the agent), so the buffered entry is submission-ready.
+    The automatic flush prices its bundles with `schedule`.
     """
     if user_payload not in agent.registered_users:
         raise UnregisteredUser(user_payload.hex())
@@ -179,7 +181,7 @@ def submit_via_agent(agent: Agent, user_payload: bytes, op: UserOp,
     ticket = BundleTicket(origin=user_payload, seq=seq)
     agent.batch_buffer.append((ticket, op, inline))
     if len(agent.batch_buffer) >= agent.batch_size:
-        flush(agent, chain)
+        flush(agent, chain, schedule)
     return ticket
 
 

@@ -9,7 +9,7 @@ into one runnable simulation topology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from random import Random
 
@@ -161,11 +161,6 @@ class SimulationTopology:
     agent: access.Agent | None
     hybrid: HybridComputeConfig | None
     integrity_violations: int = 0
-    tickets: list = field(default_factory=list)
-
-    @property
-    def uses_agent(self) -> bool:
-        return self.agent is not None
 
     @property
     def uses_offchain_storage(self) -> bool:

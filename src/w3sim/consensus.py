@@ -24,6 +24,7 @@ from fractions import Fraction
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from random import Random
 
 from . import identity, vm
@@ -87,10 +88,11 @@ class ConsensusConfig:
         if self.n_nodes < 1:
             raise ValueError("n_nodes must be >= 1")
 
-    @property
+    @cached_property
     def quorum(self) -> int:
         # Strictly more than fraction*n votes, computed over exact rationals
-        # so 2/3 of 9 demands 7, not a float-rounded 6.
+        # so 2/3 of 9 demands 7, not a float-rounded 6. Cached: every round
+        # reads it, and the config is frozen.
         frac = Fraction(self.rule.fraction).limit_denominator(10_000)
         return min(self.n_nodes, int(frac * self.n_nodes) + 1)
 
@@ -356,7 +358,7 @@ class ChainNetwork:
         for node in self.nodes:
             if node.behavior is not NodeBehavior.CRASHED:
                 node.local_view.append(block)
-        block_bytes = sum(len(tx.wire_bytes()) for tx in txs)
+        block_bytes = sum(tx.wire_size() for tx in txs)
         self.gas_total += block_gas
         self.bytes_total += block_bytes
         self._advance_clock(block_bytes, block_gas)
@@ -385,7 +387,7 @@ class ChainNetwork:
         tip = branch[-1]
         block = make_block(tip.height + 1, tip.block_hash, txs, self.state.state_root, proposer)
         branch.append(block)
-        self._advance_clock(sum(len(tx.wire_bytes()) for tx in txs), 0)
+        self._advance_clock(sum(tx.wire_size() for tx in txs), 0)
 
         confs: list[Confirmation] = []
         qualifying = self._qualifying_branch()
@@ -403,7 +405,7 @@ class ChainNetwork:
                 self.state.credit_native(self.nodes[pending.proposer].address.payload, block_gas)
             self.confirmed_blocks.append(pending)
             self.gas_total += block_gas
-            self.bytes_total += sum(len(tx.wire_bytes()) for tx in pending.txs)
+            self.bytes_total += sum(tx.wire_size() for tx in pending.txs)
             confs.extend(self._record_confirmations(pending, receipts))
         return confs
 

@@ -63,6 +63,13 @@ class Transaction:
     def wire_bytes(self) -> bytes:
         return serialize_transaction(self)
 
+    def wire_size(self) -> int:
+        """len(self.wire_bytes()), computed from field lengths."""
+        m, p = self.metadata, self.payload
+        return (_WIRE_FIXED + len(m.sender.payload) + len(m.receiver.payload)
+                + len(p.contract_id) + len(p.method.encode()) + len(p.inline_data)
+                + sum(4 + len(a) for a in p.args) + len(self.signature.tag))
+
 
 def _ser_bytes(b: bytes) -> bytes:
     return len(b).to_bytes(4, "big") + b
@@ -104,13 +111,22 @@ def serialize_transaction(tx: Transaction) -> bytes:
     return signing_bytes(tx.metadata, tx.payload) + _ser_bytes(tx.signature.tag)
 
 
+# Fixed part of serialize_transaction, for Transaction.wire_size: seven
+# 4-byte length prefixes (sender, receiver, contract_id, method, arg count,
+# inline_data, signature tag) and three u64 fields (nonce, gas_limit,
+# sim_time). Each arg adds its own 4-byte prefix. Keep in step with the
+# serializers above.
+_WIRE_FIXED = 7 * 4 + 3 * 8
+
+
 def build_transaction(sk: bytes, metadata: TxMetadata, payload: TxPayload) -> Transaction:
     """Sign (metadata, payload) with sk and seal the envelope with its id."""
     pk = identity._public_key_of(sk)
     if identity.digest(pk)[: identity.ADDRESS_BYTES] != metadata.sender.payload:
         raise SenderKeyMismatch("secret key does not control metadata.sender")
-    sig = identity.sign(sk, signing_bytes(metadata, payload))
-    body = signing_bytes(metadata, payload) + _ser_bytes(sig.tag)
+    blob = signing_bytes(metadata, payload)
+    sig = identity.sign(sk, blob)
+    body = blob + _ser_bytes(sig.tag)
     return Transaction(metadata=metadata, payload=payload, signature=sig, tx_id=identity.digest(body))
 
 

@@ -10,7 +10,9 @@ State root: every entry (storage cell, native balance, contract record)
 hashes to a 32-byte digest; the root is the sum of those digests mod
 2**256, rendered big-endian. The combiner is order-independent, so the
 root is a pure function of the entry set and can be maintained in O(1)
-per write. Tests recompute it from scratch as an independent oracle.
+per write. Storage cells keep their root term, so an overwrite or delete
+hashes only the new value. Tests recompute the root from scratch as an
+independent oracle.
 
 Execution buffers all writes and applies them only on success, so a
 reverted call leaves the state root untouched. Gas is the schedule's
@@ -142,6 +144,9 @@ class ContractState:
         self.contracts: dict[bytes, ContractDef] = {}
         self.event_log: list[Event] = []
         self._root_acc = 0
+        # Root term of every live storage cell, so an overwrite or delete
+        # subtracts the stored term instead of re-hashing the old value.
+        self._cell_terms: dict[bytes, dict[bytes, int]] = {}
 
     @staticmethod
     def storage_entry_digest(contract_id: bytes, key: bytes, value: bytes) -> bytes:
@@ -170,14 +175,16 @@ class ContractState:
 
     def set_storage(self, contract_id: bytes, key: bytes, value: bytes | None):
         area = self.storage.setdefault(contract_id, {})
-        old = area.get(key)
-        if old is not None:
-            self._remove(self.storage_entry_digest(contract_id, key, old))
+        terms = self._cell_terms.setdefault(contract_id, {})
+        acc = self._root_acc - terms.pop(key, 0)
         if value is None:
             area.pop(key, None)
         else:
             area[key] = value
-            self._add(self.storage_entry_digest(contract_id, key, value))
+            term = int.from_bytes(self.storage_entry_digest(contract_id, key, value), "big")
+            terms[key] = term
+            acc += term
+        self._root_acc = acc % _ROOT_MOD
 
     def native_balance(self, payload: bytes) -> int:
         return self.native_balances.get(payload, 0)

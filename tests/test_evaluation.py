@@ -15,6 +15,7 @@ from w3sim.evaluation import (
     reference_matrix,
     report_json,
     rule_scores,
+    run_raw,
     run_scenario,
     run_sweep,
     stakeholder_benefits,
@@ -150,6 +151,29 @@ class TestRunScenario:
                       "usability_score", "seed", "config"):
             assert field in record
         assert 0.0 <= record["availability"] <= 1.0
+
+    @pytest.mark.parametrize("n_nodes, expected_runs", [(7, 4), (5, 5)])
+    def test_main_run_doubles_as_grid_point(self, monkeypatch, n_nodes, expected_runs):
+        calls = []
+
+        def counting_run_raw(*args):
+            calls.append(args)
+            return run_raw(*args)
+
+        monkeypatch.setattr(ev, "run_raw", counting_run_raw)
+        run_scenario(architecture(3), FAST, DEFAULT_FAULTS, seed=16,
+                     sim=SimConfig(n_nodes=n_nodes))
+        assert len(calls) == expected_runs
+
+    @pytest.mark.parametrize("type_id", [1, 7])
+    def test_agent_flush_uses_the_run_gas_schedule(self, type_id):
+        # A pricier inline byte widens the bundle gas limit; the agent's
+        # automatic flush must size its bundles with the same schedule.
+        costly = dataclasses.replace(GasSchedule(), per_inline_byte=100)
+        stats = run_raw(architecture(type_id), nft_sale_script(),
+                        SimConfig(seed=42, gas_schedule=costly), NO_FAULTS)
+        assert stats.ops_attempted == 120
+        assert stats.ops_succeeded == 120
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from w3sim import identity, txcraft
 from w3sim.txcraft import (
@@ -131,3 +131,24 @@ def test_wire_bytes_roundtrip_stable():
                            TxPayload(contract_id=CONTRACT, method="m", inline_data=b"xyz"))
     assert tx.wire_bytes() == txcraft.serialize_transaction(tx)
     assert identity.digest(tx.wire_bytes()) == tx.tx_id
+
+
+@given(
+    st.text(max_size=8),
+    st.lists(st.binary(max_size=40), max_size=5).map(tuple),
+    st.binary(max_size=300),
+    st.binary(min_size=1, max_size=20),
+    st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1),
+)
+@example("m\u00efnt\u2713", (), b"", b"\x01" * 20, 0, 0, 0)
+def test_wire_size_matches_serialized_length(method, args, inline, receiver_payload,
+                                             nonce, gas_limit, sim_time):
+    kp, addr = make_wallet(b"size")
+    receiver = identity.Address(scheme=addr.scheme, payload=receiver_payload,
+                                text=identity.encode_base16(receiver_payload))
+    metadata = TxMetadata(sender=addr, receiver=receiver, nonce=nonce,
+                          gas_limit=gas_limit, sim_time=sim_time)
+    payload = TxPayload(contract_id=CONTRACT if method else b"", method=method,
+                        args=args, inline_data=inline)
+    tx = build_transaction(kp.secret_key, metadata, payload)
+    assert tx.wire_size() == len(tx.wire_bytes())

@@ -298,6 +298,18 @@ class TestDeterminismAndRoot:
         state.set_storage(FT, b"bal:" + b"\xee" * 20, None)
         assert state.state_root == recompute_root(state)
 
+    @given(st.lists(st.tuples(st.sampled_from((FT, NFT, b"\x00" * 20)),
+                              st.sampled_from((b"a", b"b", b"own:\x01", b"")),
+                              st.none() | st.binary(max_size=8)),
+                    max_size=60))
+    def test_cell_writes_keep_incremental_root(self, writes):
+        # Few contracts and keys, so sequences overwrite, delete and
+        # re-insert the same cells.
+        state = fresh_state()
+        for cid, key, value in writes:
+            state.set_storage(cid, key, value)
+            assert state.state_root == recompute_root(state)
+
     def test_root_changes_iff_entries_change(self):
         state = fresh_state()
         root = state.state_root
