@@ -8,9 +8,10 @@ where each architecture's fragility actually comes from.
 
 import argparse
 
-from w3sim.archetypes import ExecutorBehavior, SimConfig, architecture
+from w3sim.archetypes import SimConfig, architecture
 from w3sim.evaluation import run_raw
 from w3sim.scenario import FaultPlan, nft_sale_script
+from w3sim.vm import ExecutorBehavior
 
 
 def main():

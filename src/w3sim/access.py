@@ -138,20 +138,18 @@ class Agent:
     keypair: identity.KeyPair
     address: identity.Address
     batch_size: int = 10
-    flush_interval: int = 5
     behavior: AgentBehavior = AgentBehavior.HONEST
     registered_users: set[bytes] = field(default_factory=set)
     batch_buffer: list[tuple[BundleTicket, UserOp, bytes]] = field(default_factory=list)
     nonce_cache: int = 0
     _seqs: dict[bytes, int] = field(default_factory=dict)
-    _last_flush_tick: int = 0
 
     @classmethod
-    def create(cls, seed: bytes, batch_size: int = 10, flush_interval: int = 5,
+    def create(cls, seed: bytes, batch_size: int = 10,
                behavior: AgentBehavior = AgentBehavior.HONEST):
         kp = identity.generate_keypair(seed)
         return cls(keypair=kp, address=identity.derive_address(kp.public_key),
-                   batch_size=batch_size, flush_interval=flush_interval, behavior=behavior)
+                   batch_size=batch_size, behavior=behavior)
 
     def register_user(self, user_payload: bytes):
         self.registered_users.add(user_payload)
@@ -185,13 +183,6 @@ def submit_via_agent(agent: Agent, user_payload: bytes, op: UserOp,
     return ticket
 
 
-def maybe_flush(agent: Agent, chain: ChainNetwork) -> list[bytes]:
-    """Flush when the configured interval has elapsed."""
-    if agent.batch_buffer and chain.now - agent._last_flush_tick >= agent.flush_interval:
-        return flush(agent, chain)
-    return []
-
-
 def flush(agent: Agent, chain: ChainNetwork,
           schedule: vm.GasSchedule = vm.DEFAULT_GAS_SCHEDULE) -> list[bytes]:
     """Emit one transaction per batch_size slice of the buffer.
@@ -202,7 +193,6 @@ def flush(agent: Agent, chain: ChainNetwork,
     """
     tx_ids: list[bytes] = []
     buffered, agent.batch_buffer = agent.batch_buffer, []
-    agent._last_flush_tick = chain.now
     for start in range(0, len(buffered), agent.batch_size):
         chunk = buffered[start : start + agent.batch_size]
         ops = []
@@ -243,17 +233,13 @@ class RetrievedState:
         return dict(self.entries)
 
 
-def retrieve_state(chain: ChainNetwork, addr: identity.Address, contract_id: bytes,
-                   node_id: int | None = None) -> RetrievedState:
+def retrieve_state(chain: ChainNetwork, addr: identity.Address,
+                   contract_id: bytes) -> RetrievedState:
     """Read the latest confirmed state slice for (addr, contract).
 
-    The slice is served from the confirmed view of one honest maintainer;
-    by persistence every honest node returns the same answer.
+    The slice is served from the chain's confirmed state, which by
+    persistence every honest maintainer's view agrees with.
     """
-    if node_id is not None:
-        node = chain.nodes[node_id]
-        if not node.local_view:
-            raise NoConfirmedState("node has no confirmed view")
     entry = chain.touch_index.get((addr.payload, contract_id))
     if entry is None:
         raise NoConfirmedState(f"no confirmed transaction touches {addr.text} in {contract_id.hex()}")

@@ -14,6 +14,7 @@ from enum import Enum
 from random import Random
 
 from . import access, consensus, identity, storage, vm
+from .scenario import NO_FAULTS, FaultPlan
 
 FT_ID = b"\x01" * 20
 NFT_ID = b"\x02" * 20
@@ -97,22 +98,6 @@ def parse_tuple(text: str) -> ArchitectureType:
 ALL_TYPES = tuple(architecture(i) for i in range(1, 13))
 
 
-class ExecutorBehavior(Enum):
-    HONEST = "Honest"
-    MALICIOUS = "Malicious"
-
-
-@dataclass(frozen=True)
-class HybridComputeConfig:
-    offchain_fraction: float = 0.5
-    executor_behavior: ExecutorBehavior = ExecutorBehavior.HONEST
-    tamper_target: str = "auto"  # auto | checked | unchecked
-
-    def __post_init__(self):
-        if not (0.0 <= self.offchain_fraction <= 1.0):
-            raise ValueError("offchain_fraction must be in [0, 1]")
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Dial set for one simulation run; defaults are the desk-scale setup."""
@@ -132,21 +117,7 @@ class SimConfig:
     inline_threshold: int = storage.DEFAULT_INLINE_THRESHOLD
     inline_cap: int = storage.INLINE_CAP_BYTES
     batch_size: int = 10
-    flush_interval: int = 5
     offchain_fraction: float = 0.5
-    maintainer_crash_prob: float = 0.0
-
-
-@dataclass(frozen=True)
-class FaultKnobs:
-    """Composition-level fault switches (derived from a fault plan)."""
-
-    byzantine_maintainers: int = 0
-    byz_mode: consensus.ByzantineMode = consensus.ByzantineMode.SILENT
-    maintainer_crash_prob: float = 0.0
-    storage_crash_prob: float = 0.0
-    executor_behavior: ExecutorBehavior = ExecutorBehavior.HONEST
-    tamper_target: str = "auto"
 
 
 @dataclass
@@ -159,7 +130,7 @@ class SimulationTopology:
     chain: consensus.ChainNetwork
     fabric: storage.StorageFabric
     agent: access.Agent | None
-    hybrid: HybridComputeConfig | None
+    delegation: vm.DelegationPolicy | None
     integrity_violations: int = 0
 
     @property
@@ -177,14 +148,14 @@ def storage_plan_for(arch: ArchitectureType, config: SimConfig) -> storage.Stora
 def compose(arch: ArchitectureType, sim_config: SimConfig, *,
             funded: dict[bytes, int] | None = None,
             registered_users: tuple[bytes, ...] = (),
-            faults: FaultKnobs | None = None) -> SimulationTopology:
+            faults: FaultPlan = NO_FAULTS) -> SimulationTopology:
     """Wire access, computation, storage and one chain into a topology.
 
     funded seeds fungible-token balances at genesis (the sum becomes the
     total supply); registered_users are granted to the agent when the
-    access mode is agent-based.
+    access mode is agent-based. faults is the only fault configuration:
+    every field of the plan is wired here.
     """
-    faults = faults or FaultKnobs()
     state = vm.ContractState()
 
     deploy = vm.deploy_contract
@@ -205,23 +176,17 @@ def compose(arch: ArchitectureType, sim_config: SimConfig, *,
     if arch.access is AccessMode.AGENT:
         agent = access.Agent.create(
             b"agent/" + str(sim_config.seed).encode(),
-            batch_size=sim_config.batch_size, flush_interval=sim_config.flush_interval)
+            batch_size=sim_config.batch_size, behavior=faults.agent_behavior)
         for user in registered_users:
             agent.register_user(user)
         agent.genesis_registrations(state)
 
-    hybrid = None
     delegation = None
-    violations: list[int] = []
     if arch.compute is ComputeMode.HYBRID:
-        hybrid = HybridComputeConfig(
+        delegation = vm.DelegationPolicy(
             offchain_fraction=sim_config.offchain_fraction,
             executor_behavior=faults.executor_behavior,
-            tamper_target=faults.tamper_target)
-        delegation = vm.DelegationPolicy(
-            offchain_fraction=hybrid.offchain_fraction,
-            malicious=hybrid.executor_behavior is ExecutorBehavior.MALICIOUS,
-            tamper_target=hybrid.tamper_target,
+            tamper_target=faults.tamper_target,
             run_seed=sim_config.seed)
 
     topology_ref: list[SimulationTopology] = []
@@ -255,7 +220,7 @@ def compose(arch: ArchitectureType, sim_config: SimConfig, *,
         max_txs_per_block=sim_config.max_txs_per_block,
         network_capacity=sim_config.network_capacity,
         gas_byte_equiv=sim_config.gas_byte_equiv,
-        maintainer_crash_prob=max(sim_config.maintainer_crash_prob, faults.maintainer_crash_prob),
+        maintainer_crash_prob=faults.maintainer_crash_prob,
     )
     behaviors = [
         consensus.NodeBehavior.BYZANTINE if i < faults.byzantine_maintainers
@@ -276,18 +241,7 @@ def compose(arch: ArchitectureType, sim_config: SimConfig, *,
         fabric.fault_rng = Random(sim_config.seed ^ 0x5707A6E)
 
     topo = SimulationTopology(arch=arch, config=sim_config, state=state, chain=chain,
-                              fabric=fabric, agent=agent, hybrid=hybrid)
+                              fabric=fabric, agent=agent, delegation=delegation)
     topology_ref.append(topo)
     return topo
 
-
-def execute_hybrid(state: vm.ContractState, tx, config: HybridComputeConfig,
-                   schedule: vm.GasSchedule = vm.DEFAULT_GAS_SCHEDULE,
-                   run_seed: int = 0, violation_sink=None) -> tuple[vm.ContractState, vm.Receipt]:
-    """Run one transaction with the off-chain executor + on-chain verification."""
-    policy = vm.DelegationPolicy(
-        offchain_fraction=config.offchain_fraction,
-        malicious=config.executor_behavior is ExecutorBehavior.MALICIOUS,
-        tamper_target=config.tamper_target,
-        run_seed=run_seed)
-    return vm.execute(state, tx, schedule, delegation=policy, violation_sink=violation_sink)

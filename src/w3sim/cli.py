@@ -114,11 +114,34 @@ def _load_faults(args):
     return DEFAULT_FAULTS
 
 
+# Config-file (section, key) -> SimConfig field. A key left out keeps the
+# field's default; [consensus] rule/fraction/confirm_depth build the rule.
+_SIM_KEYS = {
+    ("consensus", "block_interval"): "block_interval",
+    ("network", "nodes"): "n_nodes",
+    ("network", "max_txs_per_block"): "max_txs_per_block",
+    ("network", "capacity"): "network_capacity",
+    ("storage", "nodes"): "storage_nodes",
+    ("storage", "replicas"): "replicas",
+    ("storage", "inline_threshold"): "inline_threshold",
+    ("storage", "inline_cap"): "inline_cap",
+    ("access", "batch_size"): "batch_size",
+}
+_RULE_KEYS = ("rule", "fraction", "confirm_depth")
+
+
 def _load_sim(args, seed: int) -> SimConfig:
     kwargs = {"seed": seed, "n_nodes": args.nodes}
     if getattr(args, "config", None):
         cp = configparser.ConfigParser()
-        cp.read(args.config)
+        with open(args.config, encoding="utf-8") as fh:
+            cp.read_file(fh)
+        for section in cp.sections():
+            for key, value in cp[section].items():
+                if (section, key) in _SIM_KEYS:
+                    kwargs[_SIM_KEYS[section, key]] = int(value)
+                elif section != "consensus" or key not in _RULE_KEYS:
+                    raise ValueError(f"{args.config}: unknown config key [{section}] {key}")
         if cp.has_section("consensus"):
             sec = cp["consensus"]
             rule_name = sec.get("rule", "bft").lower()
@@ -126,24 +149,8 @@ def _load_sim(args, seed: int) -> SimConfig:
             kwargs["rule"] = ConsensusRule(
                 kind=kind,
                 fraction=sec.getfloat("fraction", 2 / 3 if kind is RuleKind.BFT_QUORUM else 0.51),
-                confirm_depth=sec.getint("confirm_depth", 6),
+                confirm_depth=sec.getint("confirm_depth", ConsensusRule.confirm_depth),
             )
-            kwargs["block_interval"] = sec.getint("block_interval", 1)
-        if cp.has_section("network"):
-            sec = cp["network"]
-            kwargs["n_nodes"] = sec.getint("nodes", kwargs["n_nodes"])
-            kwargs["max_txs_per_block"] = sec.getint("max_txs_per_block", 8)
-            kwargs["network_capacity"] = sec.getint("capacity", 4_000)
-        if cp.has_section("storage"):
-            sec = cp["storage"]
-            kwargs["storage_nodes"] = sec.getint("nodes", 10)
-            kwargs["replicas"] = sec.getint("replicas", 3)
-            kwargs["inline_threshold"] = sec.getint("inline_threshold", 256)
-            kwargs["inline_cap"] = sec.getint("inline_cap", 1024)
-        if cp.has_section("access"):
-            sec = cp["access"]
-            kwargs["batch_size"] = sec.getint("batch_size", 10)
-            kwargs["flush_interval"] = sec.getint("flush_interval", 5)
     return SimConfig(**kwargs)
 
 

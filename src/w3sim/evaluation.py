@@ -31,7 +31,6 @@ from .archetypes import (
     AccessMode,
     ArchitectureType,
     ComputeMode,
-    FaultKnobs,
     SimConfig,
     StorageMode,
     architecture,
@@ -78,17 +77,6 @@ def actor_seed(seed: int, name: str) -> bytes:
     return f"actor/{seed}/{name}".encode()
 
 
-def _fault_knobs(plan: FaultPlan) -> FaultKnobs:
-    return FaultKnobs(
-        byzantine_maintainers=plan.byzantine_maintainers,
-        byz_mode=plan.byz_mode,
-        maintainer_crash_prob=plan.maintainer_crash_prob,
-        storage_crash_prob=plan.storage_crash_prob,
-        executor_behavior=plan.executor_behavior,
-        tamper_target=plan.tamper_target,
-    )
-
-
 class _ScenarioRun:
     """One architecture, one script, one fault plan, one seed."""
 
@@ -108,9 +96,7 @@ class _ScenarioRun:
         funded = {w.address.payload: self.FUND for w in self.wallets.values()}
         registered = tuple(w.address.payload for _, w in sorted(self.wallets.items()))
         self.topology = compose(arch, sim, funded=funded, registered_users=registered,
-                                faults=_fault_knobs(faults))
-        if self.topology.agent is not None:
-            self.topology.agent.behavior = faults.agent_behavior
+                                faults=faults)
         self.data_rng = Random(sim.seed ^ 0xDA7A)
         self.refs: dict[int, object] = {}
         self.pending: list[tuple[int, object]] = []  # (rep, tx_id or ticket)

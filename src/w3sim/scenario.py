@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .access import AgentBehavior
-from .archetypes import ExecutorBehavior
 from .consensus import ByzantineMode
+from .vm import TAMPER_TARGETS, ExecutorBehavior
 
 
 class StepKind(Enum):
@@ -119,6 +119,9 @@ class FaultPlan:
         for p in (self.maintainer_crash_prob, self.storage_crash_prob):
             if not (0.0 <= p <= 1.0):
                 raise ValueError("probabilities must be in [0, 1]")
+        if self.tamper_target not in TAMPER_TARGETS:
+            raise ValueError(f"tamper_target must be one of {TAMPER_TARGETS}, "
+                             f"got {self.tamper_target!r}")
 
 
 NO_FAULTS = FaultPlan()
@@ -129,8 +132,21 @@ DEFAULT_FAULTS = FaultPlan(storage_crash_prob=0.6,
                            executor_behavior=ExecutorBehavior.MALICIOUS)
 
 
+# Fault-plan file keys and how each value is read; an absent key keeps
+# the FaultPlan default.
+_FAULT_KEYS = {
+    "maintainer_crash_prob": float,
+    "byzantine_maintainers": int,
+    "byz_mode": ByzantineMode,
+    "agent_behavior": AgentBehavior,
+    "storage_crash_prob": float,
+    "executor_behavior": ExecutorBehavior,
+    "tamper_target": str,
+}
+
+
 def parse_faults(text: str) -> FaultPlan:
-    kv: dict[str, str] = {}
+    kv: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -138,16 +154,11 @@ def parse_faults(text: str) -> FaultPlan:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
-        kv[key.lower()] = value
-    return FaultPlan(
-        maintainer_crash_prob=float(kv.get("maintainer_crash_prob", 0.0)),
-        byzantine_maintainers=int(kv.get("byzantine_maintainers", 0)),
-        byz_mode=ByzantineMode(kv.get("byz_mode", "silent")),
-        agent_behavior=AgentBehavior(kv.get("agent_behavior", "Honest")),
-        storage_crash_prob=float(kv.get("storage_crash_prob", 0.0)),
-        executor_behavior=ExecutorBehavior(kv.get("executor_behavior", "Honest")),
-        tamper_target=kv.get("tamper_target", "auto"),
-    )
+        key = key.lower()
+        if key not in _FAULT_KEYS:
+            raise ValueError(f"line {lineno}: unknown fault setting {key!r}")
+        kv[key] = _FAULT_KEYS[key](value)
+    return FaultPlan(**kv)
 
 
 def faults_text(plan: FaultPlan) -> str:

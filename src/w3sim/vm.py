@@ -293,6 +293,16 @@ def decode_bundle(blob: bytes) -> list[BundleOp]:
     return ops
 
 
+class ExecutorBehavior(Enum):
+    HONEST = "Honest"
+    MALICIOUS = "Malicious"
+
+
+# Where a malicious executor aims its tampering: any delegated write, only
+# writes inside the on-chain checked region, or only writes outside it.
+TAMPER_TARGETS = ("auto", "checked", "unchecked")
+
+
 @dataclass
 class DelegationPolicy:
     """Hybrid-computation context for one execution.
@@ -307,9 +317,16 @@ class DelegationPolicy:
     """
 
     offchain_fraction: float = 0.5
-    malicious: bool = False
-    tamper_target: str = "auto"  # auto | checked | unchecked
+    executor_behavior: ExecutorBehavior = ExecutorBehavior.HONEST
+    tamper_target: str = "auto"
     run_seed: int = 0
+
+    def __post_init__(self):
+        if not (0.0 <= self.offchain_fraction <= 1.0):
+            raise ValueError("offchain_fraction must be in [0, 1]")
+        if self.tamper_target not in TAMPER_TARGETS:
+            raise ValueError(f"tamper_target must be one of {TAMPER_TARGETS}, "
+                             f"got {self.tamper_target!r}")
 
     def is_checked(self, key: bytes) -> bool:
         bound = int(256 * (1.0 - self.offchain_fraction))
@@ -597,7 +614,7 @@ def _apply_outcome(view: _View, tx: Transaction, schedule: GasSchedule,
     core_reads = [(c, k) for c, k in outcome.reads if not is_aux_key(k)]
 
     tampered_checked = False
-    if policy.malicious and aux_writes:
+    if policy.executor_behavior is ExecutorBehavior.MALICIOUS and aux_writes:
         rng = random.Random(policy.run_seed
                             ^ int.from_bytes(identity.digest(tx.tx_id + seed_extra)[:8], "big"))
         pool = aux_writes

@@ -16,17 +16,15 @@ from w3sim.archetypes import (
     FT_ID,
     MARKET_ID,
     NFT_ID,
-    ExecutorBehavior,
-    HybridComputeConfig,
     SimConfig,
     architecture,
     compose,
-    execute_hybrid,
 )
 from w3sim.consensus import ByzantineMode, ChainNetwork, ConsensusConfig, ConsensusRule, NodeBehavior, RuleKind
 from w3sim.evaluation import compare, diff_against_reference, report_json, run_scenario, run_sweep
 from w3sim.scenario import DEFAULT_FAULTS, NO_FAULTS, nft_sale_script
 from w3sim.storage import AllReplicasDown, OffChainStore, Route, StorageFabric, StoragePlan, VerifyResult
+from w3sim.vm import DelegationPolicy, ExecutorBehavior
 
 from test_identity import base58_oracle
 
@@ -352,21 +350,21 @@ def test_criterion_7_hybrid_equivalence():
 
     actors = make_actors(4, tag=b"c7")
     pure, hybrid = fresh_pair_of_states(actors)
-    honest = HybridComputeConfig(executor_behavior=ExecutorBehavior.HONEST)
+    honest = DelegationPolicy(executor_behavior=ExecutorBehavior.HONEST, run_seed=71)
     txs = random_workload(actors, 1_000, seed=71)
     for tx in txs:
         vm.execute(pure, tx)
-        execute_hybrid(hybrid, tx, honest, run_seed=71)
+        vm.execute(hybrid, tx, delegation=honest)
     assert pure.state_root == hybrid.state_root
 
     _, victim = fresh_pair_of_states(actors)
-    malicious = HybridComputeConfig(executor_behavior=ExecutorBehavior.MALICIOUS,
-                                    tamper_target="checked")
+    malicious = DelegationPolicy(executor_behavior=ExecutorBehavior.MALICIOUS,
+                                 tamper_target="checked", run_seed=72)
     root = victim.state_root
     tampered = rejected = 0
     for tx in random_workload(actors, 1_000, seed=72):
         before = victim.state_root
-        _, receipt = execute_hybrid(victim, tx, malicious, run_seed=72)
+        _, receipt = vm.execute(victim, tx, delegation=malicious)
         if receipt.reason == "CommitmentMismatch":
             rejected += 1
             tampered += 1

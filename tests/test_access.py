@@ -11,12 +11,12 @@ from w3sim.access import (
     WalletClient,
     connect_wallet,
     flush,
-    maybe_flush,
     retrieve_state,
     submit_direct,
     submit_via_agent,
 )
 from w3sim.archetypes import FT_ID, NFT_ID, SimConfig, architecture, compose
+from w3sim.vm import query_state
 
 
 def build_topology(type_id=1, n_users=2, seed=7, **sim_kwargs):
@@ -135,16 +135,6 @@ class TestAgentBatching:
         assert len(topo.chain.pool) == 0
         assert not topo.chain.check_liveness(tx_ids[0], 2_000)
 
-    def test_maybe_flush_interval(self):
-        topo, wallets = build_topology(type_id=7, batch_size=50, flush_interval=5)
-        agent = topo.agent
-        w1, w2 = wallets
-        submit_via_agent(agent, w1.address.payload, transfer_op(w2.address.payload, 1),
-                         topo.chain, topo.fabric)
-        assert maybe_flush(agent, topo.chain) == []  # interval not elapsed at tick 0... buffer waits
-        topo.chain.now += 5
-        assert len(maybe_flush(agent, topo.chain)) == 1
-
     def test_agent_is_onchain_sender_for_all_routed_txs(self):
         topo, wallets = build_topology(type_id=7, batch_size=4)
         agent = topo.agent
@@ -211,13 +201,24 @@ class TestRetrieval:
         assert superseded != snapshot
 
     def test_identical_across_honest_nodes(self):
+        # Every honest view holds the same blocks, and retrieval reads the
+        # state those blocks confirmed.
         topo, (w1, w2) = build_topology()
+        chain = topo.chain
         connect_wallet(w1, "svc")
-        submit_direct(w1, topo.chain, transfer_op(w2.address.payload, 3), topo.fabric)
-        topo.chain.run_until_drained()
-        results = [retrieve_state(topo.chain, w1.address, FT_ID, node_id=i)
-                   for i in range(topo.chain.config.n_nodes)]
-        assert all(r == results[0] for r in results)
+        tx_id = submit_direct(w1, chain, transfer_op(w2.address.payload, 3), topo.fabric)
+        chain.run_until_drained()
+        assert chain.check_persistence()
+        tip = chain.confirmed_blocks[-1].block_hash
+        assert all(node.local_view[-1].block_hash == tip for node in chain.nodes)
+        got = retrieve_state(chain, w1.address, FT_ID)
+        assert got.tx_id == tx_id
+        payload = w1.address.payload
+        balance = query_state(chain.state, FT_ID, "balanceOf", (payload,))
+        supply = query_state(chain.state, FT_ID, "totalSupply")
+        assert got.as_dict() == {(b"bal:" + payload).hex(): balance.to_bytes(16, "big").hex(),
+                                 b"sup:".hex(): supply.to_bytes(16, "big").hex()}
+        assert balance == 100_000 - 3
 
 
 class TestIntegrityAgainstConfirmation:

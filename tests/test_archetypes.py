@@ -11,19 +11,25 @@ from w3sim.archetypes import (
     VERIFIER_ID,
     AccessMode,
     ComputeMode,
-    ExecutorBehavior,
-    HybridComputeConfig,
     SimConfig,
     StorageMode,
     architecture,
     compose,
-    execute_hybrid,
     parse_tuple,
     tuple_of,
     type_from_tuple,
 )
+from w3sim.scenario import FaultPlan
 from w3sim.storage import Route
-from w3sim.vm import ContractDef, ContractKind, ContractState, deploy_contract, query_state
+from w3sim.vm import (
+    ContractDef,
+    ContractKind,
+    ContractState,
+    DelegationPolicy,
+    ExecutorBehavior,
+    deploy_contract,
+    query_state,
+)
 
 
 class TestTypeSpace:
@@ -72,7 +78,7 @@ class TestComposition:
         topo = self.compose_type(1)
         assert topo.agent is None
         assert not topo.uses_offchain_storage
-        assert topo.hybrid is None
+        assert topo.delegation is None
         assert topo.chain is not None  # consensus stays on-chain in every type
 
     def test_type2_running_example_stack(self):
@@ -84,7 +90,7 @@ class TestComposition:
     def test_type10_agent_hybrid_onchain(self):
         topo = self.compose_type(10)
         assert topo.agent is not None
-        assert topo.hybrid is not None
+        assert topo.delegation is not None
         assert topo.fabric.plan.route is Route.ON_CHAIN
 
     def test_every_type_keeps_consensus_onchain(self):
@@ -157,11 +163,11 @@ class TestHybridExecution:
     def test_honest_differential_equivalence_1000_ops(self):
         actors = make_actors(4)
         pure, hybrid = fresh_pair_of_states(actors)
-        config = HybridComputeConfig(offchain_fraction=0.5,
-                                     executor_behavior=ExecutorBehavior.HONEST)
+        policy = DelegationPolicy(offchain_fraction=0.5,
+                                  executor_behavior=ExecutorBehavior.HONEST, run_seed=31)
         for tx in random_workload(actors, 1_000, seed=31):
             _, pure_receipt = vm.execute(pure, tx)
-            _, hybrid_receipt = execute_hybrid(hybrid, tx, config, run_seed=31)
+            _, hybrid_receipt = vm.execute(hybrid, tx, delegation=policy)
             assert pure_receipt.status == hybrid_receipt.status
             assert hybrid_receipt.gas_used <= pure_receipt.gas_used
         assert pure.state_root == hybrid.state_root
@@ -169,13 +175,12 @@ class TestHybridExecution:
     def test_malicious_checked_region_rejected(self):
         actors = make_actors(2, tag=b"mal")
         _, state = fresh_pair_of_states(actors)
-        config = HybridComputeConfig(offchain_fraction=0.5,
-                                     executor_behavior=ExecutorBehavior.MALICIOUS,
-                                     tamper_target="checked")
+        policy = DelegationPolicy(offchain_fraction=0.5,
+                                  executor_behavior=ExecutorBehavior.MALICIOUS,
+                                  tamper_target="checked", run_seed=32)
         rejected = attempts = 0
         for tx in random_workload(actors, 200, seed=32):
-            policy_checked_exists = True
-            _, receipt = execute_hybrid(state, tx, config, run_seed=32)
+            _, receipt = vm.execute(state, tx, delegation=policy)
             if receipt.reason == "CommitmentMismatch":
                 rejected += 1
             if not receipt.success:
@@ -189,15 +194,15 @@ class TestHybridExecution:
     def test_malicious_unchecked_is_silent_violation(self):
         actors = make_actors(2, tag=b"mal2")
         pure, tampered = fresh_pair_of_states(actors)
-        config = HybridComputeConfig(offchain_fraction=0.5,
-                                     executor_behavior=ExecutorBehavior.MALICIOUS,
-                                     tamper_target="unchecked")
+        policy = DelegationPolicy(offchain_fraction=0.5,
+                                  executor_behavior=ExecutorBehavior.MALICIOUS,
+                                  tamper_target="unchecked", run_seed=33)
         violations = []
         txs = random_workload(actors, 300, seed=33)
         for tx in txs:
             vm.execute(pure, tx)
-            _, receipt = execute_hybrid(tampered, tx, config, run_seed=33,
-                                        violation_sink=violations.append)
+            _, receipt = vm.execute(tampered, tx, delegation=policy,
+                                    violation_sink=violations.append)
             assert receipt.success  # silent: no protocol-visible failure
         assert violations
         assert pure.state_root != tampered.state_root  # the harness oracle sees it
@@ -205,25 +210,26 @@ class TestHybridExecution:
     def test_violation_count_matches_tampered_txs(self):
         actors = make_actors(2, tag=b"mal3")
         _, state = fresh_pair_of_states(actors)
-        config = HybridComputeConfig(offchain_fraction=0.5,
-                                     executor_behavior=ExecutorBehavior.MALICIOUS,
-                                     tamper_target="unchecked")
+        policy = DelegationPolicy(offchain_fraction=0.5,
+                                  executor_behavior=ExecutorBehavior.MALICIOUS,
+                                  tamper_target="unchecked", run_seed=34)
         violations = []
         for tx in random_workload(actors, 100, seed=34):
-            execute_hybrid(state, tx, config, run_seed=34, violation_sink=violations.append)
+            vm.execute(state, tx, delegation=policy, violation_sink=violations.append)
         assert len(violations) == len(set(violations))  # one per tx, tx ids unique
 
     def test_fraction_bounds(self):
         with pytest.raises(ValueError):
-            HybridComputeConfig(offchain_fraction=1.5)
+            DelegationPolicy(offchain_fraction=1.5)
+        with pytest.raises(ValueError):
+            DelegationPolicy(tamper_target="chekced")
 
     def test_topology_counts_violations(self):
-        from w3sim.archetypes import FaultKnobs
         wallets = make_actors(2, tag=b"topo-mal")
         funded = {addr.payload: 100_000 for _, addr in wallets}
         topo = compose(architecture(4), SimConfig(seed=44), funded=funded,
-                       faults=FaultKnobs(executor_behavior=ExecutorBehavior.MALICIOUS,
-                                         tamper_target="unchecked"))
+                       faults=FaultPlan(executor_behavior=ExecutorBehavior.MALICIOUS,
+                                        tamper_target="unchecked"))
         kp, addr = wallets[0]
         token = (5).to_bytes(32, "big")
         metadata = txcraft.TxMetadata(sender=addr, receiver=addr, nonce=0,

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from w3sim import cli
+from w3sim.archetypes import SimConfig
 
 
 def run_cli(argv, capsys):
@@ -188,3 +189,17 @@ class TestConfigFile:
         assert code == 0
         record = json.loads(out.read_text())
         assert record["nodes"] == 5
+
+    def test_shipped_config_is_the_default_sim_config(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        args = cli._build_parser().parse_args(
+            ["simulate", "--type", "1", "--config", os.path.join(root, "scenarios", "sim.cfg")])
+        assert cli._load_sim(args, 9) == SimConfig(n_nodes=7, seed=9)
+
+    def test_misspelled_config_key_exits_2(self, tmp_path, scenario_file, capsys):
+        config = tmp_path / "sim.cfg"
+        config.write_text("[network]\nmax_tx_per_block = 4\n")
+        code, _, err = run_cli(["simulate", "--type", "1", "--scenario", scenario_file,
+                                "--config", str(config)], capsys)
+        assert code == 2
+        assert "max_tx_per_block" in err

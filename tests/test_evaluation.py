@@ -1,5 +1,7 @@
 import dataclasses
+import importlib.util
 import json
+import os
 
 import pytest
 
@@ -296,3 +298,26 @@ class TestScenarioFiles:
     def test_fault_probability_bounds(self):
         with pytest.raises(ValueError):
             FaultPlan(storage_crash_prob=1.5)
+
+    def test_faults_reject_unknown_key(self):
+        # A misspelled key must not quietly leave its fault switched off.
+        with pytest.raises(ValueError, match="storage_crash_probability"):
+            parse_faults("storage_crash_probability = 0.9\n")
+
+    def test_faults_reject_unknown_tamper_target(self):
+        with pytest.raises(ValueError):
+            FaultPlan(tamper_target="chekced")
+        with pytest.raises(ValueError):
+            parse_faults("executor_behavior = Malicious\ntamper_target = chekced\n")
+        assert parse_faults("tamper_target = unchecked\n").tamper_target == "unchecked"
+
+    def test_shipped_fault_plans_parse(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "scenarios", "default.faults"), encoding="utf-8") as fh:
+            assert parse_faults(fh.read()) == DEFAULT_FAULTS
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_run", os.path.join(root, "perfbench", "run.py"))
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        assert parse_faults(bench.NO_FAULTS) == NO_FAULTS
+        assert parse_faults(bench.DEFAULT_FAULTS) == DEFAULT_FAULTS

@@ -7,11 +7,12 @@ one the reports round away, changes the digest.
 """
 
 import hashlib
-from dataclasses import replace
+import json
+from dataclasses import asdict, replace
 
 from w3sim import evaluation as ev
 from w3sim.archetypes import SimConfig, architecture
-from w3sim.scenario import DEFAULT_FAULTS, NO_FAULTS, nft_sale_script
+from w3sim.scenario import DEFAULT_FAULTS, NO_FAULTS, nft_sale_script, parse_faults
 
 GOLDEN_SHA256 = "d5a76a7a5062f00a17de793b3402dd7aefe6b8845d012b4ab03d9ee6121da0b6"
 
@@ -35,3 +36,36 @@ def golden_digest() -> str:
 
 def test_default_sweep_is_byte_identical():
     assert golden_digest() == GOLDEN_SHA256
+
+
+# Every fault-plan field the topology wires: maintainer crashes, byzantine
+# maintainers, flaky storage, a tampering executor, a withholding agent.
+# Types 4, 7 and 10 store on-chain, so Type11 is the one run where the
+# storage fault settings change an outcome. One equivocating maintainer
+# leaves the same chain as a silent one; two change it, which pins byz_mode.
+FAULT_WIRING_PLANS = (
+    "maintainer_crash_prob = 0.1\nbyzantine_maintainers = 1\nbyz_mode = equivocate\n"
+    "storage_crash_prob = 0.3\nexecutor_behavior = Malicious\ntamper_target = unchecked\n",
+    "agent_behavior = Withholding\n",
+    "byzantine_maintainers = 2\nbyz_mode = equivocate\n",
+)
+FAULT_WIRING_SHA256 = "f037acbe7d7c08eac2dc8c9b724593c9f9a194e1534e5828f0d1c8a37b5f0ecb"
+
+
+def fault_wiring_digest() -> str:
+    script = nft_sale_script()
+    h = hashlib.sha256()
+    for type_id in (4, 7, 10, 11):
+        for text in FAULT_WIRING_PLANS:
+            run = ev._ScenarioRun(architecture(type_id), script, SimConfig(seed=42),
+                                  parse_faults(text))
+            stats = run.run()
+            chain = run.topology.chain
+            h.update(json.dumps(asdict(stats), sort_keys=True).encode())
+            h.update(chain.confirmed_blocks[-1].block_hash)
+            h.update(chain.state.state_root)
+    return h.hexdigest()
+
+
+def test_fault_wiring_is_byte_identical():
+    assert fault_wiring_digest() == FAULT_WIRING_SHA256
