@@ -79,10 +79,6 @@ def type_from_tuple(access_mode: AccessMode, compute_mode: ComputeMode,
     return ArchitectureType(type_id, access_mode, compute_mode, storage_mode)
 
 
-def tuple_of(arch: ArchitectureType) -> tuple[AccessMode, ComputeMode, StorageMode]:
-    return (arch.access, arch.compute, arch.storage)
-
-
 def parse_tuple(text: str) -> ArchitectureType:
     """Parse 'A1,B2,C3' (case-insensitive, spaces allowed)."""
     parts = [p.strip().upper() for p in text.split(",")]
@@ -132,10 +128,6 @@ class SimulationTopology:
     agent: access.Agent | None
     delegation: vm.DelegationPolicy | None
     integrity_violations: int = 0
-
-    @property
-    def uses_offchain_storage(self) -> bool:
-        return self.fabric.plan.route is not storage.Route.ON_CHAIN
 
 
 def storage_plan_for(arch: ArchitectureType, config: SimConfig) -> storage.StoragePlan:

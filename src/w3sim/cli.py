@@ -16,15 +16,7 @@ import os
 import sys
 
 from . import access, evaluation, identity, scenario, storage, vm
-from .archetypes import (
-    FT_ID,
-    MARKET_ID,
-    NFT_ID,
-    SimConfig,
-    architecture,
-    compose,
-    parse_tuple,
-)
+from .archetypes import FT_ID, NFT_ID, SimConfig, architecture, parse_tuple
 from .consensus import ConsensusRule, RuleKind
 from .evaluation import (
     compare,
@@ -54,13 +46,16 @@ def _build_parser() -> argparse.ArgumentParser:
                                      description="Deterministic Web3 protocol and architecture simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def run_flags(p):
         p.add_argument("--seed", type=int, default=None,
                        help=f"PRNG seed (default {DEFAULT_SEED}; W3SIM_SEED overrides the default)")
         p.add_argument("--nodes", type=int, default=DEFAULT_NODES, help="maintainer count")
+        p.add_argument("--config", help="flat key-value config file with sections")
+
+    def common(p):
+        run_flags(p)
         p.add_argument("--scenario", help="scenario script file")
         p.add_argument("--faults", help="fault plan file")
-        p.add_argument("--config", help="flat key-value config file with sections")
         p.add_argument("--out", help="output path (file or directory)")
         p.add_argument("--format", choices=("json", "markdown"), default="json")
 
@@ -80,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mx.add_argument("--jobs", type=int, default=1)
 
     demo = sub.add_parser("demo", help="narrated NFT sale across the five protocol phases")
-    common(demo)
+    run_flags(demo)
     demo.add_argument("--type", type=int, dest="type_id", default=2,
                       help="architecture to demo (default Type2)")
 
@@ -128,6 +123,12 @@ _SIM_KEYS = {
     ("access", "batch_size"): "batch_size",
 }
 _RULE_KEYS = ("rule", "fraction", "confirm_depth")
+_RULE_NAMES = {
+    "bft": RuleKind.BFT_QUORUM,
+    "bftquorum": RuleKind.BFT_QUORUM,
+    "majority": RuleKind.MAJORITY_CHAIN,
+    "majoritychain": RuleKind.MAJORITY_CHAIN,
+}
 
 
 def _load_sim(args, seed: int) -> SimConfig:
@@ -145,7 +146,10 @@ def _load_sim(args, seed: int) -> SimConfig:
         if cp.has_section("consensus"):
             sec = cp["consensus"]
             rule_name = sec.get("rule", "bft").lower()
-            kind = RuleKind.BFT_QUORUM if rule_name in ("bft", "bftquorum") else RuleKind.MAJORITY_CHAIN
+            if rule_name not in _RULE_NAMES:
+                raise ValueError(f"{args.config}: unknown consensus rule {rule_name!r}, "
+                                 f"expected one of {', '.join(_RULE_NAMES)}")
+            kind = _RULE_NAMES[rule_name]
             kwargs["rule"] = ConsensusRule(
                 kind=kind,
                 fraction=sec.getfloat("fraction", 2 / 3 if kind is RuleKind.BFT_QUORUM else 0.51),
@@ -260,78 +264,62 @@ def cmd_matrix(args) -> int:
 def cmd_demo(args) -> int:
     seed = _resolve_seed(args)
     arch = architecture(args.type_id)
-    sim = _load_sim(args, seed)
-    banners = PHASE_BANNERS
-
-    topo_script = nft_sale_script(repetitions=1)
-    alice = access.WalletClient.create(evaluation.actor_seed(seed, "alice"))
-    bob = access.WalletClient.create(evaluation.actor_seed(seed, "bob"))
-    funded = {alice.address.payload: 10_000, bob.address.payload: 10_000}
-    topo = compose(arch, sim, funded=funded,
-                   registered_users=(alice.address.payload, bob.address.payload))
-    chain, fabric = topo.chain, topo.fabric
-
+    run = evaluation._ScenarioRun(arch, nft_sale_script(repetitions=1), _load_sim(args, seed),
+                                  scenario.NO_FAULTS)
+    stats = run.run()
     print(f"Demo: NFT sale on Type{arch.type_id} ({arch.tuple_label}), seed {seed}")
-    print(banners[0])
+    if stats.infeasible_reason or stats.ops_succeeded != stats.ops_attempted:
+        print(f"demo FAILED: {stats.ops_succeeded} of {stats.ops_attempted} ops succeeded"
+              + (f" ({stats.infeasible_reason})" if stats.infeasible_reason else ""))
+        return 1
+    chain, agent = run.topology.chain, run.topology.agent
+    alice, bob = run.wallets["alice"], run.wallets["bob"]
+    signers = {alice.address.payload: "Alice", bob.address.payload: "Bob"}
+    if agent is not None:
+        signers[agent.address.payload] = "the agent"
+    # Every op succeeded, so each of these events sits in exactly one confirmation.
+    by_event = {ev.name: (conf, ev) for conf in chain.confirmations for ev in conf.receipt.events}
+    (mint, minted), (listing, listed), (sale, _) = by_event["Mint"], by_event["Listed"], by_event["Sale"]
+
+    print(PHASE_BANNERS[0])
     print(f"  Alice address {alice.address.text}")
     print(f"        base58  {identity.derive_address(alice.keypair.public_key, identity.AddressScheme.BASE58_BTC).text}")
     print(f"  Bob   address {bob.address.text}")
-    access.connect_wallet(alice, "nft-market")
-    access.connect_wallet(bob, "nft-market")
     print("  wallets connected to service 'nft-market'")
+    if agent is not None:
+        print(f"  agent {agent.address.text} registered for both users")
 
-    import random as _random
-    data = _random.Random(seed).randbytes(768)
-    token = (1).to_bytes(32, "big")
-    mint_op = access.UserOp(NFT_ID, "mint", args=(token,), data=data)
-    inline, ref = access.prepare_data(mint_op, fabric)
-    print(banners[1])
+    print(PHASE_BANNERS[1])
+    ref = run.refs[0]
     if isinstance(ref, storage.LinkedRef):
-        print(f"  raw data ({len(data)} bytes) stored off-chain, cid {ref.cid.digest.hex()[:16]}…")
-        print(f"  cid hooked on-chain inside the mint transaction")
+        print(f"  raw data stored off-chain, cid {ref.cid.digest.hex()[:16]}…")
+        print("  cid hooked on-chain inside the mint transaction")
     else:
-        print(f"  raw data ({len(data)} bytes) carried inline in the mint transaction")
-    mint_tx = access.submit_direct(alice, chain, mint_op, fabric, inline=inline)
-    print(f"  mint tx {mint_tx.hex()[:16]}… signed by Alice and submitted")
+        print(f"  raw data ({len(ref.data)} bytes) carried inline in the mint transaction")
+    for label, conf in (("mint", mint), ("list", listing), ("buy", sale)):
+        print(f"  {label} tx {conf.tx.tx_id.hex()[:16]}… signed by {signers[conf.tx.metadata.sender.payload]}")
 
-    print(banners[2])
-    print("  maintainers execute the mint against the token contract")
-    print(banners[3])
-    chain.run_until_drained()
-    if ref is not None:
-        ref = fabric.bind_hook(ref, mint_tx)
-    owner = vm.query_state(chain.state, NFT_ID, "ownerOf", (token,))
-    print(f"  mint confirmed at height {len(chain.confirmed_blocks) - 1}; owner is Alice: {owner == alice.address.payload}")
+    print(PHASE_BANNERS[2])
+    print("  maintainers execute mint, list and buy against the NFT, market and token contracts")
+    print(PHASE_BANNERS[3])
+    print(f"  mint confirmed at height {mint.height}, listing at {listing.height} "
+          f"(price {listed.field('price')}), buy at {sale.height}")
+    print("  the buy moved payment and ownership in one receipt")
 
-    price = 1_000
-    list_tx = access.submit_direct(alice, chain, access.UserOp(
-        MARKET_ID, "list", args=(token, price.to_bytes(16, "big"))), fabric)
-    chain.run_until_drained()
-    print(f"  listing confirmed (tx {list_tx.hex()[:12]}…, price {price})")
-
-    supply_before = vm.query_state(chain.state, FT_ID, "totalSupply")
-    buy_tx = access.submit_direct(bob, chain, access.UserOp(
-        MARKET_ID, "buy", args=(token, price.to_bytes(16, "big"))), fabric)
-    chain.run_until_drained()
-    owner = vm.query_state(chain.state, NFT_ID, "ownerOf", (token,))
-    alice_bal = vm.query_state(chain.state, FT_ID, "balanceOf", (alice.address.payload,))
-    bob_bal = vm.query_state(chain.state, FT_ID, "balanceOf", (bob.address.payload,))
-    supply_after = vm.query_state(chain.state, FT_ID, "totalSupply")
-    print(f"  buy confirmed (tx {buy_tx.hex()[:12]}…): payment and ownership moved in one receipt")
-
-    print(banners[4])
+    print(PHASE_BANNERS[4])
     retrieved = access.retrieve_state(chain, bob.address, NFT_ID)
-    print(f"  retrieval for Bob returns confirming tx {retrieved.tx_id.hex()[:12]}… (buy: {retrieved.tx_id == buy_tx})")
-    ok_owner = owner == bob.address.payload
-    ok_supply = supply_before == supply_after == alice_bal + bob_bal
-    integrity = True
+    owner = vm.query_state(chain.state, NFT_ID, "ownerOf", (bytes.fromhex(minted.field("token_id")),))
+    alice_bal, bob_bal = (vm.query_state(chain.state, FT_ID, "balanceOf", (w.address.payload,))
+                          for w in (alice, bob))
+    supply = vm.query_state(chain.state, FT_ID, "totalSupply")
+    ok_sale = retrieved.tx_id == sale.tx.tx_id
+    ok_supply = supply == alice_bal + bob_bal
+    print(f"  retrieval for Bob returns confirming tx {retrieved.tx_id.hex()[:12]}… (buy: {ok_sale})")
     if isinstance(ref, storage.LinkedRef):
-        blob = fabric.get(ref)
-        integrity = bool(fabric.verify_integrity(ref, blob))
-        print(f"  off-chain raw data integrity verifies: {integrity}")
-    print(f"  NFT owner is Bob: {ok_owner}; supply conserved ({supply_after}): {ok_supply}")
+        print("  off-chain raw data verified against its cid by the retrieval")
+    print(f"  NFT owner is Bob: {owner == bob.address.payload}; supply conserved ({supply}): {ok_supply}")
     print(f"  balances: Alice {alice_bal}, Bob {bob_bal}")
-    good = ok_owner and ok_supply and integrity and retrieved.tx_id == buy_tx
+    good = ok_sale and ok_supply
     print("demo complete" if good else "demo FAILED")
     return 0 if good else 1
 

@@ -173,7 +173,7 @@ class _ScenarioRun:
         self.stats.txs_confirmed = len(chain.confirmations)
         self.stats.ticks = chain.now
         self.stats.gas_total = chain.gas_total
-        self.stats.violations = self.topology.integrity_violations
+        self.stats.violations = self.topology.integrity_violations + chain.safety_breaks
         return self.stats
 
     def _run_step_wave(self, step: Step):

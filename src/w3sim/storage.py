@@ -8,7 +8,6 @@ confirmed hook transaction.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from random import Random
@@ -217,19 +216,3 @@ def plan_for_storage_mode(mode: int, replicas: int = DEFAULT_REPLICAS,
     if mode == 3:
         return StoragePlan(route=Route.OFF_CHAIN, replicas=replicas)
     raise ValueError(f"unknown storage mode {mode}")
-
-
-def export_store(store: OffChainStore, path: str) -> list[str]:
-    """Write each stored blob to path/<hex cid>; returns the filenames."""
-    os.makedirs(path, exist_ok=True)
-    written = []
-    for digest_bytes in sorted(store.placement):
-        for node_id in store.placement[digest_bytes]:
-            blob = store.nodes[node_id].blobs.get(digest_bytes)
-            if blob is not None:
-                name = digest_bytes.hex()
-                with open(os.path.join(path, name), "wb") as fh:
-                    fh.write(blob)
-                written.append(name)
-                break
-    return written

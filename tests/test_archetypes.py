@@ -16,7 +16,6 @@ from w3sim.archetypes import (
     architecture,
     compose,
     parse_tuple,
-    tuple_of,
     type_from_tuple,
 )
 from w3sim.scenario import FaultPlan
@@ -41,7 +40,7 @@ class TestTypeSpace:
     def test_bijection_roundtrip(self):
         seen = set()
         for arch in ALL_TYPES:
-            a, b, c = tuple_of(arch)
+            a, b, c = arch.access, arch.compute, arch.storage
             again = type_from_tuple(a, b, c)
             assert again == arch
             seen.add((a, b, c))
@@ -77,7 +76,7 @@ class TestComposition:
     def test_type1_minimal_stack(self):
         topo = self.compose_type(1)
         assert topo.agent is None
-        assert not topo.uses_offchain_storage
+        assert topo.fabric.plan.route is Route.ON_CHAIN
         assert topo.delegation is None
         assert topo.chain is not None  # consensus stays on-chain in every type
 

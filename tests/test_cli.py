@@ -3,8 +3,9 @@ import os
 
 import pytest
 
-from w3sim import cli
+from w3sim import access, cli
 from w3sim.archetypes import SimConfig
+from w3sim.consensus import RuleKind
 
 
 def run_cli(argv, capsys):
@@ -113,14 +114,39 @@ class TestSweep:
         assert sum(1 for f in files if f.startswith("report_type")) == 12
 
 
+def assert_narrated(out):
+    positions = [out.find(banner) for banner in cli.PHASE_BANNERS]
+    assert all(p >= 0 for p in positions)
+    assert positions == sorted(positions)
+    assert "demo complete" in out
+
+
 class TestDemo:
     def test_banners_in_order(self, capsys):
         code, out, _ = run_cli(["demo", "--seed", "42"], capsys)
         assert code == 0
-        positions = [out.find(banner) for banner in cli.PHASE_BANNERS]
-        assert all(p >= 0 for p in positions)
-        assert positions == sorted(positions)
-        assert "demo complete" in out
+        assert_narrated(out)
+
+    @pytest.mark.parametrize("type_id", range(1, 13))
+    def test_every_type_runs_the_sale_through_its_access_mode(self, type_id, capsys, monkeypatch):
+        calls = []
+        real = access.submit_via_agent
+        monkeypatch.setattr(access, "submit_via_agent",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        code, out, _ = run_cli(["demo", "--seed", "42", "--type", str(type_id)], capsys)
+        assert code == 0
+        assert_narrated(out)
+        if type_id >= 7:  # access A2
+            assert calls and "signed by the agent" in out
+        else:
+            assert not calls and "signed by Alice" in out
+
+    def test_infeasible_sale_fails_the_demo(self, tmp_path, capsys):
+        config = tmp_path / "sim.cfg"
+        config.write_text("[storage]\ninline_cap = 100\n")  # the 768-byte mint cannot go inline
+        code, out, _ = run_cli(["demo", "--type", "1", "--config", str(config)], capsys)
+        assert code == 1
+        assert "demo FAILED" in out and "InlineTooLarge" in out
 
     def test_demo_on_type1(self, capsys):
         code, out, _ = run_cli(["demo", "--seed", "42", "--type", "1"], capsys)
@@ -165,6 +191,13 @@ class TestUsageErrors:
     def test_demo_type_out_of_range(self, capsys):
         assert cli.main(["demo", "--type", "99"]) == 2
 
+    @pytest.mark.parametrize("flag, value", [("--scenario", "x"), ("--faults", "x"),
+                                             ("--out", "x"), ("--format", "json")])
+    def test_demo_rejects_flags_it_does_not_read(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["demo", flag, value])
+        assert err.value.code == 2
+
     def test_encode_needs_input(self, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(["encode", "--scheme", "base58"])
@@ -203,3 +236,17 @@ class TestConfigFile:
                                 "--config", str(config)], capsys)
         assert code == 2
         assert "max_tx_per_block" in err
+
+    def test_consensus_rule_names(self, tmp_path, scenario_file, capsys):
+        config = tmp_path / "sim.cfg"
+        for name, kind in (("bft", RuleKind.BFT_QUORUM), ("BftQuorum", RuleKind.BFT_QUORUM),
+                           ("majority", RuleKind.MAJORITY_CHAIN),
+                           ("majoritychain", RuleKind.MAJORITY_CHAIN)):
+            config.write_text(f"[consensus]\nrule = {name}\n")
+            args = cli._build_parser().parse_args(["simulate", "--type", "1", "--config", str(config)])
+            assert cli._load_sim(args, 1).rule.kind is kind
+        config.write_text("[consensus]\nrule = btf\n")
+        code, _, err = run_cli(["simulate", "--type", "1", "--scenario", scenario_file,
+                                "--config", str(config)], capsys)
+        assert code == 2
+        assert "btf" in err

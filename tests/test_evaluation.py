@@ -263,6 +263,14 @@ class TestFaultPlanPaths:
         assert at_tolerance.ops_succeeded == at_tolerance.ops_attempted
         assert beyond.ops_succeeded == 0
 
+    def test_equivocation_beyond_tolerance_is_counted_not_raised(self):
+        from w3sim.consensus import ByzantineMode
+        plan = FaultPlan(byzantine_maintainers=3, byz_mode=ByzantineMode.EQUIVOCATE)
+        stats = ev.run_raw(architecture(4), nft_sale_script(), SimConfig(seed=42), plan)
+        assert stats.violations >= 1
+        report = run_scenario(architecture(4), FAST, plan, seed=42)
+        assert report.security_violations >= 1
+
     def test_majority_chain_rule_through_harness(self):
         from w3sim.consensus import ConsensusRule, RuleKind
         sim = SimConfig(seed=3, rule=ConsensusRule(kind=RuleKind.MAJORITY_CHAIN,

@@ -16,7 +16,6 @@ from w3sim.storage import (
     StorageFabric,
     StoragePlan,
     VerifyResult,
-    export_store,
     plan_for_storage_mode,
 )
 
@@ -192,13 +191,3 @@ class TestContentId:
         blobs = {rng.randbytes(rng.randrange(1, 64)) for _ in range(2_000)}
         cids = {ContentId.of(b).digest for b in blobs}
         assert len(cids) == len(blobs)
-
-
-class TestExport:
-    def test_files_named_by_hex_cid(self, tmp_path):
-        fabric = fabric_for(Route.OFF_CHAIN, n_nodes=4)
-        refs = [fabric.put(bytes([i]) * 40) for i in range(3)]
-        names = export_store(fabric.store, str(tmp_path))
-        assert sorted(names) == sorted(r.cid.digest.hex() for r in refs)
-        for ref in refs:
-            assert (tmp_path / ref.cid.digest.hex()).read_bytes() == fabric.get(ref)
