@@ -62,9 +62,9 @@ def majority_grid(seeds: int):
         confirmed = 0
         for seed in range(seeds):
             state, tx = one_tx_state(b"mc-%d-%d" % (int(share * 100), seed))
-            net = ChainNetwork(ConsensusConfig(rule=rule, n_nodes=9, adversarial_share=share),
-                               state, seed=seed,
-                               behaviors=[NodeBehavior.BYZANTINE] * 4 + [NodeBehavior.HONEST] * 5)
+            net = ChainNetwork(ConsensusConfig(rule=rule, n_nodes=9), state, seed=seed,
+                               behaviors=[NodeBehavior.BYZANTINE] * 4 + [NodeBehavior.HONEST] * 5,
+                               adversarial_share=share)
             net.submit(tx)
             for _ in range(120):
                 net.run_round()

@@ -14,6 +14,7 @@ from enum import Enum
 from random import Random
 
 from . import access, consensus, identity, storage, vm
+from .consensus import ConsensusConfig
 from .scenario import NO_FAULTS, FaultPlan
 
 FT_ID = b"\x01" * 20
@@ -96,17 +97,13 @@ ALL_TYPES = tuple(architecture(i) for i in range(1, 13))
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Dial set for one simulation run; defaults are the desk-scale setup."""
+    """Dial set for one simulation run; defaults are the desk-scale setup.
+
+    The chain's settings live in `consensus`; faults live in FaultPlan.
+    """
 
     seed: int = 42
-    n_nodes: int = 7
-    rule: consensus.ConsensusRule = consensus.ConsensusRule()
-    block_interval: int = 1
-    msg_delay: tuple[int, int] = (0, 2)
-    max_txs_per_block: int = 8
-    network_capacity: int = 4_000
-    gas_byte_equiv: int = 64
-    pool_capacity: int = 10_000
+    consensus: ConsensusConfig = ConsensusConfig()
     gas_schedule: vm.GasSchedule = vm.DEFAULT_GAS_SCHEDULE
     storage_nodes: int = 10
     replicas: int = storage.DEFAULT_REPLICAS
@@ -131,10 +128,9 @@ class SimulationTopology:
 
 
 def storage_plan_for(arch: ArchitectureType, config: SimConfig) -> storage.StoragePlan:
-    plan = storage.plan_for_storage_mode(
-        arch.storage.value, replicas=config.replicas, inline_threshold=config.inline_threshold)
-    return storage.StoragePlan(route=plan.route, replicas=plan.replicas,
-                               inline_threshold=plan.inline_threshold, inline_cap=config.inline_cap)
+    return storage.StoragePlan(route=storage.Route[arch.storage.name], replicas=config.replicas,
+                               inline_threshold=config.inline_threshold,
+                               inline_cap=config.inline_cap)
 
 
 def compose(arch: ArchitectureType, sim_config: SimConfig, *,
@@ -203,24 +199,14 @@ def compose(arch: ArchitectureType, sim_config: SimConfig, *,
             st.set_storage(VERIFIER_ID, b"com:" + height.to_bytes(8, "big"), fold)
             return sim_config.gas_schedule.per_storage_write
 
-    cons_config = consensus.ConsensusConfig(
-        rule=sim_config.rule,
-        n_nodes=sim_config.n_nodes,
-        block_interval=sim_config.block_interval,
-        msg_delay=sim_config.msg_delay,
-        pool_capacity=sim_config.pool_capacity,
-        max_txs_per_block=sim_config.max_txs_per_block,
-        network_capacity=sim_config.network_capacity,
-        gas_byte_equiv=sim_config.gas_byte_equiv,
-        maintainer_crash_prob=faults.maintainer_crash_prob,
-    )
     behaviors = [
         consensus.NodeBehavior.BYZANTINE if i < faults.byzantine_maintainers
         else consensus.NodeBehavior.HONEST
-        for i in range(cons_config.n_nodes)
+        for i in range(sim_config.consensus.n_nodes)
     ]
-    chain = consensus.ChainNetwork(cons_config, state, executor, seed=sim_config.seed,
+    chain = consensus.ChainNetwork(sim_config.consensus, state, executor, seed=sim_config.seed,
                                    behaviors=behaviors, byz_mode=faults.byz_mode,
+                                   crash_prob=faults.maintainer_crash_prob,
                                    block_hook=block_hook)
 
     fabric = storage.StorageFabric(

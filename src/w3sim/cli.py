@@ -17,7 +17,7 @@ import sys
 
 from . import access, evaluation, identity, scenario, storage, vm
 from .archetypes import FT_ID, NFT_ID, SimConfig, architecture, parse_tuple
-from .consensus import ConsensusRule, RuleKind
+from .consensus import ConsensusConfig, ConsensusRule, RuleKind
 from .evaluation import (
     compare,
     diff_against_reference,
@@ -30,7 +30,6 @@ from .evaluation import (
 from .scenario import DEFAULT_FAULTS, nft_sale_script, parse_faults, parse_scenario
 
 DEFAULT_SEED = 42
-DEFAULT_NODES = 7
 
 PHASE_BANNERS = (
     "[Π1] identity creation",
@@ -49,7 +48,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def run_flags(p):
         p.add_argument("--seed", type=int, default=None,
                        help=f"PRNG seed (default {DEFAULT_SEED}; W3SIM_SEED overrides the default)")
-        p.add_argument("--nodes", type=int, default=DEFAULT_NODES, help="maintainer count")
+        p.add_argument("--nodes", type=int, default=None,
+                       help=f"maintainer count (overrides the config file; "
+                            f"default {ConsensusConfig.n_nodes})")
         p.add_argument("--config", help="flat key-value config file with sections")
 
     def common(p):
@@ -109,13 +110,16 @@ def _load_faults(args):
     return DEFAULT_FAULTS
 
 
-# Config-file (section, key) -> SimConfig field. A key left out keeps the
-# field's default; [consensus] rule/fraction/confirm_depth build the rule.
-_SIM_KEYS = {
+# Config-file (section, key) -> ConsensusConfig or SimConfig field. A key
+# left out keeps the field's default; [consensus] rule/fraction/confirm_depth
+# build the rule. --nodes overrides [network] nodes.
+_CONSENSUS_KEYS = {
     ("consensus", "block_interval"): "block_interval",
     ("network", "nodes"): "n_nodes",
     ("network", "max_txs_per_block"): "max_txs_per_block",
     ("network", "capacity"): "network_capacity",
+}
+_SIM_KEYS = {
     ("storage", "nodes"): "storage_nodes",
     ("storage", "replicas"): "replicas",
     ("storage", "inline_threshold"): "inline_threshold",
@@ -132,15 +136,18 @@ _RULE_NAMES = {
 
 
 def _load_sim(args, seed: int) -> SimConfig:
-    kwargs = {"seed": seed, "n_nodes": args.nodes}
+    sim_kwargs: dict = {"seed": seed}
+    cons_kwargs: dict = {}
     if getattr(args, "config", None):
         cp = configparser.ConfigParser()
         with open(args.config, encoding="utf-8") as fh:
             cp.read_file(fh)
         for section in cp.sections():
             for key, value in cp[section].items():
-                if (section, key) in _SIM_KEYS:
-                    kwargs[_SIM_KEYS[section, key]] = int(value)
+                if (section, key) in _CONSENSUS_KEYS:
+                    cons_kwargs[_CONSENSUS_KEYS[section, key]] = int(value)
+                elif (section, key) in _SIM_KEYS:
+                    sim_kwargs[_SIM_KEYS[section, key]] = int(value)
                 elif section != "consensus" or key not in _RULE_KEYS:
                     raise ValueError(f"{args.config}: unknown config key [{section}] {key}")
         if cp.has_section("consensus"):
@@ -150,12 +157,14 @@ def _load_sim(args, seed: int) -> SimConfig:
                 raise ValueError(f"{args.config}: unknown consensus rule {rule_name!r}, "
                                  f"expected one of {', '.join(_RULE_NAMES)}")
             kind = _RULE_NAMES[rule_name]
-            kwargs["rule"] = ConsensusRule(
+            cons_kwargs["rule"] = ConsensusRule(
                 kind=kind,
                 fraction=sec.getfloat("fraction", 2 / 3 if kind is RuleKind.BFT_QUORUM else 0.51),
                 confirm_depth=sec.getint("confirm_depth", ConsensusRule.confirm_depth),
             )
-    return SimConfig(**kwargs)
+    if args.nodes is not None:
+        cons_kwargs["n_nodes"] = args.nodes
+    return SimConfig(consensus=ConsensusConfig(**cons_kwargs), **sim_kwargs)
 
 
 def _write(path: str | None, default_name: str, content: str, out_dir_ok=True) -> str | None:

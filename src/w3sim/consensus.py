@@ -75,12 +75,10 @@ class ConsensusConfig:
     n_nodes: int = 7
     block_interval: int = 1
     msg_delay: tuple[int, int] = (0, 2)
-    adversarial_share: float = 0.0
     pool_capacity: int = 10_000
     max_txs_per_block: int = 8
     network_capacity: int = 4_000
     gas_byte_equiv: int = 64
-    maintainer_crash_prob: float = 0.0
 
     def __post_init__(self):
         if not (0 < self.rule.fraction <= 1):
@@ -139,14 +137,22 @@ class ChainNetwork:
     """One simulated chain instance: pool, maintainers, confirmed log, state.
 
     Single-threaded by contract; independent instances share nothing.
+    Faults are given apart from the config: fixed per-node behaviors, the
+    byzantine mode, crash_prob, the chance that a maintainer is offline in
+    any one round, and adversarial_share, the adversary's share of block
+    production under the majority-chain rule.
     """
 
     def __init__(self, config: ConsensusConfig, state: vm.ContractState | None = None,
                  executor=None, seed: int = 0,
                  behaviors: list[NodeBehavior] | None = None,
                  byz_mode: ByzantineMode = ByzantineMode.SILENT,
+                 crash_prob: float = 0.0,
+                 adversarial_share: float = 0.0,
                  block_hook=None):
         self.config = config
+        self.crash_prob = crash_prob
+        self.adversarial_share = adversarial_share
         self.state = state if state is not None else vm.ContractState()
         self.executor = executor or (lambda st, tx: vm.execute(st, tx)[1])
         self.block_hook = block_hook
@@ -202,8 +208,7 @@ class ChainNetwork:
     def _offline(self, node: MaintainerNode) -> bool:
         if node.behavior is NodeBehavior.CRASHED:
             return True
-        p = self.config.maintainer_crash_prob
-        return p > 0 and self.rng.random() < p
+        return self.crash_prob > 0 and self.rng.random() < self.crash_prob
 
     def _pack_block(self) -> tuple[Transaction, ...]:
         picked: list[Transaction] = []
@@ -351,15 +356,15 @@ class ChainNetwork:
         return self._record_confirmations(block, receipts)
 
     def _qualifying_branch(self) -> list[Block] | None:
-        honest_share = 1.0 - self.config.adversarial_share
+        honest_share = 1.0 - self.adversarial_share
         if honest_share > self.config.rule.fraction:
             return self._honest_branch
-        if self.config.adversarial_share > self.config.rule.fraction:
+        if self.adversarial_share > self.config.rule.fraction:
             return self._adv_branch
         return None
 
     def _run_majority_round(self) -> list[Confirmation]:
-        adversarial = self.rng.random() < self.config.adversarial_share
+        adversarial = self.rng.random() < self.adversarial_share
         if adversarial:
             branch = self._adv_branch
             txs: tuple[Transaction, ...] = ()  # adversary withholds user txs

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
+from enum import Enum
 from random import Random
 
 from . import access, vm
@@ -36,6 +37,7 @@ from .archetypes import (
     architecture,
     compose,
 )
+from .consensus import PoolFull
 from .scenario import (
     DEFAULT_FAULTS,
     NO_FAULTS,
@@ -169,6 +171,10 @@ class _ScenarioRun:
                 self._run_step_wave(step)
         except ScenarioInfeasible as err:
             self.stats.infeasible_reason = str(err)
+        except PoolFull as err:
+            # A submission or agent flush that overflows the pool ends the
+            # run; counting the rest as failed ops would understate throughput.
+            self.stats.infeasible_reason = f"PoolFull: {err}"
         chain = self.topology.chain
         self.stats.txs_confirmed = len(chain.confirmations)
         self.stats.ticks = chain.now
@@ -309,32 +315,22 @@ class MetricReport:
         return out
 
 
+def _config_items(prefix: str, config) -> list[tuple[str, object]]:
+    """(dotted field path, value) for every leaf setting of a config dataclass."""
+    items = []
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            items += _config_items(f"{prefix}{f.name}.", value)
+        else:
+            items.append((prefix + f.name, value.value if isinstance(value, Enum) else value))
+    return items
+
+
 def _config_snapshot(sim: SimConfig, script: ScenarioScript, faults: FaultPlan) -> tuple:
-    items = {
-        "n_nodes": sim.n_nodes,
-        "block_interval": sim.block_interval,
-        "max_txs_per_block": sim.max_txs_per_block,
-        "network_capacity": sim.network_capacity,
-        "gas_byte_equiv": sim.gas_byte_equiv,
-        "batch_size": sim.batch_size,
-        "replicas": sim.replicas,
-        "inline_threshold": sim.inline_threshold,
-        "inline_cap": sim.inline_cap,
-        "storage_nodes": sim.storage_nodes,
-        "offchain_fraction": sim.offchain_fraction,
-        "repetitions": script.repetitions,
-        "gas_base_tx": sim.gas_schedule.base_tx,
-        "gas_per_storage_write": sim.gas_schedule.per_storage_write,
-        "gas_per_storage_read": sim.gas_schedule.per_storage_read,
-        "gas_per_event": sim.gas_schedule.per_event,
-        "gas_per_inline_byte": sim.gas_schedule.per_inline_byte,
-        "fault_storage_crash_prob": faults.storage_crash_prob,
-        "fault_executor": faults.executor_behavior.value,
-        "fault_agent": faults.agent_behavior.value,
-        "fault_maintainer_crash_prob": faults.maintainer_crash_prob,
-        "fault_byzantine": faults.byzantine_maintainers,
-    }
-    return tuple(sorted((k, str(v)) for k, v in items.items()))
+    items = _config_items("", sim) + _config_items("faults.", faults)
+    items.append(("repetitions", script.repetitions))
+    return tuple(sorted((k, str(v)) for k, v in items))
 
 
 def run_scenario(arch: ArchitectureType, script: ScenarioScript | None = None,
@@ -349,7 +345,8 @@ def run_scenario(arch: ArchitectureType, script: ScenarioScript | None = None,
     main = run_raw(arch, script, base, NO_FAULTS)
     scores = rule_scores(arch)
     common = dict(
-        type_id=arch.type_id, tuple_label=arch.tuple_label, seed=seed, nodes=base.n_nodes,
+        type_id=arch.type_id, tuple_label=arch.tuple_label, seed=seed,
+        nodes=base.consensus.n_nodes,
         anonymity_score=scores.anonymity,
         confidentiality_score=scores.confidentiality,
         usability_score=scores.usability,
@@ -358,19 +355,26 @@ def run_scenario(arch: ArchitectureType, script: ScenarioScript | None = None,
         offchain_used=arch.storage is not StorageMode.ON_CHAIN,
         config=_config_snapshot(base, script, faults),
     )
-    if main.infeasible_reason:
+
+    def infeasible(reason: str) -> MetricReport:
         return MetricReport(
-            feasible=False, infeasible_reason=main.infeasible_reason,
+            feasible=False, infeasible_reason=reason,
             tps=0.0, scalability_slope=0.0, gas_total=0, availability=0.0,
             security_violations=0, ops_attempted=main.ops_attempted, ops_succeeded=0,
             onchain_ops=0, txs_confirmed=0, ops_per_tx=0.0, ticks=main.ticks, **common)
 
+    if main.infeasible_reason:
+        return infeasible(main.infeasible_reason)
+
     grid_latency = {}
     for n in scale_grid:
-        if n == base.n_nodes:
+        if n == base.consensus.n_nodes:
             stats = main  # the fault-free run is already this grid point
         else:
-            stats = run_raw(arch, script, replace(base, n_nodes=n), NO_FAULTS)
+            stats = run_raw(arch, script, replace(base, consensus=replace(base.consensus, n_nodes=n)),
+                            NO_FAULTS)
+            if stats.infeasible_reason:
+                return infeasible(f"{n}-maintainer run: {stats.infeasible_reason}")
         grid_latency[n] = stats.ticks / stats.onchain_ops if stats.onchain_ops else None
     lo, hi = min(scale_grid), max(scale_grid)
     # Negated marginal per-op latency per added node: higher = scales better.
@@ -382,6 +386,8 @@ def run_scenario(arch: ArchitectureType, script: ScenarioScript | None = None,
         slope = -(grid_latency[hi] - grid_latency[lo]) / (hi - lo)
 
     faulted = run_raw(arch, script, base, faults)
+    if faulted.infeasible_reason:
+        return infeasible(f"faulted run: {faulted.infeasible_reason}")
     availability = (faulted.ops_succeeded / faulted.ops_attempted) if faulted.ops_attempted else 0.0
 
     return MetricReport(

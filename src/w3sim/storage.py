@@ -205,14 +205,3 @@ class StorageFabric:
             return VerifyResult.VERIFIED if data == ref.data else VerifyResult.MISMATCH
         return VerifyResult.VERIFIED if ContentId.of(data) == ref.cid else VerifyResult.MISMATCH
 
-
-def plan_for_storage_mode(mode: int, replicas: int = DEFAULT_REPLICAS,
-                          inline_threshold: int = DEFAULT_INLINE_THRESHOLD) -> StoragePlan:
-    """Map a storage-component route index (1/2/3) to a concrete plan."""
-    if mode == 1:
-        return StoragePlan(route=Route.ON_CHAIN)
-    if mode == 2:
-        return StoragePlan(route=Route.HYBRID, replicas=replicas, inline_threshold=inline_threshold)
-    if mode == 3:
-        return StoragePlan(route=Route.OFF_CHAIN, replicas=replicas)
-    raise ValueError(f"unknown storage mode {mode}")

@@ -192,12 +192,6 @@ class ContractState:
     def credit_native(self, payload: bytes, amount: int):
         self._set_native(payload, self.native_balance(payload) + amount)
 
-    def debit_native(self, payload: bytes, amount: int):
-        bal = self.native_balance(payload)
-        if amount > bal:
-            raise VmError("native balance cannot go negative")
-        self._set_native(payload, bal - amount)
-
     def _set_native(self, payload: bytes, amount: int):
         old = self.native_balances.get(payload)
         if old is not None:

@@ -174,9 +174,9 @@ def test_criterion_2_consensus_thresholds():
             state.set_storage(FT_ID, b"bal:" + addr.payload, _amount(10_000))
             state.set_storage(FT_ID, b"sup:", _amount(10_000))
             net = ChainNetwork(
-                ConsensusConfig(rule=mc_rule, n_nodes=9, adversarial_share=share),
-                state, seed=seed,
-                behaviors=[NodeBehavior.BYZANTINE] * 4 + [NodeBehavior.HONEST] * 5)
+                ConsensusConfig(rule=mc_rule, n_nodes=9), state, seed=seed,
+                behaviors=[NodeBehavior.BYZANTINE] * 4 + [NodeBehavior.HONEST] * 5,
+                adversarial_share=share)
             metadata = txcraft.TxMetadata(sender=addr, receiver=addr, nonce=0,
                                           gas_limit=100_000, sim_time=0)
             payload = txcraft.TxPayload(contract_id=FT_ID, method="transfer",
@@ -204,7 +204,7 @@ def test_criterion_2_consensus_thresholds():
 
 def test_criterion_3_matrix_reproduction():
     start = time.time()
-    reports = run_sweep(seed=42, sim=SimConfig(seed=42, n_nodes=7))
+    reports = run_sweep(seed=42, sim=SimConfig(seed=42, consensus=ConsensusConfig(n_nodes=7)))
     mismatches = diff_against_reference(compare(reports, reports[1]))
     elapsed = time.time() - start
     assert mismatches == [], [str(m) for m in mismatches]

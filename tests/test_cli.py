@@ -5,7 +5,7 @@ import pytest
 
 from w3sim import access, cli
 from w3sim.archetypes import SimConfig
-from w3sim.consensus import RuleKind
+from w3sim.consensus import ConsensusConfig, RuleKind
 
 
 def run_cli(argv, capsys):
@@ -227,7 +227,17 @@ class TestConfigFile:
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         args = cli._build_parser().parse_args(
             ["simulate", "--type", "1", "--config", os.path.join(root, "scenarios", "sim.cfg")])
-        assert cli._load_sim(args, 9) == SimConfig(n_nodes=7, seed=9)
+        assert cli._load_sim(args, 9) == SimConfig(consensus=ConsensusConfig(n_nodes=7), seed=9)
+
+    def test_nodes_flag_beats_config_file_beats_default(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        shipped = os.path.join(root, "scenarios", "sim.cfg")
+        parse = cli._build_parser().parse_args
+        flagged = parse(["simulate", "--type", "1", "--nodes", "4", "--config", shipped])
+        assert cli._load_sim(flagged, 9).consensus.n_nodes == 4
+        from_file = parse(["simulate", "--type", "1", "--config", shipped])
+        assert cli._load_sim(from_file, 9).consensus.n_nodes == 7
+        assert cli._load_sim(parse(["simulate", "--type", "1"]), 9).consensus.n_nodes == 7
 
     def test_misspelled_config_key_exits_2(self, tmp_path, scenario_file, capsys):
         config = tmp_path / "sim.cfg"
@@ -244,7 +254,7 @@ class TestConfigFile:
                            ("majoritychain", RuleKind.MAJORITY_CHAIN)):
             config.write_text(f"[consensus]\nrule = {name}\n")
             args = cli._build_parser().parse_args(["simulate", "--type", "1", "--config", str(config)])
-            assert cli._load_sim(args, 1).rule.kind is kind
+            assert cli._load_sim(args, 1).consensus.rule.kind is kind
         config.write_text("[consensus]\nrule = btf\n")
         code, _, err = run_cli(["simulate", "--type", "1", "--scenario", scenario_file,
                                 "--config", str(config)], capsys)

@@ -49,9 +49,9 @@ def make_network(n=4, byzantine=0, byz_mode=ByzantineMode.SILENT, seed=1,
     kp = identity.generate_keypair(b"net-user-%d" % seed)
     addr = identity.derive_address(kp.public_key)
     state = funded_state([addr.payload])
-    config = ConsensusConfig(rule=rule, n_nodes=n, adversarial_share=adversarial_share,
-                             pool_capacity=pool_capacity)
-    net = ChainNetwork(config, state, seed=seed, behaviors=behaviors, byz_mode=byz_mode)
+    config = ConsensusConfig(rule=rule, n_nodes=n, pool_capacity=pool_capacity)
+    net = ChainNetwork(config, state, seed=seed, behaviors=behaviors, byz_mode=byz_mode,
+                       adversarial_share=adversarial_share)
     return net, kp, addr
 
 

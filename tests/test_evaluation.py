@@ -2,11 +2,16 @@ import dataclasses
 import importlib.util
 import json
 import os
+from collections import Counter
+from enum import Enum
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from w3sim import evaluation as ev
-from w3sim.archetypes import SimConfig, architecture
+from w3sim.access import AgentBehavior
+from w3sim.archetypes import FT_ID, NFT_ID, SimConfig, architecture
+from w3sim.consensus import ByzantineMode, ConsensusConfig
 from w3sim.evaluation import (
     MERGED_GROUPS,
     banded_sign,
@@ -32,7 +37,7 @@ from w3sim.scenario import (
     scenario_text,
     faults_text,
 )
-from w3sim.vm import GasSchedule
+from w3sim.vm import TAMPER_TARGETS, ExecutorBehavior, GasSchedule
 
 FAST = nft_sale_script(repetitions=6)
 
@@ -154,6 +159,30 @@ class TestRunScenario:
             assert field in record
         assert 0.0 <= record["availability"] <= 1.0
 
+    def test_every_setting_is_in_the_config_block(self):
+        script = nft_sale_script(repetitions=1)
+        base_sim, base_faults = SimConfig(), NO_FAULTS
+
+        def config(sim, faults):
+            return dict(run_scenario(architecture(1), script, faults, seed=sim.seed,
+                                     sim=sim).config)
+
+        before = config(base_sim, base_faults)
+        changed = []
+        for prefix, base in (("", base_sim), ("faults.", base_faults)):
+            for path, value in _leaves(base):
+                new = _other_value(value)
+                configured = _with(base, path, new)
+                sim, faults = (base_sim, configured) if prefix else (configured, base_faults)
+                after = config(sim, faults)
+                assert after != before, path
+                expected = new.value if isinstance(new, Enum) else new
+                assert after[prefix + path] == str(expected), path
+                changed.append(prefix + path)
+        assert {"consensus.rule.kind", "consensus.pool_capacity", "consensus.msg_delay",
+                "faults.byz_mode", "faults.tamper_target"} <= set(changed)
+        assert set(before) == set(changed) | {"repetitions"}
+
     @pytest.mark.parametrize("n_nodes, expected_runs", [(7, 4), (5, 5)])
     def test_main_run_doubles_as_grid_point(self, monkeypatch, n_nodes, expected_runs):
         calls = []
@@ -164,7 +193,7 @@ class TestRunScenario:
 
         monkeypatch.setattr(ev, "run_raw", counting_run_raw)
         run_scenario(architecture(3), FAST, DEFAULT_FAULTS, seed=16,
-                     sim=SimConfig(n_nodes=n_nodes))
+                     sim=SimConfig(consensus=ConsensusConfig(n_nodes=n_nodes)))
         assert len(calls) == expected_runs
 
     @pytest.mark.parametrize("type_id", [1, 7])
@@ -273,8 +302,8 @@ class TestFaultPlanPaths:
 
     def test_majority_chain_rule_through_harness(self):
         from w3sim.consensus import ConsensusRule, RuleKind
-        sim = SimConfig(seed=3, rule=ConsensusRule(kind=RuleKind.MAJORITY_CHAIN,
-                                                   fraction=0.51, confirm_depth=6))
+        sim = SimConfig(seed=3, consensus=ConsensusConfig(
+            rule=ConsensusRule(kind=RuleKind.MAJORITY_CHAIN, fraction=0.51, confirm_depth=6)))
         stats = ev.run_raw(architecture(1), FAST, sim, NO_FAULTS)
         assert stats.ops_succeeded == stats.ops_attempted > 0
 
@@ -282,6 +311,29 @@ class TestFaultPlanPaths:
         stats = ev.run_raw(architecture(1), FAST, SimConfig(seed=5),
                            FaultPlan(maintainer_crash_prob=0.15))
         assert stats.ops_succeeded == stats.ops_attempted
+
+
+class TestPoolLimit:
+    # Type1 overflows on a wallet submission; Type7 on the agent's final
+    # flush (bundles of 10 from 25 ops: two auto flushes, then the drain's).
+    @pytest.mark.parametrize("type_id, reps, capacity", [(1, 40, 16), (7, 25, 2)])
+    def test_overflow_makes_the_run_and_report_infeasible(self, type_id, reps, capacity):
+        sim = SimConfig(seed=42, consensus=ConsensusConfig(pool_capacity=capacity))
+        script = nft_sale_script(repetitions=reps)
+        stats = run_raw(architecture(type_id), script, sim, NO_FAULTS)
+        assert stats.infeasible_reason == f"PoolFull: pool at capacity {capacity}"
+        report = run_scenario(architecture(type_id), script, DEFAULT_FAULTS, seed=42, sim=sim)
+        assert not report.feasible
+        assert report.infeasible_reason.startswith("PoolFull")
+
+    def test_overflow_in_the_faulted_run_makes_the_report_infeasible(self):
+        # Three silent maintainers of seven stall the chain: the mint wave
+        # stays pooled and the list wave overflows a pool of 8.
+        sim = SimConfig(seed=42, consensus=ConsensusConfig(pool_capacity=8))
+        report = run_scenario(architecture(1), FAST, FaultPlan(byzantine_maintainers=3),
+                              seed=42, sim=sim)
+        assert not report.feasible
+        assert report.infeasible_reason == "faulted run: PoolFull: pool at capacity 8"
 
 
 class TestScenarioFiles:
@@ -329,3 +381,67 @@ class TestScenarioFiles:
         spec.loader.exec_module(bench)
         assert parse_faults(bench.NO_FAULTS) == NO_FAULTS
         assert parse_faults(bench.DEFAULT_FAULTS) == DEFAULT_FAULTS
+
+
+fault_plans = st.builds(
+    FaultPlan,
+    maintainer_crash_prob=st.floats(0.0, 1.0),
+    byzantine_maintainers=st.integers(0, 7),
+    byz_mode=st.sampled_from(ByzantineMode),
+    agent_behavior=st.sampled_from(AgentBehavior),
+    storage_crash_prob=st.floats(0.0, 1.0),
+    executor_behavior=st.sampled_from(ExecutorBehavior),
+    tamper_target=st.sampled_from(TAMPER_TARGETS),
+)
+
+
+class TestRunInvariants:
+    @settings(max_examples=25, deadline=None)
+    @given(type_id=st.integers(1, 12), seed=st.integers(0, 2**16),
+           reps=st.integers(1, 6), faults=fault_plans)
+    def test_whole_run_invariants(self, type_id, seed, reps, faults):
+        run = ev._ScenarioRun(architecture(type_id), nft_sale_script(repetitions=reps),
+                              SimConfig(seed=seed), faults)
+        stats = run.run()
+        chain = run.topology.chain
+        ft = chain.state.storage[FT_ID]
+        balances = sum(int.from_bytes(v, "big") for k, v in ft.items() if k.startswith(b"bal:"))
+        assert int.from_bytes(ft[b"sup:"], "big") == balances
+        assert chain.check_persistence()
+        assert len(chain.confirmed_tick) == len(chain.confirmations)
+        if stats.violations == 0:
+            nft = chain.state.storage.get(NFT_ID, {})
+            held = Counter(v for k, v in nft.items() if k.startswith(b"own:"))
+            counts = {k[4:]: int.from_bytes(v, "big") for k, v in nft.items()
+                      if k.startswith(b"cnt:")}
+            assert {owner: n for owner, n in counts.items() if n} == dict(held)
+
+
+def _leaves(config, prefix=""):
+    """(dotted path, value) of every non-dataclass field, depth first."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _leaves(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, value
+
+
+def _with(config, path, value):
+    head, _, rest = path.partition(".")
+    inner = _with(getattr(config, head), rest, value) if rest else value
+    return dataclasses.replace(config, **{head: inner})
+
+
+def _other_value(value):
+    """A valid setting of the same type that differs from value."""
+    if isinstance(value, Enum):
+        members = list(type(value))
+        return members[(members.index(value) + 1) % len(members)]
+    if isinstance(value, str):
+        return next(t for t in TAMPER_TARGETS if t != value)
+    if isinstance(value, float):
+        return value / 2 if value else 0.5
+    if isinstance(value, tuple):
+        return tuple(v + 1 for v in value)
+    return value + 1

@@ -3,7 +3,9 @@
 One sha256 covers the twelve report JSONs, the measured matrix JSON and,
 per type, the fault-free run's last block hash, state root and chain
 byte total. A performance change that alters any simulated outcome, even
-one the reports round away, changes the digest.
+one the reports round away, changes the digest. A second sha256 covers
+the same input with each report's `config` block left out, so a change
+to how a report states its configuration cannot hide a changed outcome.
 """
 
 import hashlib
@@ -14,15 +16,21 @@ from w3sim import evaluation as ev
 from w3sim.archetypes import SimConfig, architecture
 from w3sim.scenario import DEFAULT_FAULTS, NO_FAULTS, nft_sale_script, parse_faults
 
-GOLDEN_SHA256 = "d5a76a7a5062f00a17de793b3402dd7aefe6b8845d012b4ab03d9ee6121da0b6"
+GOLDEN_SHA256 = "efc3123772953eb0de06a80d5968df11ae0c78116ecefee419e2b44db2e7bf28"
+OUTCOME_SHA256 = "71738f6ebaf2a386311b3ac4a4c0fcc029bc7413eead00e5507f264448a16537"
 
 
-def golden_digest() -> str:
+def golden_digest(with_config: bool = True) -> str:
     script = nft_sale_script()
     h = hashlib.sha256()
     reports = ev.run_sweep(script, DEFAULT_FAULTS, seed=42)
     for type_id in sorted(reports):
-        h.update(ev.report_json(reports[type_id]).encode())
+        if with_config:
+            h.update(ev.report_json(reports[type_id]).encode())
+        else:
+            record = reports[type_id].to_json_dict()
+            del record["config"]
+            h.update(json.dumps(record, sort_keys=True).encode())
     h.update(ev.matrix_json(ev.compare(reports, reports[1])).encode())
     for type_id in range(1, 13):
         run = ev._ScenarioRun(architecture(type_id), script, replace(SimConfig(), seed=42), NO_FAULTS)
@@ -36,6 +44,10 @@ def golden_digest() -> str:
 
 def test_default_sweep_is_byte_identical():
     assert golden_digest() == GOLDEN_SHA256
+
+
+def test_default_sweep_outcomes_are_byte_identical():
+    assert golden_digest(with_config=False) == OUTCOME_SHA256
 
 
 # Every fault-plan field the topology wires: maintainer crashes, byzantine

@@ -1,0 +1,38 @@
+"""Smoke tests for the analysis scripts under scripts/.
+
+Each script runs in a fresh interpreter with tiny arguments; the test
+checks its header lines and the number of rows it prints.
+"""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_script(name, *args) -> list[str]:
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name), *args],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_availability_sweep():
+    lines = run_script("availability_sweep.py", "--reps", "2")
+    assert lines[0].split()[:3] == ["type", "no", "faults"]
+    rows = lines[1:]
+    assert [int(row.split()[0]) for row in rows] == list(range(1, 13))
+    for row in rows:
+        cells = [float(cell) for cell in row.split()[1:]]
+        assert len(cells) == 5 and all(0.0 <= cell <= 1.0 for cell in cells)
+
+
+def test_consensus_thresholds():
+    lines = run_script("consensus_thresholds.py", "--seeds", "1")
+    assert lines[0].startswith("quorum rule (2/3)")
+    assert all(line.lstrip().startswith("n=") for line in lines[1:4])
+    assert lines[4].startswith("majority chain")
+    assert len(lines) == 10
+    assert all(line.lstrip().startswith("adversarial share") for line in lines[5:])

@@ -3,6 +3,15 @@ import random
 
 import pytest
 
+from w3sim.archetypes import (
+    AccessMode,
+    ComputeMode,
+    SimConfig,
+    StorageMode,
+    architecture,
+    storage_plan_for,
+    type_from_tuple,
+)
 from w3sim.storage import (
     AllReplicasDown,
     ContentId,
@@ -16,7 +25,6 @@ from w3sim.storage import (
     StorageFabric,
     StoragePlan,
     VerifyResult,
-    plan_for_storage_mode,
 )
 
 
@@ -65,9 +73,18 @@ class TestPut:
             StoragePlan(route=Route.HYBRID, inline_threshold=0)
 
     def test_mode_mapping(self):
-        assert plan_for_storage_mode(1).route is Route.ON_CHAIN
-        assert plan_for_storage_mode(2).route is Route.HYBRID
-        assert plan_for_storage_mode(3).route is Route.OFF_CHAIN
+        sim = SimConfig(replicas=4, inline_threshold=128, inline_cap=512)
+        for mode, route in ((StorageMode.ON_CHAIN, Route.ON_CHAIN),
+                            (StorageMode.HYBRID, Route.HYBRID),
+                            (StorageMode.OFF_CHAIN, Route.OFF_CHAIN)):
+            arch = type_from_tuple(AccessMode.BROWSER, ComputeMode.ON_CHAIN, mode)
+            assert storage_plan_for(arch, sim) == StoragePlan(
+                route=route, replicas=4, inline_threshold=128, inline_cap=512)
+
+    def test_bad_setting_fails_for_every_storage_mode(self):
+        for type_id in (1, 2, 3):
+            with pytest.raises(ValueError):
+                storage_plan_for(architecture(type_id), SimConfig(replicas=0))
 
 
 class TestGet:
