@@ -17,14 +17,13 @@ import sys
 
 from . import access, evaluation, identity, scenario, storage, vm
 from .archetypes import FT_ID, NFT_ID, SimConfig, architecture, parse_tuple
-from .consensus import ConsensusConfig, ConsensusRule, RuleKind
+from .consensus import ConsensusConfig, ConsensusRule, RuleKind, chain_ndjson
 from .evaluation import (
     compare,
     diff_against_reference,
     matrix_json,
     matrix_markdown,
     report_json,
-    run_scenario,
     run_sweep,
 )
 from .scenario import DEFAULT_FAULTS, nft_sale_script, parse_faults, parse_scenario
@@ -213,18 +212,18 @@ def cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
     arch = _pick_arch(args)
     sim = _load_sim(args, seed)
-    report = run_scenario(arch, _load_script(args), _load_faults(args), seed=seed, sim=sim)
+    script = _load_script(args)
+    # The report's fault-free main run, kept so the dumps show its chain.
+    main = evaluation._ScenarioRun(arch, script, sim, scenario.NO_FAULTS)
+    report = evaluation._report(arch, script, _load_faults(args), sim, main.run())
     content = report_json(report) if args.format == "json" else _report_markdown(report)
     _write(args.out, f"report_type{arch.type_id}.{'json' if args.format == 'json' else 'md'}", content)
-    if args.dump_chain or args.dump_events:
-        from .consensus import chain_ndjson
-        run = evaluation._ScenarioRun(arch, _load_script(args), sim, scenario.NO_FAULTS)
-        run.run()
-        if args.dump_chain:
-            _write(args.dump_chain, "chain.ndjson", chain_ndjson(run.topology.chain), out_dir_ok=False)
-        if args.dump_events:
-            _write(args.dump_events, "events.ndjson", vm.export_events_ndjson(run.topology.chain.state),
-                   out_dir_ok=False)
+    chain = main.topology.chain
+    if args.dump_chain:
+        _write(args.dump_chain, "chain.ndjson", chain_ndjson(chain), out_dir_ok=False)
+    if args.dump_events:
+        _write(args.dump_events, "events.ndjson", vm.export_events_ndjson(chain.state),
+               out_dir_ok=False)
     return 0
 
 

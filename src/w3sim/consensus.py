@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from random import Random
+from typing import NamedTuple
 
 from . import identity, vm
 from .txcraft import Transaction, validate_transaction, TxError
@@ -83,8 +84,13 @@ class ConsensusConfig:
     def __post_init__(self):
         if not (0 < self.rule.fraction <= 1):
             raise ValueError("fraction must be in (0, 1]")
-        if self.n_nodes < 1:
-            raise ValueError("n_nodes must be >= 1")
+        for name in ("n_nodes", "block_interval", "pool_capacity", "max_txs_per_block",
+                     "network_capacity", "gas_byte_equiv"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        lo, hi = self.msg_delay
+        if not 0 <= lo <= hi:
+            raise ValueError(f"msg_delay must satisfy 0 <= lo <= hi, got {self.msg_delay}")
 
     @cached_property
     def quorum(self) -> int:
@@ -93,6 +99,27 @@ class ConsensusConfig:
         # reads it, and the config is frozen.
         frac = Fraction(self.rule.fraction).limit_denominator(10_000)
         return min(self.n_nodes, int(frac * self.n_nodes) + 1)
+
+
+class RoundRecord(NamedTuple):
+    """What one round fed the clock: the block's tx count, bytes and gas, and the delay drawn."""
+
+    txs: int
+    block_bytes: int
+    block_gas: int
+    delay: int
+
+
+def round_ticks(config: ConsensusConfig, n_nodes: int, record: RoundRecord) -> int:
+    """Ticks the round in `record` takes among n_nodes maintainers.
+
+    Each maintainer relays the block's bytes plus its gas in byte
+    equivalents over a shared network_capacity, on top of the block
+    interval and the drawn message delay. The live clock and any
+    re-timing of a recorded trace both go through here.
+    """
+    work = n_nodes * (record.block_bytes + record.block_gas // config.gas_byte_equiv)
+    return config.block_interval + math.ceil(work / config.network_capacity) + record.delay
 
 
 @dataclass(frozen=True)
@@ -159,6 +186,7 @@ class ChainNetwork:
         self.rng = Random(seed)
         self.now = 0
         self.round_count = 0
+        self.rounds: list[RoundRecord] = []  # one record per round, in order
         self.pool: OrderedDict[bytes, Transaction] = OrderedDict()
         self.seen_tx: set[bytes] = set()
         self.next_nonce: dict[bytes, int] = {}
@@ -230,12 +258,11 @@ class ChainNetwork:
             self._unconfirmed -= 1
         return tuple(picked)
 
-    def _advance_clock(self, block_bytes: int, block_gas: int):
-        work = self.config.n_nodes * (block_bytes + block_gas // self.config.gas_byte_equiv)
-        dur = self.config.block_interval + math.ceil(work / self.config.network_capacity)
+    def _advance_clock(self, txs: int, block_bytes: int, block_gas: int):
         lo, hi = self.config.msg_delay
-        dur += self.rng.randint(lo, hi) if hi > lo else lo
-        self.now += dur
+        record = RoundRecord(txs, block_bytes, block_gas, self.rng.randint(lo, hi) if hi > lo else lo)
+        self.rounds.append(record)
+        self.now += round_ticks(self.config, self.config.n_nodes, record)
 
     def _execute_txs(self, txs: tuple[Transaction, ...], proposer: int):
         receipts: list[tuple[Transaction, vm.Receipt]] = []
@@ -303,7 +330,7 @@ class ChainNetwork:
         if proposer.node_id in offline or (
             proposer.behavior is NodeBehavior.BYZANTINE and proposer.byz_mode is ByzantineMode.SILENT
         ):
-            self._advance_clock(0, 0)
+            self._advance_clock(0, 0, 0)
             return []
 
         if proposer.behavior is NodeBehavior.BYZANTINE and proposer.byz_mode is ByzantineMode.EQUIVOCATE:
@@ -330,14 +357,14 @@ class ChainNetwork:
             elif votes_b >= quorum:
                 txs = prop_b
             else:
-                self._advance_clock(0, 0)
+                self._advance_clock(0, 0, 0)
                 return []
         else:
             txs = self._pack_block()
             if proposer.behavior is NodeBehavior.BYZANTINE and proposer.byz_mode is ByzantineMode.WITHHOLD_TXS:
                 txs = ()
             if self._votes_for(offline) < self.config.quorum:
-                self._advance_clock(0, 0)
+                self._advance_clock(0, 0, 0)
                 return []
 
         for tx in txs:
@@ -352,7 +379,7 @@ class ChainNetwork:
         block_bytes = sum(tx.wire_size() for tx in txs)
         self.gas_total += block_gas
         self.bytes_total += block_bytes
-        self._advance_clock(block_bytes, block_gas)
+        self._advance_clock(len(txs), block_bytes, block_gas)
         return self._record_confirmations(block, receipts)
 
     def _qualifying_branch(self) -> list[Block] | None:
@@ -378,7 +405,7 @@ class ChainNetwork:
         tip = branch[-1]
         block = make_block(tip.height + 1, tip.block_hash, txs, self.state.state_root, proposer)
         branch.append(block)
-        self._advance_clock(sum(tx.wire_size() for tx in txs), 0)
+        self._advance_clock(len(txs), sum(tx.wire_size() for tx in txs), 0)
 
         confs: list[Confirmation] = []
         qualifying = self._qualifying_branch()

@@ -9,11 +9,13 @@ diffs the resulting ordinal matrix against the pinned reference matrix.
 
 Each quality attribute is measured under its own stimulus, in the spirit
 of scenario-based trade-off analysis: throughput/gas on a fault-free run,
-the scaling slope across node counts {4, 7, 10}, availability and
+the scaling slope between 4 and 10 maintainers, availability and
 integrity under the fault plan. All sub-runs share one seed, so a report
-is a pure function of (architecture, script, faults, seed, config). The
-fault-free run doubles as the scaling grid point at its own node count,
-so a report with the default grid costs four sub-runs, not five.
+is a pure function of (architecture, script, faults, seed, config). A
+report costs two sub-runs, the fault-free main run and the faulted run:
+without faults the maintainer count changes only the clock, so the
+scaling grid is re-timed from the main run's round trace instead of
+being simulated again.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .archetypes import (
     architecture,
     compose,
 )
-from .consensus import PoolFull
+from .consensus import ConsensusConfig, PoolFull, RoundRecord, round_ticks
 from .scenario import (
     DEFAULT_FAULTS,
     NO_FAULTS,
@@ -49,7 +51,7 @@ from .scenario import (
 )
 from .storage import InlineTooLarge, LinkedRef, Route, StorageError
 
-SCALE_GRID = (4, 7, 10)
+SCALE_GRID = (4, 10)  # maintainer counts the scalability slope spans
 DEAD_BAND = 0.05  # relative dead-band for measured-sign computation
 DRAIN_ROUNDS = 600
 
@@ -73,6 +75,12 @@ class RunStats:
     gas_total: int = 0
     violations: int = 0
     infeasible_reason: str | None = None
+
+    def __post_init__(self):
+        # The chain's per-round trace, set when the run ends. A plain
+        # attribute, not a dataclass field, so asdict() and == cover the
+        # counters above only.
+        self.rounds: list[RoundRecord] = []
 
 
 def actor_seed(seed: int, name: str) -> bytes:
@@ -180,6 +188,7 @@ class _ScenarioRun:
         self.stats.ticks = chain.now
         self.stats.gas_total = chain.gas_total
         self.stats.violations = self.topology.integrity_violations + chain.safety_breaks
+        self.stats.rounds = chain.rounds
         return self.stats
 
     def _run_step_wave(self, step: Step):
@@ -335,17 +344,31 @@ def _config_snapshot(sim: SimConfig, script: ScenarioScript, faults: FaultPlan) 
 
 def run_scenario(arch: ArchitectureType, script: ScenarioScript | None = None,
                  faults: FaultPlan | None = None, seed: int = 42,
-                 sim: SimConfig | None = None, scale_grid=SCALE_GRID) -> MetricReport:
+                 sim: SimConfig | None = None) -> MetricReport:
     """Measure one architecture; deterministic in (arch, script, faults, seed, sim)."""
     script = script or nft_sale_script()
     faults = faults if faults is not None else DEFAULT_FAULTS
-    base = sim or SimConfig()
-    base = replace(base, seed=seed)
+    base = replace(sim or SimConfig(), seed=seed)
+    return _report(arch, script, faults, base, run_raw(arch, script, base, NO_FAULTS))
 
-    main = run_raw(arch, script, base, NO_FAULTS)
+
+def _ticks_at(main: RunStats, consensus: ConsensusConfig, n_nodes: int) -> int:
+    """The ticks main's rounds take among n_nodes maintainers.
+
+    Exact for a fault-free run only. Without faults the maintainer count
+    changes nothing but the clock: the blocks, their bytes and gas and the
+    delay draws are the same at every n. Under faults it is not: crashes
+    draw from the chain's rng and change the round count.
+    """
+    return sum(round_ticks(consensus, n_nodes, record) for record in main.rounds)
+
+
+def _report(arch: ArchitectureType, script: ScenarioScript, faults: FaultPlan,
+            base: SimConfig, main: RunStats) -> MetricReport:
+    """The report on arch from its fault-free main run under base, plus a faulted run."""
     scores = rule_scores(arch)
     common = dict(
-        type_id=arch.type_id, tuple_label=arch.tuple_label, seed=seed,
+        type_id=arch.type_id, tuple_label=arch.tuple_label, seed=base.seed,
         nodes=base.consensus.n_nodes,
         anonymity_score=scores.anonymity,
         confidentiality_score=scores.confidentiality,
@@ -366,24 +389,22 @@ def run_scenario(arch: ArchitectureType, script: ScenarioScript | None = None,
     if main.infeasible_reason:
         return infeasible(main.infeasible_reason)
 
-    grid_latency = {}
-    for n in scale_grid:
-        if n == base.consensus.n_nodes:
-            stats = main  # the fault-free run is already this grid point
-        else:
-            stats = run_raw(arch, script, replace(base, consensus=replace(base.consensus, n_nodes=n)),
-                            NO_FAULTS)
-            if stats.infeasible_reason:
-                return infeasible(f"{n}-maintainer run: {stats.infeasible_reason}")
-        grid_latency[n] = stats.ticks / stats.onchain_ops if stats.onchain_ops else None
-    lo, hi = min(scale_grid), max(scale_grid)
+    # The scaling grid is re-timed from the main run's trace, not simulated
+    # again; a trace that misses the run's own ticks has drifted from the clock.
+    cons = base.consensus
+    derived = _ticks_at(main, cons, cons.n_nodes)
+    if derived != main.ticks:
+        raise RuntimeError(f"round trace gives {derived} ticks at {cons.n_nodes} maintainers, "
+                           f"the run took {main.ticks}")
     # Negated marginal per-op latency per added node: higher = scales better.
     # A plain tps difference is dominated by the tps level itself (faster
     # types fall more in absolute terms); the inverse-tps slope isolates
     # what one extra maintainer costs each confirmed operation.
     slope = 0.0
-    if grid_latency[lo] is not None and grid_latency[hi] is not None:
-        slope = -(grid_latency[hi] - grid_latency[lo]) / (hi - lo)
+    if main.onchain_ops:
+        lo, hi = SCALE_GRID
+        latency = {n: _ticks_at(main, cons, n) / main.onchain_ops for n in SCALE_GRID}
+        slope = -(latency[hi] - latency[lo]) / (hi - lo)
 
     faulted = run_raw(arch, script, base, faults)
     if faulted.infeasible_reason:

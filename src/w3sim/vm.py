@@ -147,6 +147,9 @@ class ContractState:
         # Root term of every live storage cell, so an overwrite or delete
         # subtracts the stored term instead of re-hashing the old value.
         self._cell_terms: dict[bytes, dict[bytes, int]] = {}
+        # b"w3/st" + _ser_bytes(contract_id), the digest prefix every cell
+        # of a contract shares.
+        self._cell_prefix: dict[bytes, bytes] = {}
 
     @staticmethod
     def storage_entry_digest(contract_id: bytes, key: bytes, value: bytes) -> bytes:
@@ -181,7 +184,10 @@ class ContractState:
             area.pop(key, None)
         else:
             area[key] = value
-            term = int.from_bytes(self.storage_entry_digest(contract_id, key, value), "big")
+            prefix = self._cell_prefix.get(contract_id)
+            if prefix is None:
+                prefix = self._cell_prefix[contract_id] = b"w3/st" + _ser_bytes(contract_id)
+            term = int.from_bytes(identity.digest(prefix + _ser_bytes(key) + _ser_bytes(value)), "big")
             terms[key] = term
             acc += term
         self._root_acc = acc % _ROOT_MOD
@@ -576,7 +582,9 @@ def execute(state: ContractState, tx: Transaction, schedule: GasSchedule = DEFAU
         return state, Receipt(TxStatus.REVERTED, revert_reason, min(gas, tx.metadata.gas_limit),
                               (), state.state_root)
 
-    for cid, key, value in applied:
+    # A bundle rewrites its sequence cell once per op; only each cell's last
+    # value reaches the state.
+    for (cid, key), value in {(cid, key): value for cid, key, value in applied}.items():
         state.set_storage(cid, key, value)
     state.event_log.extend(events)
     written = tuple((cid, key) for cid, key, _ in applied)

@@ -3,9 +3,9 @@ import os
 
 import pytest
 
-from w3sim import access, cli
+from w3sim import access, cli, evaluation, vm
 from w3sim.archetypes import SimConfig
-from w3sim.consensus import ConsensusConfig, RuleKind
+from w3sim.consensus import ConsensusConfig, RuleKind, chain_ndjson
 
 
 def run_cli(argv, capsys):
@@ -60,7 +60,15 @@ class TestSimulate:
         for key in ("tps", "gas_total", "availability", "security_violations", "config"):
             assert key in record
 
-    def test_dump_chain_and_events(self, tmp_path, scenario_file, capsys):
+    def test_dump_chain_and_events(self, tmp_path, scenario_file, capsys, monkeypatch):
+        runs = []
+        real_init = evaluation._ScenarioRun.__init__
+
+        def counting_init(run, *args):
+            runs.append(run)
+            real_init(run, *args)
+
+        monkeypatch.setattr(evaluation._ScenarioRun, "__init__", counting_init)
         chain_path = tmp_path / "chain.ndjson"
         events_path = tmp_path / "events.ndjson"
         code, _, _ = run_cli(["simulate", "--type", "1", "--seed", "4",
@@ -73,6 +81,12 @@ class TestSimulate:
             json.loads(line)
         for line in events_path.read_text().splitlines():
             json.loads(line)
+        # The dumps show the report's own fault-free main run; nothing re-runs it.
+        assert len(runs) == 2  # the main run and the faulted run
+        main = runs[0].topology.chain
+        assert chain_path.read_text() == chain_ndjson(main)
+        assert events_path.read_text() == vm.export_events_ndjson(main.state)
+        assert json.loads((tmp_path / "r.json").read_text())["ticks"] == main.now
 
     def test_env_seed_override(self, tmp_path, scenario_file, capsys, monkeypatch):
         monkeypatch.setenv("W3SIM_SEED", "777")
@@ -246,6 +260,20 @@ class TestConfigFile:
                                 "--config", str(config)], capsys)
         assert code == 2
         assert "max_tx_per_block" in err
+
+    @pytest.mark.parametrize("text", ["[network]\ncapacity = 0\n",
+                                      "[network]\nmax_txs_per_block = 0\n",
+                                      "[consensus]\nblock_interval = 0\n",
+                                      "[network]\nnodes = 0\n"])
+    def test_out_of_range_config_value_exits_2(self, tmp_path, scenario_file, capsys, text):
+        config = tmp_path / "sim.cfg"
+        config.write_text(text)
+        out = tmp_path / "r.json"
+        code, _, err = run_cli(["simulate", "--type", "1", "--scenario", scenario_file,
+                                "--config", str(config), "--out", str(out)], capsys)
+        assert code == 2
+        assert "must be >= 1" in err
+        assert not out.exists()
 
     def test_consensus_rule_names(self, tmp_path, scenario_file, capsys):
         config = tmp_path / "sim.cfg"

@@ -63,6 +63,25 @@ def transfer_tx(kp, addr, nonce, sim_time=0):
     return txcraft.build_transaction(kp.secret_key, metadata, payload)
 
 
+class TestConfigRanges:
+    @pytest.mark.parametrize("field", ["n_nodes", "block_interval", "pool_capacity",
+                                       "max_txs_per_block", "network_capacity",
+                                       "gas_byte_equiv"])
+    def test_counts_below_one_are_rejected(self, field):
+        ConsensusConfig(**{field: 1})
+        with pytest.raises(ValueError, match=field):
+            ConsensusConfig(**{field: 0})
+
+    @pytest.mark.parametrize("delay", [(-1, 2), (3, 2), (-2, -1)])
+    def test_msg_delay_must_be_an_ordered_nonnegative_range(self, delay):
+        with pytest.raises(ValueError, match="msg_delay"):
+            ConsensusConfig(msg_delay=delay)
+
+    def test_fixed_msg_delay_is_allowed(self):
+        assert ConsensusConfig(msg_delay=(0, 0)).msg_delay == (0, 0)
+        assert ConsensusConfig(msg_delay=(2, 2)).msg_delay == (2, 2)
+
+
 class TestSubmission:
     def test_duplicate_tx(self):
         net, kp, addr = make_network()

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from w3sim import evaluation as ev
 from w3sim.access import AgentBehavior
 from w3sim.archetypes import FT_ID, NFT_ID, SimConfig, architecture
-from w3sim.consensus import ByzantineMode, ConsensusConfig
+from w3sim.consensus import ByzantineMode, ConsensusConfig, ConsensusRule, RuleKind
 from w3sim.evaluation import (
     MERGED_GROUPS,
     banded_sign,
@@ -183,8 +183,10 @@ class TestRunScenario:
                 "faults.byz_mode", "faults.tamper_target"} <= set(changed)
         assert set(before) == set(changed) | {"repetitions"}
 
-    @pytest.mark.parametrize("n_nodes, expected_runs", [(7, 4), (5, 5)])
-    def test_main_run_doubles_as_grid_point(self, monkeypatch, n_nodes, expected_runs):
+    @pytest.mark.parametrize("n_nodes", [7, 5])
+    def test_main_run_doubles_as_grid_point(self, monkeypatch, n_nodes):
+        # The grid is re-timed from the main run's trace, so a report costs
+        # the main and the faulted run at any maintainer count.
         calls = []
 
         def counting_run_raw(*args):
@@ -194,7 +196,29 @@ class TestRunScenario:
         monkeypatch.setattr(ev, "run_raw", counting_run_raw)
         run_scenario(architecture(3), FAST, DEFAULT_FAULTS, seed=16,
                      sim=SimConfig(consensus=ConsensusConfig(n_nodes=n_nodes)))
-        assert len(calls) == expected_runs
+        assert [faults for *_, faults in calls] == [NO_FAULTS, DEFAULT_FAULTS]
+
+    @settings(max_examples=20, deadline=None)
+    @given(type_id=st.integers(1, 12), seed=st.integers(0, 2**16), reps=st.integers(1, 40),
+           n_nodes=st.integers(1, 12),
+           rule=st.sampled_from([ConsensusRule(), ConsensusRule(RuleKind.MAJORITY_CHAIN, 0.51)]))
+    def test_grid_point_from_the_trace_equals_a_real_run(self, type_id, seed, reps, n_nodes,
+                                                         rule):
+        # If packing or the delay draws ever depend on the maintainer count,
+        # re-timing the trace stops being exact and this fails.
+        script = nft_sale_script(repetitions=reps)
+        sim = SimConfig(seed=seed, consensus=ConsensusConfig(rule=rule, n_nodes=7))
+        main = run_raw(architecture(type_id), script, sim, NO_FAULTS)
+        at_n = dataclasses.replace(sim, consensus=ConsensusConfig(rule=rule, n_nodes=n_nodes))
+        real = run_raw(architecture(type_id), script, at_n, NO_FAULTS)
+        assert ev._ticks_at(main, sim.consensus, n_nodes) == real.ticks
+        assert main.onchain_ops == real.onchain_ops
+
+    def test_a_trace_that_drifts_from_the_clock_raises(self, monkeypatch):
+        real_ticks_at = ev._ticks_at
+        monkeypatch.setattr(ev, "_ticks_at", lambda main, cons, n: real_ticks_at(main, cons, n) + 1)
+        with pytest.raises(RuntimeError, match="round trace"):
+            run_scenario(architecture(1), FAST, NO_FAULTS, seed=3)
 
     @pytest.mark.parametrize("type_id", [1, 7])
     def test_agent_flush_uses_the_run_gas_schedule(self, type_id):

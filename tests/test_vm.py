@@ -435,6 +435,24 @@ class TestBundles:
         failed = [ev for ev in receipt.events if ev.name == "OpFailed"]
         assert failed and failed[0].field("reason") == "SequenceMismatch"
 
+    def test_rewritten_cells_keep_every_write_in_the_receipt(self):
+        # An agent bundle rewrites the user's seq: cell once per op, and here
+        # its allowance cell too; the receipt lists every write in order,
+        # while the state holds each cell's last value.
+        users = [wallet(b"bundle-rewrite")]
+        state, agent_kp, agent = self.setup_agent(users)
+        u, spender = users[0][1].payload, b"\x01" * 20
+        ops = [BundleOp(u, seq, FT, "approve", (spender, amount(10 * (seq + 1))))
+               for seq in range(3)]
+        receipt = execute(state, self.make_bundle_tx(agent_kp, agent, ops))[1]
+        assert receipt.success
+        seq_cell = (vm.SYSTEM_CONTRACT_ID, b"seq:" + agent.payload + u)
+        alw_cell = (FT, b"alw:" + u + spender)
+        assert receipt.writes == (seq_cell, alw_cell) * 3
+        assert state.get_storage(*seq_cell) == (3).to_bytes(8, "big")
+        assert query_state(state, FT, "allowance", (u, spender)) == 30
+        assert state.state_root == recompute_root(state)
+
     def test_failing_op_isolated(self):
         users = [wallet(b"bundle-iso-%d" % i) for i in range(2)]
         state, agent_kp, agent = self.setup_agent(users)
