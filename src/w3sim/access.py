@@ -199,9 +199,8 @@ def flush(agent: Agent, chain: ChainNetwork,
         inline_total = 0
         for ticket, op, inline in chunk:
             inline_total += len(inline)
-            ops.append(vm.BundleOp(origin=ticket.origin, seq=ticket.seq,
-                                   contract_id=op.contract_id, method=op.method,
-                                   args=op.args, inline_data=inline))
+            ops.append(vm.BundleOp(ticket.origin, ticket.seq, op.contract_id, op.method,
+                                   op.args, inline))
         blob = vm.encode_bundle(ops)
         target = ops[0].contract_id if ops else b"\x00" * 20
         metadata = txcraft.TxMetadata(

@@ -112,6 +112,10 @@ class SimConfig:
     batch_size: int = 10
     offchain_fraction: float = 0.5
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+
 
 @dataclass
 class SimulationTopology:

@@ -33,6 +33,9 @@ from .txcraft import Transaction, validate_transaction, TxError
 
 ZERO_HASH = b"\x00" * 32
 
+# Event fields whose value is an address, in hex; the touch index keys on them.
+_ADDRESS_FIELDS = frozenset(("src", "dst", "owner", "seller", "buyer", "spender", "origin"))
+
 
 class ConsensusError(Exception):
     pass
@@ -84,6 +87,8 @@ class ConsensusConfig:
     def __post_init__(self):
         if not (0 < self.rule.fraction <= 1):
             raise ValueError("fraction must be in (0, 1]")
+        if self.rule.confirm_depth < 0:
+            raise ValueError(f"confirm_depth must be >= 0, got {self.rule.confirm_depth}")
         for name in ("n_nodes", "block_interval", "pool_capacity", "max_txs_per_block",
                      "network_capacity", "gas_byte_equiv"):
             if getattr(self, name) < 1:
@@ -294,21 +299,28 @@ class ChainNetwork:
         return confs
 
     def _index_touches(self, tx: Transaction, receipt: vm.Receipt):
+        """Point (address, contract) at tx for the sender and every address its events name.
+
+        The entry keeps the contract's written keys once each, in
+        first-write order; a bundle rewrites some cells once per op.
+        """
         if not receipt.success:
             return
-        touched_contracts = {cid for cid, _ in receipt.writes}
+        keys_by_contract: dict[bytes, dict[bytes, None]] = {}
+        for cid, key in receipt.writes:
+            keys_by_contract.setdefault(cid, {})[key] = None
+        named = {value for ev in receipt.events for key, value in ev.fields
+                 if key in _ADDRESS_FIELDS}
         addrs = {tx.metadata.sender.payload}
-        for ev in receipt.events:
-            for key, value in ev.fields:
-                if key in ("src", "dst", "owner", "seller", "buyer", "spender", "origin"):
-                    try:
-                        addrs.add(bytes.fromhex(value))
-                    except ValueError:
-                        pass
-        for cid in touched_contracts:
-            keys = tuple(k for c, k in receipt.writes if c == cid)
+        for value in named:
+            try:
+                addrs.add(bytes.fromhex(value))
+            except ValueError:
+                pass
+        for cid, keys in keys_by_contract.items():
+            entry = (tx.tx_id, tuple(keys), self.now)
             for addr in addrs:
-                self.touch_index[(addr, cid)] = (tx.tx_id, keys, self.now)
+                self.touch_index[(addr, cid)] = entry
 
     def _votes_for(self, offline: set[int]) -> int:
         votes = 0

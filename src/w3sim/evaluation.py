@@ -131,12 +131,7 @@ class _ScenarioRun:
                 tx_id = access.submit_direct(wallet, topo.chain, op, topo.fabric,
                                              self.sim.gas_schedule, inline=inline)
                 self.pending.append((rep, tx_id))
-        except InlineTooLarge as err:
-            if topo.fabric.plan.route is Route.ON_CHAIN:
-                raise ScenarioInfeasible(f"InlineTooLarge: {err}") from err
-            # Hybrid/off-chain routes never inline oversized data; reaching
-            # here means a fault, count the op as failed.
-        except (StorageError, access.AccessError):
+        except access.AccessError:
             pass  # op failed before reaching the chain
 
     def _drain(self):
@@ -156,14 +151,12 @@ class _ScenarioRun:
         fresh = confirmations[self.settled_upto:]
         self.settled_upto = len(confirmations)
         ok_tx = {c.tx.tx_id for c in fresh if c.receipt.success}
-        ok_ops: set[tuple[bytes, int]] = set()
-        for c in fresh:
-            for ev in c.receipt.events:
-                if ev.name == "OpOk":
-                    ok_ops.add((bytes.fromhex(ev.field("origin")), int(ev.field("seq"))))
+        # (origin hex, seq) as the OpOk marker spells them.
+        ok_ops = {(ev.field("origin"), ev.field("seq"))
+                  for c in fresh for ev in c.receipt.events if ev.name == "OpOk"}
         for rep, handle in self.pending:
             if isinstance(handle, access.BundleTicket):
-                good = (handle.origin, handle.seq) in ok_ops
+                good = (handle.origin.hex(), str(handle.seq)) in ok_ops
             else:
                 good = handle in ok_tx
             if good:

@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import json
 import random
+import struct
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import identity
 from .txcraft import Transaction, _ser_bytes
@@ -65,8 +67,7 @@ class ContractDef:
     params: dict
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     tx_id: bytes
     name: str
     fields: tuple[tuple[str, str], ...]
@@ -237,8 +238,7 @@ def deploy_contract(state: ContractState, contract: ContractDef) -> tuple[Contra
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BundleOp:
+class BundleOp(NamedTuple):
     """One user operation inside an agent-signed bundle."""
 
     origin: bytes
@@ -265,31 +265,47 @@ def encode_bundle(ops: list[BundleOp]) -> bytes:
     return b"".join(parts)
 
 
+_U32 = struct.Struct(">I")
+_U64 = struct.Struct(">Q")
+
 def decode_bundle(blob: bytes) -> list[BundleOp]:
-    pos = 0
+    """Inverse of encode_bundle; a truncated blob raises ValueError.
 
-    def take(n):
-        nonlocal pos
-        chunk = blob[pos : pos + n]
-        if len(chunk) != n:
-            raise ValueError("truncated bundle")
-        pos += n
-        return chunk
-
-    def take_bytes():
-        return take(int.from_bytes(take(4), "big"))
-
-    count = int.from_bytes(take(4), "big")
+    A length that runs past the end leaves a short slice, and the next
+    fixed-width read past the end fails, so one check after the last
+    field covers the rest.
+    """
+    u32, u64 = _U32.unpack_from, _U64.unpack_from
     ops = []
-    for _ in range(count):
-        origin = take_bytes()
-        seq = int.from_bytes(take(8), "big")
-        contract_id = take_bytes()
-        method = take_bytes().decode()
-        argc = int.from_bytes(take(4), "big")
-        args = tuple(take_bytes() for _ in range(argc))
-        inline = take_bytes()
-        ops.append(BundleOp(origin, seq, contract_id, method, args, inline))
+    try:
+        count, = u32(blob, 0)
+        pos = 4
+        for _ in range(count):
+            n, = u32(blob, pos)
+            origin = blob[pos + 4 : pos + 4 + n]
+            pos += 4 + n
+            seq, = u64(blob, pos)
+            n, = u32(blob, pos + 8)
+            contract_id = blob[pos + 12 : pos + 12 + n]
+            pos += 12 + n
+            n, = u32(blob, pos)
+            method = blob[pos + 4 : pos + 4 + n].decode()
+            pos += 4 + n
+            argc, = u32(blob, pos)
+            pos += 4
+            args = []
+            for _ in range(argc):
+                n, = u32(blob, pos)
+                args.append(blob[pos + 4 : pos + 4 + n])
+                pos += 4 + n
+            n, = u32(blob, pos)
+            inline = blob[pos + 4 : pos + 4 + n]
+            pos += 4 + n
+            ops.append(BundleOp(origin, seq, contract_id, method, tuple(args), inline))
+    except struct.error as err:
+        raise ValueError("truncated bundle") from err
+    if pos > len(blob):
+        raise ValueError("truncated bundle")
     return ops
 
 
@@ -345,9 +361,6 @@ class _View:
         if slot in self.pending:
             return self.pending[slot]
         return self.state.get_storage(contract_id, key)
-
-    def set(self, contract_id: bytes, key: bytes, value: bytes | None):
-        self.pending[(contract_id, key)] = value
 
 
 class _Call:
@@ -524,7 +537,7 @@ def execute(state: ContractState, tx: Transaction, schedule: GasSchedule = DEFAU
     view = _View(state)
     gas = schedule.base_tx + schedule.per_inline_byte * len(tx.payload.inline_data)
     events: list[Event] = []
-    applied: list[tuple[bytes, bytes, bytes | None]] = []
+    written: list[tuple[bytes, bytes]] = []  # every staged write, in order
     sender = tx.metadata.sender.payload
     revert_reason: str | None = None
 
@@ -537,32 +550,32 @@ def execute(state: ContractState, tx: Transaction, schedule: GasSchedule = DEFAU
         for i, op in enumerate(ops):
             gas += schedule.per_inline_byte * len(op.inline_data)
             gas += 2 * schedule.per_storage_read  # registration + sequence lookups
+            seq_slot = (SYSTEM_CONTRACT_ID, b"seq:" + sender + op.origin)
             reg = view.get(SYSTEM_CONTRACT_ID, b"agt:" + sender + op.origin)
-            expected_seq = _load_amount(view.get(SYSTEM_CONTRACT_ID, b"seq:" + sender + op.origin))
+            expected_seq = _load_amount(view.get(*seq_slot))
             if reg is None:
                 outcome = _OpOutcome(False, "UnregisteredUser", [], [], [])
             elif op.seq != expected_seq:
                 outcome = _OpOutcome(False, "SequenceMismatch", [], [], [])
             else:
                 # Sequence numbers are consumed even when the op reverts.
-                seq_key = b"seq:" + sender + op.origin
-                view.set(SYSTEM_CONTRACT_ID, seq_key, _u64(op.seq + 1))
-                applied.append((SYSTEM_CONTRACT_ID, seq_key, _u64(op.seq + 1)))
+                view.pending[seq_slot] = _u64(op.seq + 1)
+                written.append(seq_slot)
                 gas += schedule.per_storage_write
                 outcome = _run_op(view, state, tx.tx_id, op.origin, op.contract_id,
                                   op.method, op.args, op.inline_data)
-            marker = {"origin": op.origin.hex(), "seq": str(op.seq)}
             gas_delta, op_writes, op_events, fail_reason = _apply_outcome(
                 view, tx, schedule, delegation, outcome, violation_sink,
                 seed_extra=i.to_bytes(4, "big"))
             gas += gas_delta
+            # Marker fields in sorted key order, like every emitted event.
+            origin, seq = ("origin", op.origin.hex()), ("seq", str(op.seq))
             if fail_reason is None:
-                applied.extend(op_writes)
+                written.extend((cid, key) for cid, key, _ in op_writes)
                 events.extend(op_events)
-                events.append(Event(tx.tx_id, "OpOk", tuple(sorted(marker.items()))))
+                events.append(Event(tx.tx_id, "OpOk", (origin, seq)))
             else:
-                marker["reason"] = fail_reason
-                events.append(Event(tx.tx_id, "OpFailed", tuple(sorted(marker.items()))))
+                events.append(Event(tx.tx_id, "OpFailed", (origin, ("reason", fail_reason), seq)))
             gas += schedule.per_event
     else:
         outcome = _run_op(view, state, tx.tx_id, sender, tx.payload.contract_id,
@@ -571,7 +584,7 @@ def execute(state: ContractState, tx: Transaction, schedule: GasSchedule = DEFAU
             view, tx, schedule, delegation, outcome, violation_sink, seed_extra=b"")
         gas += gas_delta
         if revert_reason is None:
-            applied.extend(op_writes)
+            written.extend((cid, key) for cid, key, _ in op_writes)
             events.extend(op_events)
 
     if revert_reason is None and gas > tx.metadata.gas_limit:
@@ -582,13 +595,13 @@ def execute(state: ContractState, tx: Transaction, schedule: GasSchedule = DEFAU
         return state, Receipt(TxStatus.REVERTED, revert_reason, min(gas, tx.metadata.gas_limit),
                               (), state.state_root)
 
-    # A bundle rewrites its sequence cell once per op; only each cell's last
-    # value reaches the state.
-    for (cid, key), value in {(cid, key): value for cid, key, value in applied}.items():
+    # The view holds each cell's last staged value, in first-write order: a
+    # bundle rewrites its sequence cell once per op, the state takes it once.
+    for (cid, key), value in view.pending.items():
         state.set_storage(cid, key, value)
     state.event_log.extend(events)
-    written = tuple((cid, key) for cid, key, _ in applied)
-    return state, Receipt(TxStatus.SUCCESS, None, gas, tuple(events), state.state_root, written)
+    return state, Receipt(TxStatus.SUCCESS, None, gas, tuple(events), state.state_root,
+                          tuple(written))
 
 
 def _apply_outcome(view: _View, tx: Transaction, schedule: GasSchedule,
@@ -596,9 +609,10 @@ def _apply_outcome(view: _View, tx: Transaction, schedule: GasSchedule,
                    violation_sink, seed_extra: bytes):
     """Price one op outcome and stage its writes into the view.
 
-    Returns (gas_delta, writes, events, fail_reason). With a delegation
-    policy the core leg executes on-chain at full price while aux writes
-    are applied under a commitment anchored by one event.
+    Returns (gas_delta, writes, events, fail_reason); the lists are not to
+    be mutated. With a delegation policy the core leg executes on-chain at
+    full price while aux writes are applied under a commitment anchored by
+    one event.
     """
     if not outcome.ok:
         return schedule.per_storage_read * len(outcome.reads), [], [], outcome.reason
@@ -607,9 +621,10 @@ def _apply_outcome(view: _View, tx: Transaction, schedule: GasSchedule,
         gas = schedule.per_storage_read * len(outcome.reads)
         gas += schedule.per_storage_write * len(outcome.writes)
         gas += schedule.per_event * len(outcome.events)
+        pending = view.pending
         for cid, key, value in outcome.writes:
-            view.set(cid, key, value)
-        return gas, list(outcome.writes), list(outcome.events), None
+            pending[(cid, key)] = value
+        return gas, outcome.writes, outcome.events, None
 
     core_writes = [(c, k, v) for c, k, v in outcome.writes if not is_aux_key(k)]
     aux_writes = [(c, k, v) for c, k, v in outcome.writes if is_aux_key(k)]
@@ -648,10 +663,9 @@ def _apply_outcome(view: _View, tx: Transaction, schedule: GasSchedule,
             b"w3/com" + b"".join(_ser_bytes(c) + _ser_bytes(k) + _ser_bytes(v or b"")
                                  for c, k, v in aux_writes))
         events.append(Event(tx.tx_id, "Commitment", (("digest", commitment.hex()),)))
-    writes = []
-    for cid, key, value in core_writes + aux_writes:
-        view.set(cid, key, value)
-        writes.append((cid, key, value))
+    writes = core_writes + aux_writes
+    for cid, key, value in writes:
+        view.pending[(cid, key)] = value
     return gas, writes, events, None
 
 

@@ -73,6 +73,12 @@ class TestComposition:
     def compose_type(self, type_id):
         return compose(architecture(type_id), SimConfig(seed=5))
 
+    @pytest.mark.parametrize("batch_size", [-1, 0])
+    def test_batch_size_below_one_is_rejected(self, batch_size):
+        # range(0, n, -1) in the agent flush emits no bundle at all.
+        with pytest.raises(ValueError, match="batch_size"):
+            SimConfig(batch_size=batch_size)
+
     def test_type1_minimal_stack(self):
         topo = self.compose_type(1)
         assert topo.agent is None

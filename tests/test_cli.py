@@ -275,6 +275,22 @@ class TestConfigFile:
         assert "must be >= 1" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("[access]\nbatch_size = -1\n", "batch_size must be >= 1"),
+        ("[access]\nbatch_size = 0\n", "batch_size must be >= 1"),
+        ("[consensus]\nrule = majority\nconfirm_depth = -1\n", "confirm_depth must be >= 0"),
+    ], ids=["batch_size=-1", "batch_size=0", "confirm_depth=-1"])
+    def test_bad_agent_or_rule_setting_exits_2(self, tmp_path, scenario_file, capsys,
+                                              text, message):
+        config = tmp_path / "sim.cfg"
+        config.write_text(text)
+        out = tmp_path / "r.json"
+        code, _, err = run_cli(["simulate", "--type", "7", "--scenario", scenario_file,
+                                "--config", str(config), "--out", str(out)], capsys)
+        assert code == 2
+        assert message in err
+        assert not out.exists()
+
     def test_consensus_rule_names(self, tmp_path, scenario_file, capsys):
         config = tmp_path / "sim.cfg"
         for name, kind in (("bft", RuleKind.BFT_QUORUM), ("BftQuorum", RuleKind.BFT_QUORUM),

@@ -77,6 +77,19 @@ class TestConfigRanges:
         with pytest.raises(ValueError, match="msg_delay"):
             ConsensusConfig(msg_delay=delay)
 
+    def test_negative_confirm_depth_is_rejected(self):
+        rule = ConsensusRule(kind=RuleKind.MAJORITY_CHAIN, fraction=0.51, confirm_depth=-1)
+        with pytest.raises(ValueError, match="confirm_depth"):
+            ConsensusConfig(rule=rule)
+
+    def test_zero_confirm_depth_confirms_the_tip(self):
+        rule = ConsensusRule(kind=RuleKind.MAJORITY_CHAIN, fraction=0.51, confirm_depth=0)
+        net, kp, addr = make_network(rule=rule)
+        tx = transfer_tx(kp, addr, 0)
+        net.submit(tx)
+        net.run_round()
+        assert tx.tx_id in net.confirmed_tick
+
     def test_fixed_msg_delay_is_allowed(self):
         assert ConsensusConfig(msg_delay=(0, 0)).msg_delay == (0, 0)
         assert ConsensusConfig(msg_delay=(2, 2)).msg_delay == (2, 2)

@@ -12,6 +12,7 @@ import hashlib
 import json
 from dataclasses import asdict, replace
 
+from w3sim import access, vm
 from w3sim import evaluation as ev
 from w3sim.archetypes import SimConfig, architecture
 from w3sim.scenario import DEFAULT_FAULTS, NO_FAULTS, nft_sale_script, parse_faults
@@ -81,3 +82,34 @@ def fault_wiring_digest() -> str:
 
 def test_fault_wiring_is_byte_identical():
     assert fault_wiring_digest() == FAULT_WIRING_SHA256
+
+
+# The seed-42 fault-free agent runs, one per compute mode: every event the
+# chain logged, as `--dump-events` writes it, and what retrieve_state
+# serves each actor for each contract. Pins the event records, the bundle
+# decoding and the touch index that retrieval reads.
+AGENT_EVENTS_SHA256 = "8245d1120ea6380eebef200857692d3d7d33fb916e641be3bc62d39fdec1c681"
+
+
+def agent_events_digest() -> str:
+    script = nft_sale_script()
+    h = hashlib.sha256()
+    for type_id in (7, 10):
+        run = ev._ScenarioRun(architecture(type_id), script, SimConfig(seed=42), NO_FAULTS)
+        run.run()
+        chain = run.topology.chain
+        h.update(vm.export_events_ndjson(chain.state).encode())
+        for name, wallet in sorted(run.wallets.items()):
+            for contract_id in (vm.SYSTEM_CONTRACT_ID, *sorted(chain.state.contracts)):
+                try:
+                    got = access.retrieve_state(chain, wallet.address, contract_id)
+                except access.NoConfirmedState:
+                    h.update(b"none")
+                    continue
+                h.update(json.dumps([name, contract_id.hex(), got.entries, got.tx_id.hex(),
+                                     got.tick]).encode())
+    return h.hexdigest()
+
+
+def test_agent_events_and_retrieval_are_byte_identical():
+    assert agent_events_digest() == AGENT_EVENTS_SHA256

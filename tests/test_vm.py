@@ -360,6 +360,20 @@ class TestGas:
         assert call(state, kp, addr, b"\x99" * 20, "transfer").reason == "UnknownContract"
 
 
+BUNDLE_OPS = st.lists(
+    st.builds(
+        BundleOp,
+        origin=st.binary(min_size=20, max_size=20),
+        seq=st.integers(min_value=0, max_value=2**64 - 1),
+        contract_id=st.binary(min_size=20, max_size=20),
+        method=st.text(max_size=12),
+        args=st.lists(st.binary(max_size=8), max_size=3).map(tuple),
+        inline_data=st.binary(max_size=32),
+    ),
+    max_size=6,
+)
+
+
 class TestBundles:
     def make_bundle_tx(self, agent_kp, agent_addr, ops, gas_limit=2_000_000):
         blob = encode_bundle(ops)
@@ -380,25 +394,37 @@ class TestBundles:
         ops = [BundleOp(b"\x01" * 20, 3, FT, "transfer", (b"\x02" * 20, amount(5)), b"data")]
         assert decode_bundle(encode_bundle(ops)) == ops
 
-    @given(st.lists(
-        st.builds(
-            BundleOp,
-            origin=st.binary(min_size=20, max_size=20),
-            seq=st.integers(min_value=0, max_value=2**64 - 1),
-            contract_id=st.binary(min_size=20, max_size=20),
-            method=st.text(max_size=12),
-            args=st.lists(st.binary(max_size=8), max_size=3).map(tuple),
-            inline_data=st.binary(max_size=32),
-        ),
-        max_size=6,
-    ))
+    @given(BUNDLE_OPS)
     def test_codec_roundtrip_property(self, ops):
         assert decode_bundle(encode_bundle(ops)) == ops
+
+    @given(BUNDLE_OPS)
+    def test_every_strict_prefix_is_rejected(self, ops):
+        # ValueError only: a struct.error or IndexError would escape
+        # execute's MalformedBundle revert.
+        blob = encode_bundle(ops)
+        for end in range(len(blob)):
+            with pytest.raises(ValueError):
+                decode_bundle(blob[:end])
 
     def test_truncated_bundle_rejected(self):
         blob = encode_bundle([BundleOp(b"\x01" * 20, 0, FT, "transfer", (amount(1),))])
         with pytest.raises(ValueError):
             decode_bundle(blob[:-3])
+
+    def test_truncated_bundle_reverts_the_tx(self):
+        users = [wallet(b"bundle-cut")]
+        state, agent_kp, agent = self.setup_agent(users)
+        root = state.state_root
+        ops = [BundleOp(users[0][1].payload, 0, FT, "approve", (b"\x01" * 20, amount(1)))]
+        metadata = txcraft.TxMetadata(sender=agent, receiver=agent, nonce=0,
+                                      gas_limit=2_000_000, sim_time=0)
+        payload = txcraft.TxPayload(contract_id=FT, method=vm.BUNDLE_METHOD,
+                                    args=(encode_bundle(ops)[:-1],))
+        receipt = execute(state, txcraft.build_transaction(agent_kp.secret_key, metadata, payload))[1]
+        assert receipt.status is TxStatus.REVERTED
+        assert receipt.reason == "MalformedBundle"
+        assert state.state_root == root
 
     def test_bundle_executes_per_origin(self):
         users = [wallet(b"bundle-user-%d" % i) for i in range(2)]
