@@ -9,6 +9,7 @@ the chain attributes each embedded operation to its originating user.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -74,8 +75,13 @@ def _gas_limit_for(op: UserOp, inline_len: int, schedule: vm.GasSchedule) -> int
     return schedule.base_tx + schedule.per_inline_byte * inline_len + 60_000
 
 
+@functools.cache
 def contract_address(contract_id: bytes) -> identity.Address:
-    """Present a 20-byte contract handle as a receiver address."""
+    """Present a 20-byte contract handle as a receiver address.
+
+    An Address is immutable, so every transaction to one contract shares
+    one instance.
+    """
     return identity.Address(scheme=identity.AddressScheme.BASE16_ETH,
                             payload=contract_id,
                             text=identity.encode_base16(contract_id))

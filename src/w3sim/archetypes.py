@@ -9,6 +9,7 @@ into one runnable simulation topology.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from random import Random
@@ -181,15 +182,18 @@ def compose(arch: ArchitectureType, sim_config: SimConfig, *,
             tamper_target=faults.tamper_target,
             run_seed=sim_config.seed)
 
-    topology_ref: list[SimulationTopology] = []
+    # Weak, so that topology -> chain -> executor -> topology is no cycle
+    # and a finished run is freed by reference counting.
+    topology_ref = None
+
+    def count_violation(_tx_id):
+        topo = topology_ref()
+        if topo is not None:
+            topo.integrity_violations += 1
 
     def executor(st: vm.ContractState, tx) -> vm.Receipt:
-        def sink(_tx_id):
-            if topology_ref:
-                topology_ref[0].integrity_violations += 1
-
         _, receipt = vm.execute(st, tx, sim_config.gas_schedule,
-                                delegation=delegation, violation_sink=sink)
+                                delegation=delegation, violation_sink=count_violation)
         return receipt
 
     block_hook = None
@@ -224,6 +228,6 @@ def compose(arch: ArchitectureType, sim_config: SimConfig, *,
 
     topo = SimulationTopology(arch=arch, config=sim_config, state=state, chain=chain,
                               fabric=fabric, agent=agent, delegation=delegation)
-    topology_ref.append(topo)
+    topology_ref = weakref.ref(topo)
     return topo
 

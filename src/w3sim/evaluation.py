@@ -20,6 +20,7 @@ being simulated again.
 
 from __future__ import annotations
 
+import gc
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass, replace
@@ -167,6 +168,12 @@ class _ScenarioRun:
     # -- steps --------------------------------------------------------------
 
     def run(self) -> RunStats:
+        # A run builds no reference cycle, so reference counting frees all
+        # of it; pausing the cyclic collector stops its full passes from
+        # rescanning the growing confirmed history. The caller's state is
+        # restored, so a collector it had turned off stays off.
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             for step in self.script.steps:
                 self._run_step_wave(step)
@@ -176,6 +183,9 @@ class _ScenarioRun:
             # A submission or agent flush that overflows the pool ends the
             # run; counting the rest as failed ops would understate throughput.
             self.stats.infeasible_reason = f"PoolFull: {err}"
+        finally:
+            if collecting:
+                gc.enable()
         chain = self.topology.chain
         self.stats.txs_confirmed = len(chain.confirmations)
         self.stats.ticks = chain.now

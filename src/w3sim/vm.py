@@ -269,7 +269,8 @@ _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 
 def decode_bundle(blob: bytes) -> list[BundleOp]:
-    """Inverse of encode_bundle; a truncated blob raises ValueError.
+    """Inverse of encode_bundle; a truncated blob, or bytes after the last
+    op, raise ValueError, so each bundle has exactly one encoding.
 
     A length that runs past the end leaves a short slice, and the next
     fixed-width read past the end fails, so one check after the last
@@ -306,6 +307,8 @@ def decode_bundle(blob: bytes) -> list[BundleOp]:
         raise ValueError("truncated bundle") from err
     if pos > len(blob):
         raise ValueError("truncated bundle")
+    if pos < len(blob):
+        raise ValueError("trailing bytes after the last bundle op")
     return ops
 
 

@@ -10,6 +10,7 @@ from w3sim.access import (
     UserOp,
     WalletClient,
     connect_wallet,
+    contract_address,
     flush,
     retrieve_state,
     submit_direct,
@@ -85,6 +86,16 @@ class TestDirectSubmission:
         op = UserOp(NFT_ID, "mint", args=((1).to_bytes(32, "big"),), data=b"x" * 4096)
         with pytest.raises(storage.InlineTooLarge):
             submit_direct(w1, topo.chain, op, topo.fabric)
+
+    def test_one_receiver_address_per_contract(self):
+        topo, (w1, w2) = build_topology()
+        connect_wallet(w1, "svc")
+        for _ in range(2):
+            submit_direct(w1, topo.chain, transfer_op(w2.address.payload), topo.fabric)
+        first, second = (tx.metadata.receiver for tx in topo.chain.pool.values())
+        assert first is second is contract_address(FT_ID)
+        assert first == identity.Address(identity.AddressScheme.BASE16_ETH, FT_ID,
+                                         identity.encode_base16(FT_ID))
 
 
 class TestAgentBatching:

@@ -1,7 +1,10 @@
+import contextlib
 import dataclasses
+import gc
 import importlib.util
 import json
 import os
+import weakref
 from collections import Counter
 from enum import Enum
 
@@ -439,6 +442,65 @@ class TestRunInvariants:
             counts = {k[4:]: int.from_bytes(v, "big") for k, v in nft.items()
                       if k.startswith(b"cnt:")}
             assert {owner: n for owner, n in counts.items() if n} == dict(held)
+
+
+class TestAcyclicRun:
+    """A sub-run holds no reference cycle, so reference counting frees it.
+
+    That is what makes it safe for the run to pause the cyclic collector.
+    """
+
+    @pytest.mark.parametrize("type_id", [1, 10])
+    def test_a_finished_run_is_freed_without_the_collector(self, type_id):
+        run = ev._ScenarioRun(architecture(type_id), FAST, SimConfig(seed=42), DEFAULT_FAULTS)
+        chain = weakref.ref(run.topology.chain)
+        run.run()
+        del run
+        assert chain() is None
+
+    @pytest.mark.parametrize("faults", [NO_FAULTS, DEFAULT_FAULTS],
+                             ids=["no-faults", "default-faults"])
+    @pytest.mark.parametrize("type_id", range(1, 13))
+    def test_a_run_leaves_no_cyclic_garbage(self, type_id, faults):
+        gc.collect()
+        run_raw(architecture(type_id), nft_sale_script(repetitions=3), SimConfig(seed=42),
+                faults)
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("sim, reason", [
+        (SimConfig(seed=42, inline_cap=100), "InlineTooLarge"),
+        (SimConfig(seed=42, consensus=ConsensusConfig(pool_capacity=4)), "PoolFull"),
+    ], ids=["infeasible", "pool-full"])
+    def test_an_infeasible_run_leaves_no_cyclic_garbage(self, sim, reason):
+        gc.collect()
+        stats = run_raw(architecture(1), FAST, sim, NO_FAULTS)
+        assert stats.infeasible_reason.startswith(reason)
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_a_run_pauses_the_collector_and_restores_the_callers_state(
+            self, monkeypatch, enabled, raises):
+        seen = []
+        step = ev._ScenarioRun._run_step_wave
+
+        def spy(run, s):
+            seen.append(gc.isenabled())
+            if raises:
+                raise RuntimeError("step failed")
+            return step(run, s)
+
+        monkeypatch.setattr(ev._ScenarioRun, "_run_step_wave", spy)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.raises(RuntimeError) if raises else contextlib.nullcontext():
+                run_raw(architecture(1), FAST, SimConfig(seed=42), NO_FAULTS)
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert after is enabled
+        assert seen and True not in seen
 
 
 def _leaves(config, prefix=""):

@@ -398,33 +398,42 @@ class TestBundles:
     def test_codec_roundtrip_property(self, ops):
         assert decode_bundle(encode_bundle(ops)) == ops
 
-    @given(BUNDLE_OPS)
-    def test_every_strict_prefix_is_rejected(self, ops):
+    @given(BUNDLE_OPS, st.binary(min_size=1, max_size=8))
+    def test_every_strict_prefix_is_rejected(self, ops, suffix):
         # ValueError only: a struct.error or IndexError would escape
         # execute's MalformedBundle revert.
         blob = encode_bundle(ops)
         for end in range(len(blob)):
             with pytest.raises(ValueError):
                 decode_bundle(blob[:end])
+        # Nor may bytes follow the last op: one bundle, one encoding.
+        with pytest.raises(ValueError):
+            decode_bundle(blob + suffix)
 
     def test_truncated_bundle_rejected(self):
         blob = encode_bundle([BundleOp(b"\x01" * 20, 0, FT, "transfer", (amount(1),))])
         with pytest.raises(ValueError):
             decode_bundle(blob[:-3])
 
-    def test_truncated_bundle_reverts_the_tx(self):
-        users = [wallet(b"bundle-cut")]
+    def assert_reverts_as_malformed(self, tag, mangle):
+        users = [wallet(tag)]
         state, agent_kp, agent = self.setup_agent(users)
         root = state.state_root
         ops = [BundleOp(users[0][1].payload, 0, FT, "approve", (b"\x01" * 20, amount(1)))]
         metadata = txcraft.TxMetadata(sender=agent, receiver=agent, nonce=0,
                                       gas_limit=2_000_000, sim_time=0)
         payload = txcraft.TxPayload(contract_id=FT, method=vm.BUNDLE_METHOD,
-                                    args=(encode_bundle(ops)[:-1],))
+                                    args=(mangle(encode_bundle(ops)),))
         receipt = execute(state, txcraft.build_transaction(agent_kp.secret_key, metadata, payload))[1]
         assert receipt.status is TxStatus.REVERTED
         assert receipt.reason == "MalformedBundle"
         assert state.state_root == root
+
+    def test_truncated_bundle_reverts_the_tx(self):
+        self.assert_reverts_as_malformed(b"bundle-cut", lambda blob: blob[:-1])
+
+    def test_trailing_bytes_revert_the_tx(self):
+        self.assert_reverts_as_malformed(b"bundle-junk", lambda blob: blob + b"junk")
 
     def test_bundle_executes_per_origin(self):
         users = [wallet(b"bundle-user-%d" % i) for i in range(2)]
