@@ -63,14 +63,14 @@ def connect_wallet(client: WalletClient, service_id: str) -> str:
     return client.session
 
 
-def _next_nonce(client: WalletClient, chain: ChainNetwork) -> int:
+def _next_nonce(client: WalletClient | Agent, chain: ChainNetwork) -> int:
     confirmed = chain.expected_nonce(client.address.payload)
     nonce = max(confirmed, client.nonce_cache)
     client.nonce_cache = nonce + 1
     return nonce
 
 
-def _gas_limit_for(op: UserOp, inline_len: int, schedule: vm.GasSchedule) -> int:
+def _gas_limit_for(inline_len: int, schedule: vm.GasSchedule) -> int:
     # Generous static envelope: constructor-free built-ins never exceed it.
     return schedule.base_tx + schedule.per_inline_byte * inline_len + 60_000
 
@@ -100,7 +100,7 @@ def submit_direct(client: WalletClient, chain: ChainNetwork, op: UserOp,
         sender=client.address,
         receiver=contract_address(op.contract_id) if op.contract_id else client.address,
         nonce=_next_nonce(client, chain),
-        gas_limit=_gas_limit_for(op, len(inline), schedule),
+        gas_limit=_gas_limit_for(len(inline), schedule),
         sim_time=chain.now,
     )
     payload = txcraft.TxPayload(contract_id=op.contract_id, method=op.method,
@@ -212,13 +212,11 @@ def flush(agent: Agent, chain: ChainNetwork,
         metadata = txcraft.TxMetadata(
             sender=agent.address,
             receiver=contract_address(target),
-            nonce=max(chain.expected_nonce(agent.address.payload), agent.nonce_cache),
+            nonce=_next_nonce(agent, chain),
             gas_limit=schedule.base_tx + schedule.per_inline_byte * inline_total + 70_000 * len(ops),
             sim_time=chain.now,
         )
-        agent.nonce_cache = metadata.nonce + 1
-        payload = txcraft.TxPayload(contract_id=ops[0].contract_id if ops else b"\x00" * 20,
-                                    method=vm.BUNDLE_METHOD, args=(blob,))
+        payload = txcraft.TxPayload(contract_id=target, method=vm.BUNDLE_METHOD, args=(blob,))
         tx = txcraft.build_transaction(agent.keypair.secret_key, metadata, payload)
         tx_ids.append(tx.tx_id)
         if agent.behavior is AgentBehavior.HONEST:

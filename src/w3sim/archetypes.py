@@ -9,19 +9,18 @@ into one runnable simulation topology.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from enum import Enum
 from random import Random
 
-from . import access, consensus, identity, storage, vm
+from . import access, consensus, storage, vm
 from .consensus import ConsensusConfig
 from .scenario import NO_FAULTS, FaultPlan
 
 FT_ID = b"\x01" * 20
 NFT_ID = b"\x02" * 20
 MARKET_ID = b"\x03" * 20
-VERIFIER_ID = b"\x04" * 20
+VERIFIER_ID = vm.VERIFIER_ID
 
 
 class AccessMode(Enum):
@@ -120,16 +119,15 @@ class SimConfig:
 
 @dataclass
 class SimulationTopology:
-    """A composed architecture instance ready to run a workload."""
+    """A composed architecture instance ready to run a workload; the chain holds its state."""
 
-    arch: ArchitectureType
-    config: SimConfig
-    state: vm.ContractState
     chain: consensus.ChainNetwork
     fabric: storage.StorageFabric
     agent: access.Agent | None
-    delegation: vm.DelegationPolicy | None
-    integrity_violations: int = 0
+
+    @property
+    def integrity_violations(self) -> int:
+        return self.chain.integrity_violations
 
 
 def storage_plan_for(arch: ArchitectureType, config: SimConfig) -> storage.StoragePlan:
@@ -182,40 +180,16 @@ def compose(arch: ArchitectureType, sim_config: SimConfig, *,
             tamper_target=faults.tamper_target,
             run_seed=sim_config.seed)
 
-    # Weak, so that topology -> chain -> executor -> topology is no cycle
-    # and a finished run is freed by reference counting.
-    topology_ref = None
-
-    def count_violation(_tx_id):
-        topo = topology_ref()
-        if topo is not None:
-            topo.integrity_violations += 1
-
-    def executor(st: vm.ContractState, tx) -> vm.Receipt:
-        _, receipt = vm.execute(st, tx, sim_config.gas_schedule,
-                                delegation=delegation, violation_sink=count_violation)
-        return receipt
-
-    block_hook = None
-    if arch.compute is ComputeMode.HYBRID:
-        def block_hook(st: vm.ContractState, height: int, receipts) -> int:
-            digests = [bytes.fromhex(ev.field("digest") or "")
-                       for r in receipts for ev in r.events if ev.name == "Commitment"]
-            if not digests:
-                return 0
-            fold = identity.digest(b"w3/fold" + b"".join(digests))
-            st.set_storage(VERIFIER_ID, b"com:" + height.to_bytes(8, "big"), fold)
-            return sim_config.gas_schedule.per_storage_write
-
     behaviors = [
         consensus.NodeBehavior.BYZANTINE if i < faults.byzantine_maintainers
         else consensus.NodeBehavior.HONEST
         for i in range(sim_config.consensus.n_nodes)
     ]
-    chain = consensus.ChainNetwork(sim_config.consensus, state, executor, seed=sim_config.seed,
-                                   behaviors=behaviors, byz_mode=faults.byz_mode,
+    chain = consensus.ChainNetwork(sim_config.consensus, state, sim_config.gas_schedule,
+                                   seed=sim_config.seed, behaviors=behaviors,
+                                   byz_mode=faults.byz_mode,
                                    crash_prob=faults.maintainer_crash_prob,
-                                   block_hook=block_hook)
+                                   delegation=delegation)
 
     fabric = storage.StorageFabric(
         storage_plan_for(arch, sim_config),
@@ -226,8 +200,5 @@ def compose(arch: ArchitectureType, sim_config: SimConfig, *,
         fabric.fault_prob = faults.storage_crash_prob
         fabric.fault_rng = Random(sim_config.seed ^ 0x5707A6E)
 
-    topo = SimulationTopology(arch=arch, config=sim_config, state=state, chain=chain,
-                              fabric=fabric, agent=agent, delegation=delegation)
-    topology_ref = weakref.ref(topo)
-    return topo
+    return SimulationTopology(chain=chain, fabric=fabric, agent=agent)
 

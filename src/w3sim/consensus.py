@@ -169,6 +169,8 @@ class ChainNetwork:
     """One simulated chain instance: pool, maintainers, confirmed log, state.
 
     Single-threaded by contract; independent instances share nothing.
+    Transactions execute under `schedule`; a `delegation` policy (hybrid
+    computation) adds the verifier anchor and counts silent tampers.
     Faults are given apart from the config: fixed per-node behaviors, the
     byzantine mode, crash_prob, the chance that a maintainer is offline in
     any one round, and adversarial_share, the adversary's share of block
@@ -176,18 +178,18 @@ class ChainNetwork:
     """
 
     def __init__(self, config: ConsensusConfig, state: vm.ContractState | None = None,
-                 executor=None, seed: int = 0,
+                 schedule: vm.GasSchedule = vm.DEFAULT_GAS_SCHEDULE, seed: int = 0,
                  behaviors: list[NodeBehavior] | None = None,
                  byz_mode: ByzantineMode = ByzantineMode.SILENT,
                  crash_prob: float = 0.0,
                  adversarial_share: float = 0.0,
-                 block_hook=None):
+                 delegation: vm.DelegationPolicy | None = None):
         self.config = config
         self.crash_prob = crash_prob
         self.adversarial_share = adversarial_share
         self.state = state if state is not None else vm.ContractState()
-        self.executor = executor or (lambda st, tx: vm.execute(st, tx)[1])
-        self.block_hook = block_hook
+        self.schedule = schedule
+        self.delegation = delegation
         self.rng = Random(seed)
         self.now = 0
         self.round_count = 0
@@ -211,6 +213,7 @@ class ChainNetwork:
         self.gas_total = 0
         self.bytes_total = 0
         self.safety_breaks = 0  # rounds in which two conflicting blocks both reached quorum
+        self.integrity_violations = 0  # delegated writes tampered outside the checked region
         self._unconfirmed = 0
         self._honest_branch: list[Block] = [genesis]
         self._adv_branch: list[Block] = [genesis]
@@ -269,9 +272,16 @@ class ChainNetwork:
         self.rounds.append(record)
         self.now += round_ticks(self.config, self.config.n_nodes, record)
 
-    def _execute_txs(self, txs: tuple[Transaction, ...], proposer: int):
+    def _count_violation(self, _tx_id: bytes) -> None:
+        self.integrity_violations += 1
+
+    def _execute_txs(self, txs: tuple[Transaction, ...], height: int):
+        """Validate, execute and anchor a block's txs: (tx, receipt) pairs and block gas."""
         receipts: list[tuple[Transaction, vm.Receipt]] = []
         block_gas = 0
+        # Passed per call, never stored: a bound method held by the chain
+        # would make the chain a reference cycle.
+        sink = self._count_violation
         for tx in txs:
             sender = tx.metadata.sender.payload
             try:
@@ -281,20 +291,29 @@ class ChainNetwork:
                 self._unconfirmed -= 1
                 continue
             self.next_nonce[sender] = tx.metadata.nonce + 1
-            receipt = self.executor(self.state, tx)
+            _, receipt = vm.execute(self.state, tx, self.schedule, delegation=self.delegation,
+                                    violation_sink=sink)
             receipts.append((tx, receipt))
             block_gas += receipt.gas_used
+        if self.delegation is not None:
+            block_gas += vm.anchor_commitments(self.state, height, [r for _, r in receipts],
+                                               self.schedule)
         return receipts, block_gas
 
-    def _record_confirmations(self, block: Block,
-                              receipts: list[tuple[Transaction, vm.Receipt]]) -> list[Confirmation]:
+    def _confirm(self, block: Block, receipts: list[tuple[Transaction, vm.Receipt]],
+                 block_gas: int) -> list[Confirmation]:
+        """Pay a maintainer proposer the block's gas, append the block, confirm its txs now."""
+        if block_gas and block.proposer >= 0:
+            self.state.credit_native(self.nodes[block.proposer].address.payload, block_gas)
+        self.confirmed_blocks.append(block)
+        self.gas_total += block_gas
+        self.bytes_total += sum(tx.wire_size() for tx in block.txs)
         confs = []
         for tx, receipt in receipts:
-            conf = Confirmation(tx, receipt, block.block_hash, block.height, self.now)
+            confs.append(Confirmation(tx, receipt, block.block_hash, block.height, self.now))
             self.confirmed_tick[tx.tx_id] = self.now
             self._unconfirmed -= 1
             self._index_touches(tx, receipt)
-            confs.append(conf)
         self.confirmations.extend(confs)
         return confs
 
@@ -339,13 +358,12 @@ class ChainNetwork:
         height = len(self.confirmed_blocks)
         parent = self.confirmed_blocks[-1].block_hash
 
+        txs: tuple[Transaction, ...] | None = None  # None: no block this round
         if proposer.node_id in offline or (
             proposer.behavior is NodeBehavior.BYZANTINE and proposer.byz_mode is ByzantineMode.SILENT
         ):
-            self._advance_clock(0, 0, 0)
-            return []
-
-        if proposer.behavior is NodeBehavior.BYZANTINE and proposer.byz_mode is ByzantineMode.EQUIVOCATE:
+            pass  # an absent or silent proposer proposes nothing
+        elif proposer.behavior is NodeBehavior.BYZANTINE and proposer.byz_mode is ByzantineMode.EQUIVOCATE:
             packed = self._pack_block()
             prop_a, prop_b = packed, tuple(reversed(packed))
             votes_a = votes_b = 0
@@ -368,31 +386,23 @@ class ChainNetwork:
                 txs = prop_a
             elif votes_b >= quorum:
                 txs = prop_b
-            else:
-                self._advance_clock(0, 0, 0)
-                return []
         else:
             txs = self._pack_block()
             if proposer.behavior is NodeBehavior.BYZANTINE and proposer.byz_mode is ByzantineMode.WITHHOLD_TXS:
                 txs = ()
             if self._votes_for(offline) < self.config.quorum:
-                self._advance_clock(0, 0, 0)
-                return []
+                txs = None
+        if txs is None:
+            self._advance_clock(0, 0, 0)
+            return []
 
         for tx in txs:
             self.pool.pop(tx.tx_id, None)
-        receipts, block_gas = self._execute_txs(txs, proposer.node_id)
-        if self.block_hook is not None:
-            block_gas += self.block_hook(self.state, height, [r for _, r in receipts])
+        receipts, block_gas = self._execute_txs(txs, height)
+        # The root is taken after execution: the block commits to its own effects.
         block = make_block(height, parent, txs, self.state.state_root, proposer.node_id)
-        if block_gas:
-            self.state.credit_native(proposer.address.payload, block_gas)
-        self.confirmed_blocks.append(block)
-        block_bytes = sum(tx.wire_size() for tx in txs)
-        self.gas_total += block_gas
-        self.bytes_total += block_bytes
-        self._advance_clock(len(txs), block_bytes, block_gas)
-        return self._record_confirmations(block, receipts)
+        self._advance_clock(len(txs), sum(tx.wire_size() for tx in txs), block_gas)
+        return self._confirm(block, receipts, block_gas)
 
     def _qualifying_branch(self) -> list[Block] | None:
         honest_share = 1.0 - self.adversarial_share
@@ -415,6 +425,7 @@ class ChainNetwork:
             for tx in txs:
                 self.pool.pop(tx.tx_id, None)
         tip = branch[-1]
+        # The root is taken at proposal; the block executes once confirmed.
         block = make_block(tip.height + 1, tip.block_hash, txs, self.state.state_root, proposer)
         branch.append(block)
         self._advance_clock(len(txs), sum(tx.wire_size() for tx in txs), 0)
@@ -428,15 +439,8 @@ class ChainNetwork:
         while self._mc_confirmed_upto < deep_enough:
             self._mc_confirmed_upto += 1
             pending = qualifying[self._mc_confirmed_upto]
-            receipts, block_gas = self._execute_txs(pending.txs, pending.proposer)
-            if self.block_hook is not None:
-                block_gas += self.block_hook(self.state, pending.height, [r for _, r in receipts])
-            if block_gas and pending.proposer >= 0:
-                self.state.credit_native(self.nodes[pending.proposer].address.payload, block_gas)
-            self.confirmed_blocks.append(pending)
-            self.gas_total += block_gas
-            self.bytes_total += sum(tx.wire_size() for tx in pending.txs)
-            confs.extend(self._record_confirmations(pending, receipts))
+            receipts, block_gas = self._execute_txs(pending.txs, pending.height)
+            confs.extend(self._confirm(pending, receipts, block_gas))
         return confs
 
     # -- probes --------------------------------------------------------------

@@ -112,6 +112,7 @@ class _ScenarioRun:
         self.refs: dict[int, object] = {}
         self.pending: list[tuple[int, object]] = []  # (rep, tx_id or ticket)
         self.settled_upto = 0  # confirmations already scanned by _settle_wave
+        self.minted: dict[bytes, bytes] = {}  # token id -> confirmed mint tx id
 
     # -- step helpers -----------------------------------------------------
 
@@ -145,7 +146,8 @@ class _ScenarioRun:
         """Resolve every pending submission to success/failure.
 
         Pending handles were submitted after the previous settle, so only
-        the confirmations added since then can carry them.
+        the confirmations added since then can carry them. Their mints go
+        to self.minted, which _bind_hooks reads.
         """
         self._drain()
         confirmations = self.topology.chain.confirmations
@@ -153,8 +155,13 @@ class _ScenarioRun:
         self.settled_upto = len(confirmations)
         ok_tx = {c.tx.tx_id for c in fresh if c.receipt.success}
         # (origin hex, seq) as the OpOk marker spells them.
-        ok_ops = {(ev.field("origin"), ev.field("seq"))
-                  for c in fresh for ev in c.receipt.events if ev.name == "OpOk"}
+        ok_ops = set()
+        for c in fresh:
+            for ev in c.receipt.events:
+                if ev.name == "OpOk":
+                    ok_ops.add((ev.field("origin"), ev.field("seq")))
+                elif ev.name == "Mint":
+                    self.minted[bytes.fromhex(ev.field("token_id"))] = c.tx.tx_id
         for rep, handle in self.pending:
             if isinstance(handle, access.BundleTicket):
                 good = (handle.origin.hex(), str(handle.seq)) in ok_ops
@@ -190,7 +197,7 @@ class _ScenarioRun:
         self.stats.txs_confirmed = len(chain.confirmations)
         self.stats.ticks = chain.now
         self.stats.gas_total = chain.gas_total
-        self.stats.violations = self.topology.integrity_violations + chain.safety_breaks
+        self.stats.violations = chain.integrity_violations + chain.safety_breaks
         self.stats.rounds = chain.rounds
         return self.stats
 
@@ -210,12 +217,9 @@ class _ScenarioRun:
                 op = access.UserOp(NFT_ID, "mint", args=(self._token(rep),), data=data)
                 try:
                     inline, ref = access.prepare_data(op, self.topology.fabric)
-                except InlineTooLarge as err:
-                    if self.topology.fabric.plan.route is Route.ON_CHAIN:
+                except StorageError as err:
+                    if isinstance(err, InlineTooLarge) and self.topology.fabric.plan.route is Route.ON_CHAIN:
                         raise ScenarioInfeasible(f"InlineTooLarge: {err}") from err
-                    self.stats.ops_attempted += 1
-                    continue
-                except StorageError:
                     self.stats.ops_attempted += 1
                     continue
                 self.refs[rep] = ref
@@ -223,18 +227,11 @@ class _ScenarioRun:
             self._settle_wave()
             self._bind_hooks()
             return
-        if kind is StepKind.LIST_NFT:
+        if kind in (StepKind.LIST_NFT, StepKind.BUY_NFT):
+            method = "list" if kind is StepKind.LIST_NFT else "buy"
             price = step.param("price", 100)
             for rep in range(reps):
-                op = access.UserOp(MARKET_ID, "list",
-                                   args=(self._token(rep), price.to_bytes(16, "big")))
-                self._submit(wallet, op, rep)
-            self._settle_wave()
-            return
-        if kind is StepKind.BUY_NFT:
-            price = step.param("price", 100)
-            for rep in range(reps):
-                op = access.UserOp(MARKET_ID, "buy",
+                op = access.UserOp(MARKET_ID, method,
                                    args=(self._token(rep), price.to_bytes(16, "big")))
                 self._submit(wallet, op, rep)
             self._settle_wave()
@@ -249,15 +246,9 @@ class _ScenarioRun:
 
     def _bind_hooks(self):
         """Attach the confirmed mint tx as the hook for each linked ref."""
-        chain = self.topology.chain
-        minted: dict[bytes, bytes] = {}
-        for c in chain.confirmations:
-            for ev in c.receipt.events:
-                if ev.name == "Mint":
-                    minted[bytes.fromhex(ev.field("token_id"))] = c.tx.tx_id
         for rep, ref in list(self.refs.items()):
             if ref is not None and ref.hook_tx is None:
-                tx_id = minted.get(self._token(rep))
+                tx_id = self.minted.get(self._token(rep))
                 if tx_id is not None:
                     self.refs[rep] = self.topology.fabric.bind_hook(ref, tx_id)
 
@@ -655,11 +646,7 @@ def diff_against_reference(measured: OrdinalMatrix,
         except KeyError:
             mismatches.append(Mismatch(ref_row.label, "present", 1, 0))
             continue
-        for column in RULE_CHECK_COLUMNS:
-            if got_row.cell(column) != ref_row.cell(column):
-                mismatches.append(Mismatch(ref_row.label, column,
-                                           ref_row.cell(column), got_row.cell(column)))
-        for column in MEASURED_COLUMNS:
+        for column in RULE_CHECK_COLUMNS + MEASURED_COLUMNS:
             if got_row.cell(column) != ref_row.cell(column):
                 mismatches.append(Mismatch(ref_row.label, column,
                                            ref_row.cell(column), got_row.cell(column)))

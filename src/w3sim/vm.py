@@ -34,6 +34,8 @@ from .txcraft import Transaction, _ser_bytes
 _ROOT_MOD = 2**256
 
 SYSTEM_CONTRACT_ID = b"\x00" * 20
+# The verifier contract that anchors each hybrid block's commitments.
+VERIFIER_ID = b"\x04" * 20
 
 # Storage key prefixes. Payment and ownership entries ("core") always
 # execute on-chain; the rest ("aux") may be delegated to an off-chain
@@ -670,6 +672,23 @@ def _apply_outcome(view: _View, tx: Transaction, schedule: GasSchedule,
     for cid, key, value in writes:
         view.pending[(cid, key)] = value
     return gas, writes, events, None
+
+
+def anchor_commitments(state: ContractState, height: int, receipts: list[Receipt],
+                       schedule: GasSchedule) -> int:
+    """Anchor a block's Commitment events on-chain; returns the gas it costs.
+
+    The block's commitment digests, in receipt order, fold into one
+    digest stored at com:<height> of the verifier contract: one storage
+    write. A block without commitments anchors nothing and costs nothing.
+    """
+    digests = [bytes.fromhex(ev.field("digest") or "")
+               for r in receipts for ev in r.events if ev.name == "Commitment"]
+    if not digests:
+        return 0
+    state.set_storage(VERIFIER_ID, b"com:" + _u64(height),
+                      identity.digest(b"w3/fold" + b"".join(digests)))
+    return schedule.per_storage_write
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ from w3sim.archetypes import (
     parse_tuple,
     type_from_tuple,
 )
-from w3sim.scenario import FaultPlan
+from w3sim.consensus import ChainNetwork, ConsensusConfig
+from w3sim.evaluation import run_raw
+from w3sim.scenario import NO_FAULTS, FaultPlan, nft_sale_script
 from w3sim.storage import Route
 from w3sim.vm import (
     ContractDef,
@@ -83,19 +85,19 @@ class TestComposition:
         topo = self.compose_type(1)
         assert topo.agent is None
         assert topo.fabric.plan.route is Route.ON_CHAIN
-        assert topo.delegation is None
+        assert topo.chain.delegation is None
         assert topo.chain is not None  # consensus stays on-chain in every type
 
     def test_type2_running_example_stack(self):
         topo = self.compose_type(2)
         assert topo.agent is None
         assert topo.fabric.plan.route is Route.HYBRID
-        assert set(topo.state.contracts) == {FT_ID, NFT_ID, MARKET_ID, VERIFIER_ID}
+        assert set(topo.chain.state.contracts) == {FT_ID, NFT_ID, MARKET_ID, VERIFIER_ID}
 
     def test_type10_agent_hybrid_onchain(self):
         topo = self.compose_type(10)
         assert topo.agent is not None
-        assert topo.delegation is not None
+        assert topo.chain.delegation is not None
         assert topo.fabric.plan.route is Route.ON_CHAIN
 
     def test_every_type_keeps_consensus_onchain(self):
@@ -107,8 +109,8 @@ class TestComposition:
     def test_funded_balances_define_supply(self):
         a, b = b"\x0a" * 20, b"\x0b" * 20
         topo = compose(architecture(1), SimConfig(seed=8), funded={a: 70, b: 30})
-        assert query_state(topo.state, FT_ID, "totalSupply") == 100
-        assert query_state(topo.state, FT_ID, "balanceOf", (a,)) == 70
+        assert query_state(topo.chain.state, FT_ID, "totalSupply") == 100
+        assert query_state(topo.chain.state, FT_ID, "balanceOf", (a,)) == 70
 
 
 def make_actors(n, tag=b"hyb"):
@@ -244,3 +246,52 @@ class TestHybridExecution:
         topo.chain.submit(txcraft.build_transaction(kp.secret_key, metadata, payload))
         topo.chain.run_until_drained()
         assert topo.integrity_violations == 1
+
+
+class TestChainExecution:
+    """The chain executes and anchors its blocks from its schedule and policy."""
+
+    def test_the_chain_calls_vm_execute_through_the_module(self, monkeypatch):
+        # perfbench times vm.execute by wrapping the module attribute and
+        # reads the transaction from args[1].
+        calls = []
+        inner = vm.execute
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(vm, "execute", counting)
+        stats = run_raw(architecture(4), nft_sale_script(repetitions=6), SimConfig(seed=42),
+                        NO_FAULTS)
+        assert len(calls) == stats.txs_confirmed > 0
+        assert all(isinstance(args[1], txcraft.Transaction) for args in calls)
+
+    @pytest.mark.parametrize("hybrid", [True, False], ids=["delegated", "on-chain"])
+    def test_a_directly_built_chain_anchors_and_counts_tampers(self, hybrid):
+        actors = make_actors(1, tag=b"direct")
+        state, _ = fresh_pair_of_states(actors)
+        deploy_contract(state, ContractDef(VERIFIER_ID, ContractKind.HYBRID_VERIFIER, {}))
+        policy = DelegationPolicy(executor_behavior=ExecutorBehavior.MALICIOUS,
+                                  tamper_target="unchecked", run_seed=44)
+        chain = ChainNetwork(ConsensusConfig(), state, delegation=policy if hybrid else None)
+        kp, addr = actors[0]
+        metadata = txcraft.TxMetadata(sender=addr, receiver=addr, nonce=0,
+                                      gas_limit=500_000, sim_time=0)
+        payload = txcraft.TxPayload(contract_id=NFT_ID, method="mint",
+                                    args=((5).to_bytes(32, "big"),), inline_data=b"\x00data")
+        chain.submit(txcraft.build_transaction(kp.secret_key, metadata, payload))
+        chain.run_until_drained()
+        conf, = chain.confirmations
+        assert conf.receipt.success
+        anchored = query_state(state, VERIFIER_ID, "commitmentAt", (conf.height.to_bytes(8, "big"),))
+        if not hybrid:
+            assert anchored is None
+            assert chain.integrity_violations == 0
+            assert chain.gas_total == conf.receipt.gas_used
+            return
+        digest, = [bytes.fromhex(ev.field("digest")) for ev in conf.receipt.events
+                   if ev.name == "Commitment"]
+        assert anchored == identity.digest(b"w3/fold" + digest)
+        assert chain.integrity_violations == 1
+        assert chain.gas_total == conf.receipt.gas_used + vm.DEFAULT_GAS_SCHEDULE.per_storage_write

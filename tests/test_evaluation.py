@@ -34,12 +34,16 @@ from w3sim.scenario import (
     DEFAULT_FAULTS,
     NO_FAULTS,
     FaultPlan,
+    ScenarioScript,
+    Step,
+    StepKind,
     nft_sale_script,
     parse_faults,
     parse_scenario,
     scenario_text,
     faults_text,
 )
+from w3sim.storage import LinkedRef
 from w3sim.vm import TAMPER_TARGETS, ExecutorBehavior, GasSchedule
 
 FAST = nft_sale_script(repetitions=6)
@@ -257,6 +261,11 @@ class TestSweepAndCompare:
         reports = run_sweep(seed=7)
         assert diff_against_reference(compare(reports, reports[1])) == []
 
+    @pytest.mark.parametrize("seed", range(1, 13))
+    def test_sweep_matches_reference_at_seeds_1_to_12(self, seed):
+        reports = run_sweep(seed=seed)
+        assert diff_against_reference(compare(reports, reports[1])) == []
+
     def test_monotone_throughput(self, sweep):
         base = sweep[1]
         for tid in range(2, 13):
@@ -338,6 +347,27 @@ class TestFaultPlanPaths:
         stats = ev.run_raw(architecture(1), FAST, SimConfig(seed=5),
                            FaultPlan(maintainer_crash_prob=0.15))
         assert stats.ops_succeeded == stats.ops_attempted
+
+
+class TestMintHooks:
+    def test_every_linked_ref_is_hooked_to_its_confirmed_mint(self):
+        # Two mint steps: the second wave reverts as DuplicateTokenId, so
+        # its fresh refs hook to the first wave's mint txs, the same hooks
+        # a rescan of every confirmation finds.
+        mint = Step(StepKind.MINT_NFT, "alice", (("data_size", 768),))
+        script = ScenarioScript(steps=(Step(StepKind.CONNECT_WALLET, "alice"), mint, mint),
+                                repetitions=6)
+        run = ev._ScenarioRun(architecture(2), script, SimConfig(seed=42), NO_FAULTS)
+        run.run()
+        minted = {}
+        for c in run.topology.chain.confirmations:
+            for event in c.receipt.events:
+                if event.name == "Mint":
+                    minted[bytes.fromhex(event.field("token_id"))] = c.tx.tx_id
+        linked = {rep: ref for rep, ref in run.refs.items() if isinstance(ref, LinkedRef)}
+        assert len(linked) == 6
+        for rep, ref in linked.items():
+            assert ref.hook_tx == minted[rep.to_bytes(32, "big")]
 
 
 class TestPoolLimit:
@@ -457,6 +487,13 @@ class TestAcyclicRun:
         run.run()
         del run
         assert chain() is None
+
+    @pytest.mark.parametrize("type_id", [1, 4, 7, 10])
+    def test_the_chain_holds_no_callable(self, type_id):
+        # A callable on the chain (a closure or a bound method) is how a
+        # back-reference, and so a cycle, would get in.
+        chain = ev.compose(architecture(type_id), SimConfig(seed=42), faults=DEFAULT_FAULTS).chain
+        assert [name for name, value in vars(chain).items() if callable(value)] == []
 
     @pytest.mark.parametrize("faults", [NO_FAULTS, DEFAULT_FAULTS],
                              ids=["no-faults", "default-faults"])

@@ -15,6 +15,7 @@ from dataclasses import asdict, replace
 from w3sim import access, vm
 from w3sim import evaluation as ev
 from w3sim.archetypes import SimConfig, architecture
+from w3sim.consensus import ConsensusConfig, ConsensusRule, RuleKind, chain_ndjson
 from w3sim.scenario import DEFAULT_FAULTS, NO_FAULTS, nft_sale_script, parse_faults
 
 GOLDEN_SHA256 = "efc3123772953eb0de06a80d5968df11ae0c78116ecefee419e2b44db2e7bf28"
@@ -113,3 +114,38 @@ def agent_events_digest() -> str:
 
 def test_agent_events_and_retrieval_are_byte_identical():
     assert agent_events_digest() == AGENT_EVENTS_SHA256
+
+
+# Every type under both confirmation rules, fault-free and with a tampering
+# executor (outside the checked region) over flaky storage: the run's
+# counters, the confirmed chain, the event log, the state root, the gas and
+# byte totals, the violation counts and the ticks. test_default_sweep only
+# runs the BFT rule; this pins the majority-chain confirmation path and the
+# hybrid types' per-block commitment anchor.
+RULE_AND_HYBRID_SHA256 = "372a637a91872a13d2e8ecd3179f16cb79c0dee604606dea6bf58a82b757c11b"
+RULE_AND_HYBRID_FAULTS = "storage_crash_prob = 0.3\nexecutor_behavior = Malicious\ntamper_target = unchecked\n"
+
+
+def rule_and_hybrid_digest() -> str:
+    script = nft_sale_script(repetitions=12)
+    rules = (ConsensusRule(), ConsensusRule(kind=RuleKind.MAJORITY_CHAIN))
+    h = hashlib.sha256()
+    for rule in rules:
+        sim = SimConfig(seed=42, consensus=ConsensusConfig(rule=rule))
+        for faults in (NO_FAULTS, parse_faults(RULE_AND_HYBRID_FAULTS)):
+            for type_id in range(1, 13):
+                run = ev._ScenarioRun(architecture(type_id), script, sim, faults)
+                stats = run.run()
+                chain = run.topology.chain
+                h.update(json.dumps(asdict(stats), sort_keys=True).encode())
+                h.update(chain_ndjson(chain).encode())
+                h.update(vm.export_events_ndjson(chain.state).encode())
+                h.update(chain.state.state_root)
+                h.update(json.dumps([chain.gas_total, chain.bytes_total, chain.now,
+                                     chain.safety_breaks,
+                                     run.topology.integrity_violations]).encode())
+    return h.hexdigest()
+
+
+def test_both_rules_and_hybrid_anchors_are_byte_identical():
+    assert rule_and_hybrid_digest() == RULE_AND_HYBRID_SHA256
