@@ -33,7 +33,7 @@ class NoConfirmedState(AccessError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UserOp:
     """One application-level request, before it becomes a transaction."""
 
@@ -131,7 +131,7 @@ class AgentBehavior(Enum):
     WITHHOLDING = "Withholding"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BundleTicket:
     origin: bytes
     seq: int

@@ -316,7 +316,7 @@ def cmd_demo(args) -> int:
 
     print(PHASE_BANNERS[4])
     retrieved = access.retrieve_state(chain, bob.address, NFT_ID)
-    owner = vm.query_state(chain.state, NFT_ID, "ownerOf", (bytes.fromhex(minted.field("token_id")),))
+    owner = vm.query_state(chain.state, NFT_ID, "ownerOf", (minted.field("token_id"),))
     alice_bal, bob_bal = (vm.query_state(chain.state, FT_ID, "balanceOf", (w.address.payload,))
                           for w in (alice, bob))
     supply = vm.query_state(chain.state, FT_ID, "totalSupply")

@@ -33,7 +33,7 @@ from .txcraft import Transaction, validate_transaction, TxError
 
 ZERO_HASH = b"\x00" * 32
 
-# Event fields whose value is an address, in hex; the touch index keys on them.
+# Event fields whose value is an address; the touch index keys on them.
 _ADDRESS_FIELDS = frozenset(("src", "dst", "owner", "seller", "buyer", "spender", "origin"))
 
 
@@ -127,7 +127,7 @@ def round_ticks(config: ConsensusConfig, n_nodes: int, record: RoundRecord) -> i
     return config.block_interval + math.ceil(work / config.network_capacity) + record.delay
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     height: int
     parent_hash: bytes
@@ -156,7 +156,7 @@ class MaintainerNode:
     byz_mode: ByzantineMode = ByzantineMode.SILENT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Confirmation:
     tx: Transaction
     receipt: vm.Receipt
@@ -301,13 +301,13 @@ class ChainNetwork:
         return receipts, block_gas
 
     def _confirm(self, block: Block, receipts: list[tuple[Transaction, vm.Receipt]],
-                 block_gas: int) -> list[Confirmation]:
+                 block_gas: int, block_bytes: int) -> list[Confirmation]:
         """Pay a maintainer proposer the block's gas, append the block, confirm its txs now."""
         if block_gas and block.proposer >= 0:
             self.state.credit_native(self.nodes[block.proposer].address.payload, block_gas)
         self.confirmed_blocks.append(block)
         self.gas_total += block_gas
-        self.bytes_total += sum(tx.wire_size() for tx in block.txs)
+        self.bytes_total += block_bytes
         confs = []
         for tx, receipt in receipts:
             confs.append(Confirmation(tx, receipt, block.block_hash, block.height, self.now))
@@ -328,14 +328,9 @@ class ChainNetwork:
         keys_by_contract: dict[bytes, dict[bytes, None]] = {}
         for cid, key in receipt.writes:
             keys_by_contract.setdefault(cid, {})[key] = None
-        named = {value for ev in receipt.events for key, value in ev.fields
+        addrs = {value for ev in receipt.events for key, value in ev.fields
                  if key in _ADDRESS_FIELDS}
-        addrs = {tx.metadata.sender.payload}
-        for value in named:
-            try:
-                addrs.add(bytes.fromhex(value))
-            except ValueError:
-                pass
+        addrs.add(tx.metadata.sender.payload)
         for cid, keys in keys_by_contract.items():
             entry = (tx.tx_id, tuple(keys), self.now)
             for addr in addrs:
@@ -401,8 +396,9 @@ class ChainNetwork:
         receipts, block_gas = self._execute_txs(txs, height)
         # The root is taken after execution: the block commits to its own effects.
         block = make_block(height, parent, txs, self.state.state_root, proposer.node_id)
-        self._advance_clock(len(txs), sum(tx.wire_size() for tx in txs), block_gas)
-        return self._confirm(block, receipts, block_gas)
+        block_bytes = sum(tx.wire_size() for tx in txs)
+        self._advance_clock(len(txs), block_bytes, block_gas)
+        return self._confirm(block, receipts, block_gas, block_bytes)
 
     def _qualifying_branch(self) -> list[Block] | None:
         honest_share = 1.0 - self.adversarial_share
@@ -440,7 +436,8 @@ class ChainNetwork:
             self._mc_confirmed_upto += 1
             pending = qualifying[self._mc_confirmed_upto]
             receipts, block_gas = self._execute_txs(pending.txs, pending.height)
-            confs.extend(self._confirm(pending, receipts, block_gas))
+            confs.extend(self._confirm(pending, receipts, block_gas,
+                                       sum(tx.wire_size() for tx in pending.txs)))
         return confs
 
     # -- probes --------------------------------------------------------------

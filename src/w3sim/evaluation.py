@@ -109,15 +109,13 @@ class _ScenarioRun:
         self.topology = compose(arch, sim, funded=funded, registered_users=registered,
                                 faults=faults)
         self.data_rng = Random(sim.seed ^ 0xDA7A)
+        self.tokens = [rep.to_bytes(32, "big") for rep in range(script.repetitions)]
         self.refs: dict[int, object] = {}
         self.pending: list[tuple[int, object]] = []  # (rep, tx_id or ticket)
         self.settled_upto = 0  # confirmations already scanned by _settle_wave
         self.minted: dict[bytes, bytes] = {}  # token id -> confirmed mint tx id
 
     # -- step helpers -----------------------------------------------------
-
-    def _token(self, rep: int) -> bytes:
-        return rep.to_bytes(32, "big")
 
     def _submit(self, wallet: access.WalletClient, op: access.UserOp, rep: int,
                 inline: bytes | None = None):
@@ -142,8 +140,9 @@ class _ScenarioRun:
             access.flush(topo.agent, topo.chain, self.sim.gas_schedule)
         topo.chain.run_until_drained(DRAIN_ROUNDS)
 
-    def _settle_wave(self):
-        """Resolve every pending submission to success/failure.
+    def _settle_wave(self) -> set[int]:
+        """Resolve every pending submission to success/failure; returns the
+        repetitions whose op succeeded.
 
         Pending handles were submitted after the previous settle, so only
         the confirmations added since then can carry them. Their mints go
@@ -154,23 +153,25 @@ class _ScenarioRun:
         fresh = confirmations[self.settled_upto:]
         self.settled_upto = len(confirmations)
         ok_tx = {c.tx.tx_id for c in fresh if c.receipt.success}
-        # (origin hex, seq) as the OpOk marker spells them.
-        ok_ops = set()
+        ok_ops = set()  # (origin, seq) of every OpOk marker
         for c in fresh:
             for ev in c.receipt.events:
                 if ev.name == "OpOk":
                     ok_ops.add((ev.field("origin"), ev.field("seq")))
                 elif ev.name == "Mint":
-                    self.minted[bytes.fromhex(ev.field("token_id"))] = c.tx.tx_id
+                    self.minted[ev.field("token_id")] = c.tx.tx_id
+        ok_reps = set()
         for rep, handle in self.pending:
             if isinstance(handle, access.BundleTicket):
-                good = (handle.origin.hex(), str(handle.seq)) in ok_ops
+                good = (handle.origin, handle.seq) in ok_ops
             else:
                 good = handle in ok_tx
             if good:
+                ok_reps.add(rep)
                 self.stats.ops_succeeded += 1
                 self.stats.onchain_ops += 1
         self.pending = []
+        return ok_reps
 
     # -- steps --------------------------------------------------------------
 
@@ -203,7 +204,6 @@ class _ScenarioRun:
 
     def _run_step_wave(self, step: Step):
         wallet = self.wallets[step.actor]
-        reps = self.script.repetitions
         kind = step.kind
         if kind is StepKind.CREATE_IDENTITY:
             return  # identities were derived when the wallet was built
@@ -212,9 +212,10 @@ class _ScenarioRun:
             return
         if kind is StepKind.MINT_NFT:
             size = step.param("data_size", 768)
-            for rep in range(reps):
+            fresh = {}
+            for rep, token in enumerate(self.tokens):
                 data = self.data_rng.randbytes(size)
-                op = access.UserOp(NFT_ID, "mint", args=(self._token(rep),), data=data)
+                op = access.UserOp(NFT_ID, "mint", args=(token,), data=data)
                 try:
                     inline, ref = access.prepare_data(op, self.topology.fabric)
                 except StorageError as err:
@@ -222,22 +223,25 @@ class _ScenarioRun:
                         raise ScenarioInfeasible(f"InlineTooLarge: {err}") from err
                     self.stats.ops_attempted += 1
                     continue
-                self.refs[rep] = ref
+                fresh[rep] = ref
                 self._submit(wallet, op, rep, inline=inline)
-            self._settle_wave()
+            confirmed = self._settle_wave()
+            # A new upload replaces a repetition's ref only when its own mint
+            # confirmed; a repeated mint reverts, and the earlier ref stays.
+            for rep, ref in fresh.items():
+                if rep in confirmed or rep not in self.refs:
+                    self.refs[rep] = ref
             self._bind_hooks()
             return
         if kind in (StepKind.LIST_NFT, StepKind.BUY_NFT):
             method = "list" if kind is StepKind.LIST_NFT else "buy"
-            price = step.param("price", 100)
-            for rep in range(reps):
-                op = access.UserOp(MARKET_ID, method,
-                                   args=(self._token(rep), price.to_bytes(16, "big")))
-                self._submit(wallet, op, rep)
+            price = step.param("price", 100).to_bytes(16, "big")
+            for rep, token in enumerate(self.tokens):
+                self._submit(wallet, access.UserOp(MARKET_ID, method, args=(token, price)), rep)
             self._settle_wave()
             return
         if kind is StepKind.RETRIEVE_STATE:
-            for rep in range(reps):
+            for rep in range(self.script.repetitions):
                 self.stats.ops_attempted += 1
                 if self._retrieve_ok(wallet, rep):
                     self.stats.ops_succeeded += 1
@@ -248,13 +252,13 @@ class _ScenarioRun:
         """Attach the confirmed mint tx as the hook for each linked ref."""
         for rep, ref in list(self.refs.items()):
             if ref is not None and ref.hook_tx is None:
-                tx_id = self.minted.get(self._token(rep))
+                tx_id = self.minted.get(self.tokens[rep])
                 if tx_id is not None:
                     self.refs[rep] = self.topology.fabric.bind_hook(ref, tx_id)
 
     def _retrieve_ok(self, wallet: access.WalletClient, rep: int) -> bool:
         topo = self.topology
-        token = self._token(rep)
+        token = self.tokens[rep]
         try:
             retrieved = access.retrieve_state(topo.chain, wallet.address, NFT_ID)
             owner = vm.query_state(topo.chain.state, NFT_ID, "ownerOf", (token,))

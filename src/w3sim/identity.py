@@ -59,7 +59,7 @@ class Address:
         return self.text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Signature:
     tag: bytes
 

@@ -59,7 +59,7 @@ class StoragePlan:
             raise ValueError("inline_threshold must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContentId:
     digest: bytes
 
@@ -71,13 +71,13 @@ class ContentId:
         return self.digest.hex()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InlineRef:
     data: bytes
     hook_tx: bytes | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinkedRef:
     cid: ContentId
     hook_tx: bytes | None = None

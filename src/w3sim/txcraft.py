@@ -32,7 +32,7 @@ class FutureNonce(TxError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxMetadata:
     sender: Address
     receiver: Address
@@ -41,7 +41,7 @@ class TxMetadata:
     sim_time: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxPayload:
     contract_id: bytes = b""
     method: str = ""
@@ -53,7 +53,7 @@ class TxPayload:
             raise ValueError("a method call requires a contract_id")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     metadata: TxMetadata
     payload: TxPayload

@@ -14,8 +14,10 @@ per write. Storage cells keep their root term, so an overwrite or delete
 hashes only the new value. Tests recompute the root from scratch as an
 independent oracle.
 
-Execution buffers all writes and applies them only on success, so a
-reverted call leaves the state root untouched. Gas is the schedule's
+Execution writes through a per-transaction overlay with an undo journal;
+the state takes the overlay only on success, so a reverted call leaves
+the state root untouched. Event fields hold raw values (bytes, int, str)
+and are rendered as text only on export. Gas is the schedule's
 base cost plus per-component costs summed over the call.
 """
 
@@ -70,11 +72,13 @@ class ContractDef:
 
 
 class Event(NamedTuple):
+    """A logged event; fields come in sorted key order and hold raw values."""
+
     tx_id: bytes
     name: str
-    fields: tuple[tuple[str, str], ...]
+    fields: tuple[tuple[str, bytes | int | str], ...]
 
-    def field(self, key: str) -> str | None:
+    def field(self, key: str) -> bytes | int | str | None:
         for k, v in self.fields:
             if k == key:
                 return v
@@ -86,13 +90,14 @@ class TxStatus(Enum):
     REVERTED = "Reverted"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Receipt:
+    """A status-code receipt: the block header commits to the post-state root."""
+
     status: TxStatus
     reason: str | None
     gas_used: int
     events: tuple[Event, ...]
-    new_state_root: bytes
     writes: tuple[tuple[bytes, bytes], ...] = ()
 
     @property
@@ -354,180 +359,176 @@ class DelegationPolicy:
         return identity.digest(b"w3/chk" + key)[0] < bound
 
 
-class _View:
-    """Read-through overlay so bundle ops observe earlier ops' writes."""
+_UNSET = object()  # journal marker: the slot had no overlay entry
 
-    def __init__(self, state: ContractState):
+
+class _TxOverlay:
+    """One transaction's writes, laid over the state, with an undo journal.
+
+    sstore writes through to the overlay, keyed by a (contract, key) slot,
+    and journals the slot's previous overlay value; sload probes the
+    overlay, then the state. An op that fails rolls back its own journal
+    entries, and the state takes the overlay only when the whole
+    transaction succeeds.
+    """
+
+    __slots__ = ("state", "tx_id", "overlay", "journal", "reads", "events")
+
+    def __init__(self, state: ContractState, tx_id: bytes):
         self.state = state
-        self.pending: dict[tuple[bytes, bytes], bytes | None] = {}
-
-    def get(self, contract_id: bytes, key: bytes) -> bytes | None:
-        slot = (contract_id, key)
-        if slot in self.pending:
-            return self.pending[slot]
-        return self.state.get_storage(contract_id, key)
-
-
-class _Call:
-    """Metering scope for a single op: buffered writes, reads, events."""
-
-    def __init__(self, view: _View, tx_id: bytes):
-        self.view = view
         self.tx_id = tx_id
-        self.reads: list[tuple[bytes, bytes]] = []
-        self.writes: list[tuple[bytes, bytes, bytes | None]] = []
+        self.overlay: dict[tuple[bytes, bytes], bytes | None] = {}
+        self.journal: list[tuple[tuple[bytes, bytes], object, bytes | None]] = []  # (slot, old, new)
+        self.reads: list[bytes] = []  # every key read, for the gas meter
         self.events: list[Event] = []
 
+    def peek(self, contract_id: bytes, key: bytes) -> bytes | None:
+        value = self.overlay.get((contract_id, key), _UNSET)
+        return self.state.get_storage(contract_id, key) if value is _UNSET else value
+
     def sload(self, contract_id: bytes, key: bytes) -> bytes | None:
-        self.reads.append((contract_id, key))
-        for cid, k, v in reversed(self.writes):
-            if cid == contract_id and k == key:
-                return v
-        return self.view.get(contract_id, key)
+        self.reads.append(key)
+        return self.peek(contract_id, key)
 
     def sstore(self, contract_id: bytes, key: bytes, value: bytes | None):
-        self.writes.append((contract_id, key, value))
+        slot = (contract_id, key)
+        self.journal.append((slot, self.overlay.get(slot, _UNSET), value))
+        self.overlay[slot] = value
 
-    def emit(self, name: str, **fields: str):
-        self.events.append(Event(self.tx_id, name, tuple(sorted(fields.items()))))
+    def emit(self, name: str, *fields: tuple[str, bytes | int | str]):
+        """Log an event; callers pass the fields in sorted key order."""
+        self.events.append(Event(self.tx_id, name, fields))
+
+    def rollback(self, mark: int, event_mark: int):
+        """Undo the journal entries and events from the marks on."""
+        overlay = self.overlay
+        for slot, old, _ in reversed(self.journal[mark:]):
+            if old is _UNSET:
+                del overlay[slot]
+            else:
+                overlay[slot] = old
+        del self.journal[mark:], self.events[event_mark:]
 
 
 def _load_amount(raw: bytes | None) -> int:
     return int.from_bytes(raw, "big") if raw else 0
 
 
-def _ft_call(call: _Call, cid: bytes, sender: bytes, method: str, args: tuple[bytes, ...]):
+def _ft_call(ov: _TxOverlay, cid: bytes, sender: bytes, method: str, args: tuple[bytes, ...]):
     if method == "transfer":
         to, amount = args[0], _load_amount(args[1])
-        bal = _load_amount(call.sload(cid, b"bal:" + sender))
+        bal = _load_amount(ov.sload(cid, b"bal:" + sender))
         if bal < amount:
             raise _Revert("InsufficientBalance")
-        call.sstore(cid, b"bal:" + sender, _u128(bal - amount))
-        call.sstore(cid, b"bal:" + to, _u128(_load_amount(call.sload(cid, b"bal:" + to)) + amount))
-        call.emit("Transfer", src=sender.hex(), dst=to.hex(), amount=str(amount))
+        ov.sstore(cid, b"bal:" + sender, _u128(bal - amount))
+        ov.sstore(cid, b"bal:" + to, _u128(_load_amount(ov.sload(cid, b"bal:" + to)) + amount))
+        ov.emit("Transfer", ("amount", amount), ("dst", to), ("src", sender))
     elif method == "approve":
         spender, amount = args[0], _load_amount(args[1])
-        call.sstore(cid, b"alw:" + sender + spender, _u128(amount))
-        call.emit("Approval", owner=sender.hex(), spender=spender.hex(), amount=str(amount))
+        ov.sstore(cid, b"alw:" + sender + spender, _u128(amount))
+        ov.emit("Approval", ("amount", amount), ("owner", sender), ("spender", spender))
     elif method == "transferFrom":
         src, dst, amount = args[0], args[1], _load_amount(args[2])
-        allowance = _load_amount(call.sload(cid, b"alw:" + src + sender))
+        allowance = _load_amount(ov.sload(cid, b"alw:" + src + sender))
         if allowance < amount:
             raise _Revert("InsufficientAllowance")
-        bal = _load_amount(call.sload(cid, b"bal:" + src))
+        bal = _load_amount(ov.sload(cid, b"bal:" + src))
         if bal < amount:
             raise _Revert("InsufficientBalance")
-        call.sstore(cid, b"alw:" + src + sender, _u128(allowance - amount))
-        call.sstore(cid, b"bal:" + src, _u128(bal - amount))
-        call.sstore(cid, b"bal:" + dst, _u128(_load_amount(call.sload(cid, b"bal:" + dst)) + amount))
-        call.emit("Transfer", src=src.hex(), dst=dst.hex(), amount=str(amount))
+        ov.sstore(cid, b"alw:" + src + sender, _u128(allowance - amount))
+        ov.sstore(cid, b"bal:" + src, _u128(bal - amount))
+        ov.sstore(cid, b"bal:" + dst, _u128(_load_amount(ov.sload(cid, b"bal:" + dst)) + amount))
+        ov.emit("Transfer", ("amount", amount), ("dst", dst), ("src", src))
     elif method in ("totalSupply", "balanceOf", "allowance"):
         if method == "totalSupply":
-            call.sload(cid, b"sup:")
+            ov.sload(cid, b"sup:")
         elif method == "balanceOf":
-            call.sload(cid, b"bal:" + args[0])
+            ov.sload(cid, b"bal:" + args[0])
         else:
-            call.sload(cid, b"alw:" + args[0] + args[1])
+            ov.sload(cid, b"alw:" + args[0] + args[1])
     else:
         raise _Revert("UnknownMethod")
 
 
-def _nft_call(call: _Call, cid: bytes, sender: bytes, method: str, args, inline_data: bytes):
+def _nft_call(ov: _TxOverlay, cid: bytes, sender: bytes, method: str, args, inline_data: bytes):
     if method == "mint":
         token_id = args[0]
-        if call.sload(cid, b"own:" + token_id) is not None:
+        if ov.sload(cid, b"own:" + token_id) is not None:
             raise _Revert("DuplicateTokenId")
-        call.sstore(cid, b"own:" + token_id, sender)
-        call.sstore(cid, b"dat:" + token_id, inline_data)
-        count = _load_amount(call.sload(cid, b"cnt:" + sender))
-        call.sstore(cid, b"cnt:" + sender, _u128(count + 1))
-        call.emit("Mint", owner=sender.hex(), token_id=token_id.hex())
+        ov.sstore(cid, b"own:" + token_id, sender)
+        ov.sstore(cid, b"dat:" + token_id, inline_data)
+        count = _load_amount(ov.sload(cid, b"cnt:" + sender))
+        ov.sstore(cid, b"cnt:" + sender, _u128(count + 1))
+        ov.emit("Mint", ("owner", sender), ("token_id", token_id))
     elif method == "transferFrom":
         src, dst, token_id = args[0], args[1], args[2]
-        owner = call.sload(cid, b"own:" + token_id)
+        owner = ov.sload(cid, b"own:" + token_id)
         if owner is None or owner != src or sender != src:
             raise _Revert("NotOwner")
-        call.sstore(cid, b"own:" + token_id, dst)
-        call.sstore(cid, b"cnt:" + src, _u128(_load_amount(call.sload(cid, b"cnt:" + src)) - 1))
-        call.sstore(cid, b"cnt:" + dst, _u128(_load_amount(call.sload(cid, b"cnt:" + dst)) + 1))
-        call.emit("NftTransfer", src=src.hex(), dst=dst.hex(), token_id=token_id.hex())
+        ov.sstore(cid, b"own:" + token_id, dst)
+        ov.sstore(cid, b"cnt:" + src, _u128(_load_amount(ov.sload(cid, b"cnt:" + src)) - 1))
+        ov.sstore(cid, b"cnt:" + dst, _u128(_load_amount(ov.sload(cid, b"cnt:" + dst)) + 1))
+        ov.emit("NftTransfer", ("dst", dst), ("src", src), ("token_id", token_id))
     elif method == "ownerOf":
-        if call.sload(cid, b"own:" + args[0]) is None:
+        if ov.sload(cid, b"own:" + args[0]) is None:
             raise _Revert("NotMinted")
     else:
         raise _Revert("UnknownMethod")
 
 
-def _market_call(call: _Call, contract: ContractDef, sender: bytes, method: str, args):
+def _market_call(ov: _TxOverlay, contract: ContractDef, sender: bytes, method: str, args):
     cid = contract.contract_id
     nft = contract.params["nft"]
     token = contract.params["token"]
     if method == "list":
         token_id, price = args[0], _load_amount(args[1])
-        owner = call.sload(nft, b"own:" + token_id)
+        owner = ov.sload(nft, b"own:" + token_id)
         if owner != sender:
             raise _Revert("NotOwner")
-        call.sstore(cid, b"lst:" + token_id, _u128(price) + sender)
-        call.emit("Listed", seller=sender.hex(), token_id=token_id.hex(), price=str(price))
+        ov.sstore(cid, b"lst:" + token_id, _u128(price) + sender)
+        ov.emit("Listed", ("price", price), ("seller", sender), ("token_id", token_id))
     elif method == "buy":
         token_id, offered = args[0], _load_amount(args[1])
-        listing = call.sload(cid, b"lst:" + token_id)
+        listing = ov.sload(cid, b"lst:" + token_id)
         if listing is None:
             raise _Revert("NotListed")
         price, seller = _load_amount(listing[:16]), listing[16:]
         if offered != price:
             raise _Revert("PriceMismatch")
-        if call.sload(nft, b"own:" + token_id) != seller:
+        if ov.sload(nft, b"own:" + token_id) != seller:
             raise _Revert("NotOwner")
-        bal = _load_amount(call.sload(token, b"bal:" + sender))
+        bal = _load_amount(ov.sload(token, b"bal:" + sender))
         if bal < price:
             raise _Revert("InsufficientBalance")
         # Payment and ownership transfer settle in one call frame.
-        call.sstore(token, b"bal:" + sender, _u128(bal - price))
-        call.sstore(token, b"bal:" + seller, _u128(_load_amount(call.sload(token, b"bal:" + seller)) + price))
-        call.sstore(nft, b"own:" + token_id, sender)
-        call.sstore(nft, b"cnt:" + seller, _u128(_load_amount(call.sload(nft, b"cnt:" + seller)) - 1))
-        call.sstore(nft, b"cnt:" + sender, _u128(_load_amount(call.sload(nft, b"cnt:" + sender)) + 1))
-        call.sstore(cid, b"lst:" + token_id, None)
-        call.emit("Transfer", src=sender.hex(), dst=seller.hex(), amount=str(price))
-        call.emit("NftTransfer", src=seller.hex(), dst=sender.hex(), token_id=token_id.hex())
-        call.emit("Sale", buyer=sender.hex(), seller=seller.hex(), token_id=token_id.hex(), price=str(price))
+        ov.sstore(token, b"bal:" + sender, _u128(bal - price))
+        ov.sstore(token, b"bal:" + seller, _u128(_load_amount(ov.sload(token, b"bal:" + seller)) + price))
+        ov.sstore(nft, b"own:" + token_id, sender)
+        ov.sstore(nft, b"cnt:" + seller, _u128(_load_amount(ov.sload(nft, b"cnt:" + seller)) - 1))
+        ov.sstore(nft, b"cnt:" + sender, _u128(_load_amount(ov.sload(nft, b"cnt:" + sender)) + 1))
+        ov.sstore(cid, b"lst:" + token_id, None)
+        # The three events share the raw buyer, seller, token id and price.
+        tid = ("token_id", token_id)
+        ov.emit("Transfer", ("amount", price), ("dst", seller), ("src", sender))
+        ov.emit("NftTransfer", ("dst", sender), ("src", seller), tid)
+        ov.emit("Sale", ("buyer", sender), ("price", price), ("seller", seller), tid)
     else:
         raise _Revert("UnknownMethod")
 
 
-def _dispatch(call: _Call, state: ContractState, sender: bytes, contract_id: bytes,
-              method: str, args, inline_data: bytes):
-    contract = state.contracts.get(contract_id)
+def _dispatch(ov: _TxOverlay, sender: bytes, contract_id: bytes, method: str, args,
+              inline_data: bytes):
+    contract = ov.state.contracts.get(contract_id)
     if contract is None:
         raise _Revert("UnknownContract")
     if contract.kind is ContractKind.FUNGIBLE_TOKEN:
-        _ft_call(call, contract_id, sender, method, args)
+        _ft_call(ov, contract_id, sender, method, args)
     elif contract.kind is ContractKind.NON_FUNGIBLE_TOKEN:
-        _nft_call(call, contract_id, sender, method, args, inline_data)
+        _nft_call(ov, contract_id, sender, method, args, inline_data)
     elif contract.kind is ContractKind.NFT_MARKET:
-        _market_call(call, contract, sender, method, args)
+        _market_call(ov, contract, sender, method, args)
     else:
         raise _Revert("UnknownMethod")
-
-
-@dataclass
-class _OpOutcome:
-    ok: bool
-    reason: str | None
-    reads: list
-    writes: list
-    events: list
-
-
-def _run_op(view: _View, state: ContractState, tx_id: bytes, sender: bytes,
-            contract_id: bytes, method: str, args, inline_data: bytes) -> _OpOutcome:
-    call = _Call(view, tx_id)
-    try:
-        _dispatch(call, state, sender, contract_id, method, args, inline_data)
-    except _Revert as err:
-        return _OpOutcome(False, err.reason, call.reads, [], [])
-    return _OpOutcome(True, None, call.reads, call.writes, call.events)
 
 
 def execute(state: ContractState, tx: Transaction, schedule: GasSchedule = DEFAULT_GAS_SCHEDULE,
@@ -539,139 +540,128 @@ def execute(state: ContractState, tx: Transaction, schedule: GasSchedule = DEFAU
     receipt and root. On revert only gas accounting survives; the state
     root is untouched.
     """
-    view = _View(state)
-    gas = schedule.base_tx + schedule.per_inline_byte * len(tx.payload.inline_data)
-    events: list[Event] = []
-    written: list[tuple[bytes, bytes]] = []  # every staged write, in order
+    ov = _TxOverlay(state, tx.tx_id)
+    payload = tx.payload
+    gas = schedule.base_tx + schedule.per_inline_byte * len(payload.inline_data)
     sender = tx.metadata.sender.payload
     revert_reason: str | None = None
 
-    if tx.payload.method == BUNDLE_METHOD:
+    if payload.method == BUNDLE_METHOD:
         ops = []
         try:
-            ops = decode_bundle(tx.payload.args[0] if tx.payload.args else b"")
+            ops = decode_bundle(payload.args[0] if payload.args else b"")
         except (ValueError, IndexError):
             revert_reason = "MalformedBundle"
         for i, op in enumerate(ops):
             gas += schedule.per_inline_byte * len(op.inline_data)
             gas += 2 * schedule.per_storage_read  # registration + sequence lookups
-            seq_slot = (SYSTEM_CONTRACT_ID, b"seq:" + sender + op.origin)
-            reg = view.get(SYSTEM_CONTRACT_ID, b"agt:" + sender + op.origin)
-            expected_seq = _load_amount(view.get(*seq_slot))
-            if reg is None:
-                outcome = _OpOutcome(False, "UnregisteredUser", [], [], [])
-            elif op.seq != expected_seq:
-                outcome = _OpOutcome(False, "SequenceMismatch", [], [], [])
+            seq_key = b"seq:" + sender + op.origin
+            if ov.peek(SYSTEM_CONTRACT_ID, b"agt:" + sender + op.origin) is None:
+                fail_reason = "UnregisteredUser"
+            elif op.seq != _load_amount(ov.peek(SYSTEM_CONTRACT_ID, seq_key)):
+                fail_reason = "SequenceMismatch"
             else:
                 # Sequence numbers are consumed even when the op reverts.
-                view.pending[seq_slot] = _u64(op.seq + 1)
-                written.append(seq_slot)
+                ov.sstore(SYSTEM_CONTRACT_ID, seq_key, _u64(op.seq + 1))
                 gas += schedule.per_storage_write
-                outcome = _run_op(view, state, tx.tx_id, op.origin, op.contract_id,
-                                  op.method, op.args, op.inline_data)
-            gas_delta, op_writes, op_events, fail_reason = _apply_outcome(
-                view, tx, schedule, delegation, outcome, violation_sink,
-                seed_extra=i.to_bytes(4, "big"))
-            gas += gas_delta
+                op_gas, fail_reason = _run_op(ov, schedule, delegation, violation_sink,
+                                              i.to_bytes(4, "big"), op.origin, op.contract_id,
+                                              op.method, op.args, op.inline_data)
+                gas += op_gas
             # Marker fields in sorted key order, like every emitted event.
-            origin, seq = ("origin", op.origin.hex()), ("seq", str(op.seq))
             if fail_reason is None:
-                written.extend((cid, key) for cid, key, _ in op_writes)
-                events.extend(op_events)
-                events.append(Event(tx.tx_id, "OpOk", (origin, seq)))
+                ov.emit("OpOk", ("origin", op.origin), ("seq", op.seq))
             else:
-                events.append(Event(tx.tx_id, "OpFailed", (origin, ("reason", fail_reason), seq)))
+                ov.emit("OpFailed", ("origin", op.origin), ("reason", fail_reason), ("seq", op.seq))
             gas += schedule.per_event
     else:
-        outcome = _run_op(view, state, tx.tx_id, sender, tx.payload.contract_id,
-                          tx.payload.method, tx.payload.args, tx.payload.inline_data)
-        gas_delta, op_writes, op_events, revert_reason = _apply_outcome(
-            view, tx, schedule, delegation, outcome, violation_sink, seed_extra=b"")
-        gas += gas_delta
-        if revert_reason is None:
-            written.extend((cid, key) for cid, key, _ in op_writes)
-            events.extend(op_events)
+        op_gas, revert_reason = _run_op(ov, schedule, delegation, violation_sink, b"", sender,
+                                        payload.contract_id, payload.method, payload.args,
+                                        payload.inline_data)
+        gas += op_gas
 
     if revert_reason is None and gas > tx.metadata.gas_limit:
         revert_reason = "OutOfGas"
         gas = tx.metadata.gas_limit
 
     if revert_reason is not None:
-        return state, Receipt(TxStatus.REVERTED, revert_reason, min(gas, tx.metadata.gas_limit),
-                              (), state.state_root)
+        return state, Receipt(TxStatus.REVERTED, revert_reason, min(gas, tx.metadata.gas_limit), ())
 
-    # The view holds each cell's last staged value, in first-write order: a
+    # The overlay holds each cell's last value, in first-write order: a
     # bundle rewrites its sequence cell once per op, the state takes it once.
-    for (cid, key), value in view.pending.items():
+    for (cid, key), value in ov.overlay.items():
         state.set_storage(cid, key, value)
-    state.event_log.extend(events)
-    return state, Receipt(TxStatus.SUCCESS, None, gas, tuple(events), state.state_root,
-                          tuple(written))
+    state.event_log.extend(ov.events)
+    return state, Receipt(TxStatus.SUCCESS, None, gas, tuple(ov.events),
+                          tuple([slot for slot, _, _ in ov.journal]))
 
 
-def _apply_outcome(view: _View, tx: Transaction, schedule: GasSchedule,
-                   policy: DelegationPolicy | None, outcome: _OpOutcome,
-                   violation_sink, seed_extra: bytes):
-    """Price one op outcome and stage its writes into the view.
+def _run_op(ov: _TxOverlay, schedule: GasSchedule, policy: DelegationPolicy | None,
+            violation_sink, seed_extra: bytes, sender: bytes, contract_id: bytes, method: str,
+            args, inline_data: bytes) -> tuple[int, str | None]:
+    """Run one op against the overlay; returns (gas, fail_reason).
 
-    Returns (gas_delta, writes, events, fail_reason); the lists are not to
-    be mutated. With a delegation policy the core leg executes on-chain at
-    full price while aux writes are applied under a commitment anchored by
-    one event.
+    A failed op leaves no write or event behind. With a delegation policy
+    the core leg executes on-chain at full price while aux writes are
+    applied under a commitment anchored by one event.
     """
-    if not outcome.ok:
-        return schedule.per_storage_read * len(outcome.reads), [], [], outcome.reason
+    read_mark, mark, event_mark = len(ov.reads), len(ov.journal), len(ov.events)
+    try:
+        _dispatch(ov, sender, contract_id, method, args, inline_data)
+    except _Revert as err:
+        ov.rollback(mark, event_mark)
+        return schedule.per_storage_read * (len(ov.reads) - read_mark), err.reason
 
     if policy is None:
-        gas = schedule.per_storage_read * len(outcome.reads)
-        gas += schedule.per_storage_write * len(outcome.writes)
-        gas += schedule.per_event * len(outcome.events)
-        pending = view.pending
-        for cid, key, value in outcome.writes:
-            pending[(cid, key)] = value
-        return gas, outcome.writes, outcome.events, None
+        return (schedule.per_storage_read * (len(ov.reads) - read_mark)
+                + schedule.per_storage_write * (len(ov.journal) - mark)
+                + schedule.per_event * (len(ov.events) - event_mark)), None
 
-    core_writes = [(c, k, v) for c, k, v in outcome.writes if not is_aux_key(k)]
-    aux_writes = [(c, k, v) for c, k, v in outcome.writes if is_aux_key(k)]
-    core_reads = [(c, k) for c, k in outcome.reads if not is_aux_key(k)]
+    entries = ov.journal[mark:]
+    core = [e for e in entries if not is_aux_key(e[0][1])]
+    aux_entries = [e for e in entries if is_aux_key(e[0][1])]
+    aux = [(slot, value) for slot, _, value in aux_entries]
 
     tampered_checked = False
-    if policy.executor_behavior is ExecutorBehavior.MALICIOUS and aux_writes:
+    if policy.executor_behavior is ExecutorBehavior.MALICIOUS and aux:
         rng = random.Random(policy.run_seed
-                            ^ int.from_bytes(identity.digest(tx.tx_id + seed_extra)[:8], "big"))
-        pool = aux_writes
+                            ^ int.from_bytes(identity.digest(ov.tx_id + seed_extra)[:8], "big"))
+        pool = aux
         if policy.tamper_target == "checked":
-            pool = [w for w in aux_writes if policy.is_checked(w[1])]
+            pool = [w for w in aux if policy.is_checked(w[0][1])]
         elif policy.tamper_target == "unchecked":
-            pool = [w for w in aux_writes if not policy.is_checked(w[1])]
+            pool = [w for w in aux if not policy.is_checked(w[0][1])]
         if pool:
-            idx = aux_writes.index(rng.choice(pool))
-            cid, key, value = aux_writes[idx]
+            idx = aux.index(rng.choice(pool))
+            slot, value = aux[idx]
             bad = bytes(b ^ 0xFF for b in value) if value else b"\xff"
-            aux_writes[idx] = (cid, key, bad)
-            if policy.is_checked(key):
+            aux[idx] = (slot, bad)
+            if policy.is_checked(slot[1]):
                 tampered_checked = True
-            elif violation_sink is not None:
-                violation_sink(tx.tx_id)
+            else:
+                if all(s != slot for s, _ in aux[idx + 1:]):  # the cell keeps its last write
+                    ov.overlay[slot] = bad
+                if violation_sink is not None:
+                    violation_sink(ov.tx_id)
 
-    gas = schedule.per_storage_read * len(core_reads)
-    gas += schedule.per_storage_write * len(core_writes)
-    gas += schedule.per_event * len(outcome.events)
-    if aux_writes:
+    core_reads = sum(1 for key in ov.reads[read_mark:] if not is_aux_key(key))
+    gas = schedule.per_storage_read * core_reads
+    gas += schedule.per_storage_write * len(core)
+    gas += schedule.per_event * (len(ov.events) - event_mark)
+    if aux:
         gas += schedule.per_event  # the commitment anchoring the delegated leg
     if tampered_checked:
-        return gas, [], [], "CommitmentMismatch"
+        ov.rollback(mark, event_mark)
+        return gas, "CommitmentMismatch"
 
-    events = list(outcome.events)
-    if aux_writes:
+    if aux:
         commitment = identity.digest(
             b"w3/com" + b"".join(_ser_bytes(c) + _ser_bytes(k) + _ser_bytes(v or b"")
-                                 for c, k, v in aux_writes))
-        events.append(Event(tx.tx_id, "Commitment", (("digest", commitment.hex()),)))
-    writes = core_writes + aux_writes
-    for cid, key, value in writes:
-        view.pending[(cid, key)] = value
-    return gas, writes, events, None
+                                 for (c, k), v in aux))
+        ov.emit("Commitment", ("digest", commitment))
+    # The receipt lists the op's core writes, then its delegated ones.
+    ov.journal[mark:] = core + aux_entries
+    return gas, None
 
 
 def anchor_commitments(state: ContractState, height: int, receipts: list[Receipt],
@@ -682,8 +672,7 @@ def anchor_commitments(state: ContractState, height: int, receipts: list[Receipt
     digest stored at com:<height> of the verifier contract: one storage
     write. A block without commitments anchors nothing and costs nothing.
     """
-    digests = [bytes.fromhex(ev.field("digest") or "")
-               for r in receipts for ev in r.events if ev.name == "Commitment"]
+    digests = [ev.field("digest") for r in receipts for ev in r.events if ev.name == "Commitment"]
     if not digests:
         return 0
     state.set_storage(VERIFIER_ID, b"com:" + _u64(height),
@@ -733,9 +722,14 @@ def query_state(state: ContractState, contract_id: bytes, method: str, args: tup
 
 
 def export_events_ndjson(state: ContractState) -> str:
-    """Event log as newline-delimited JSON records."""
+    """Event log as newline-delimited JSON records.
+
+    Field values render as text here only: bytes as lowercase hex, ints
+    in decimal, strings as they are.
+    """
     lines = []
     for ev in state.event_log:
-        record = {"tx_id": ev.tx_id.hex(), "event_name": ev.name, "fields": dict(ev.fields)}
+        fields = {k: v.hex() if isinstance(v, bytes) else str(v) for k, v in ev.fields}
+        record = {"tx_id": ev.tx_id.hex(), "event_name": ev.name, "fields": fields}
         lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
     return "\n".join(lines) + ("\n" if lines else "")

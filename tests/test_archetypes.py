@@ -290,7 +290,7 @@ class TestChainExecution:
             assert chain.integrity_violations == 0
             assert chain.gas_total == conf.receipt.gas_used
             return
-        digest, = [bytes.fromhex(ev.field("digest")) for ev in conf.receipt.events
+        digest, = [ev.field("digest") for ev in conf.receipt.events
                    if ev.name == "Commitment"]
         assert anchored == identity.digest(b"w3/fold" + digest)
         assert chain.integrity_violations == 1

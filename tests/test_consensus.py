@@ -1,11 +1,15 @@
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
 
-from w3sim import identity, txcraft, vm
+from w3sim import access, identity, storage, txcraft, vm
 from w3sim.consensus import (
+    ZERO_HASH,
     ByzantineMode,
     ChainNetwork,
+    Confirmation,
     ConsensusConfig,
     ConsensusRule,
     DuplicateTx,
@@ -13,6 +17,7 @@ from w3sim.consensus import (
     PoolFull,
     RuleKind,
     chain_ndjson,
+    make_block,
 )
 
 FT = b"\x21" * 20
@@ -316,3 +321,30 @@ class TestSafetySweep:
                 net.run_round()
             heights = [b.height for b in net.confirmed_blocks]
             assert len(heights) == len(set(heights))
+
+
+def per_transaction_records():
+    """One instance of each record a confirmed transaction leaves behind."""
+    net, kp, addr = make_network(seed=11)
+    tx = transfer_tx(kp, addr, 0)
+    receipt = vm.execute(net.state, tx)[1]
+    block = make_block(1, ZERO_HASH, (tx,), net.state.state_root, 0)
+    cid = storage.ContentId.of(b"blob")
+    return [tx.metadata, tx.payload, tx, tx.signature, receipt, block,
+            Confirmation(tx, receipt, block.block_hash, 1, 3), cid, storage.InlineRef(b"blob"),
+            storage.LinkedRef(cid, tx.tx_id), access.UserOp(FT, "balanceOf", (addr.payload,)),
+            access.BundleTicket(addr.payload, 4)]
+
+
+class TestCompactRecords:
+    @pytest.mark.parametrize("record", per_transaction_records(),
+                             ids=lambda r: type(r).__name__)
+    def test_slotted_frozen_and_picklable(self, record):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, dataclasses.fields(record)[0].name, None)
+        assert pickle.loads(pickle.dumps(record)) == record
+
+    def test_receipt_carries_a_status_and_no_root(self):
+        names = {f.name for f in dataclasses.fields(vm.Receipt)}
+        assert names == {"status", "reason", "gas_used", "events", "writes"}

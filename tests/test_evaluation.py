@@ -44,7 +44,7 @@ from w3sim.scenario import (
     faults_text,
 )
 from w3sim.storage import LinkedRef
-from w3sim.vm import TAMPER_TARGETS, ExecutorBehavior, GasSchedule
+from w3sim.vm import TAMPER_TARGETS, ExecutorBehavior, GasSchedule, query_state
 
 FAST = nft_sale_script(repetitions=6)
 
@@ -363,11 +363,28 @@ class TestMintHooks:
         for c in run.topology.chain.confirmations:
             for event in c.receipt.events:
                 if event.name == "Mint":
-                    minted[bytes.fromhex(event.field("token_id"))] = c.tx.tx_id
+                    minted[event.field("token_id")] = c.tx.tx_id
         linked = {rep: ref for rep, ref in run.refs.items() if isinstance(ref, LinkedRef)}
         assert len(linked) == 6
         for rep, ref in linked.items():
             assert ref.hook_tx == minted[rep.to_bytes(32, "big")]
+
+    def test_a_reverted_second_mint_keeps_the_anchored_ref(self):
+        # The second wave's uploads are new blobs whose mints revert as
+        # DuplicateTokenId; each ref must still name the cid that the
+        # token's one confirmed mint anchors (0x01 + cid in dataOf).
+        mint = Step(StepKind.MINT_NFT, "alice", (("data_size", 768),))
+        script = ScenarioScript(steps=(Step(StepKind.CONNECT_WALLET, "alice"), mint, mint,
+                                       Step(StepKind.RETRIEVE_STATE, "alice")), repetitions=3)
+        run = ev._ScenarioRun(architecture(2), script, SimConfig(seed=42), NO_FAULTS)
+        stats = run.run()
+        state = run.topology.chain.state
+        assert len(run.refs) == 3
+        for rep, ref in run.refs.items():
+            assert isinstance(ref, LinkedRef)
+            anchored = query_state(state, NFT_ID, "dataOf", (rep.to_bytes(32, "big"),))
+            assert anchored == b"\x01" + ref.cid.digest
+        assert stats.ops_succeeded == 3 + 3  # first mints and retrievals; second mints revert
 
 
 class TestPoolLimit:

@@ -502,6 +502,30 @@ class TestBundles:
         assert reasons == ["InsufficientBalance"]
         assert query_state(state, FT, "balanceOf", (u1,)) == 10
 
+    def test_commitment_mismatch_rolls_back_only_its_own_op(self):
+        # A tampering executor whose every delegated write lands in the
+        # checked region: the mint (core own:, aux dat: and cnt:) fails
+        # with CommitmentMismatch, the transfer after it has no aux write.
+        users = [wallet(b"bundle-tamper-%d" % i) for i in range(2)]
+        state, agent_kp, agent = self.setup_agent(users)
+        u0, u1 = users[0][1].payload, users[1][1].payload
+        token = (5).to_bytes(32, "big")
+        ops = [BundleOp(u0, 0, NFT, "mint", (token,), b"\x00img"),
+               BundleOp(u0, 1, FT, "transfer", (u1, amount(25)))]
+        policy = DelegationPolicy(offchain_fraction=0.0,
+                                  executor_behavior=vm.ExecutorBehavior.MALICIOUS)
+        receipt = execute(state, self.make_bundle_tx(agent_kp, agent, ops), delegation=policy)[1]
+        assert receipt.success
+        failed = [ev for ev in receipt.events if ev.name == "OpFailed"]
+        assert [ev.field("reason") for ev in failed] == ["CommitmentMismatch"]
+        assert not any(ev.name in ("Mint", "Commitment") for ev in receipt.events)
+        assert state.storage.get(NFT, {}) == {}
+        seq_cell = (vm.SYSTEM_CONTRACT_ID, b"seq:" + agent.payload + u0)
+        assert state.get_storage(*seq_cell) == (2).to_bytes(8, "big")
+        assert query_state(state, FT, "balanceOf", (u1,)) == 25
+        assert receipt.writes == (seq_cell, seq_cell, (FT, b"bal:" + u0), (FT, b"bal:" + u1))
+        assert state.state_root == recompute_root(state)
+
 
 class TestEventsExport:
     def test_ndjson_schema(self):
@@ -514,6 +538,62 @@ class TestEventsExport:
         for line in lines:
             record = json.loads(line)
             assert set(record) == {"tx_id", "event_name", "fields"}
+
+    def test_every_event_kind_keeps_its_fields_in_sorted_order(self):
+        seller_kp, seller = wallet(b"order-seller")
+        buyer_kp, buyer = wallet(b"order-buyer")
+        agent_kp, agent = wallet(b"order-agent")
+        state = fresh_state(supply=10_000, deployer=seller.payload)
+        token, spare = (1).to_bytes(32, "big"), (2).to_bytes(32, "big")
+        policy = DelegationPolicy(offchain_fraction=1.0)
+        steps = [
+            (seller_kp, seller, FT, "transfer", (buyer.payload, amount(600))),
+            (seller_kp, seller, FT, "approve", (buyer.payload, amount(50))),
+            (buyer_kp, buyer, FT, "transferFrom", (seller.payload, buyer.payload, amount(20))),
+            (seller_kp, seller, NFT, "mint", (token,)),
+            (seller_kp, seller, NFT, "mint", (spare,)),
+            (seller_kp, seller, NFT, "transferFrom", (seller.payload, buyer.payload, spare)),
+            (seller_kp, seller, MARKET, "list", (token, amount(500))),
+            (buyer_kp, buyer, MARKET, "buy", (token, amount(500))),
+        ]
+        for kp, addr, contract, method, args in steps:
+            assert call(state, kp, addr, contract, method, args).success
+        state.set_storage(vm.SYSTEM_CONTRACT_ID, b"agt:" + agent.payload + buyer.payload, b"\x01")
+        ops = [BundleOp(buyer.payload, 0, FT, "approve", (seller.payload, amount(1))),
+               BundleOp(buyer.payload, 7, FT, "approve", (seller.payload, amount(2)))]
+        metadata = txcraft.TxMetadata(sender=agent, receiver=agent, nonce=0,
+                                      gas_limit=2_000_000, sim_time=0)
+        payload = txcraft.TxPayload(contract_id=FT, method=vm.BUNDLE_METHOD,
+                                    args=(encode_bundle(ops),))
+        bundle = txcraft.build_transaction(agent_kp.secret_key, metadata, payload)
+        assert execute(state, bundle, delegation=policy)[1].success
+        kinds = set()
+        for ev in state.event_log:
+            keys = [key for key, _ in ev.fields]
+            assert keys == sorted(keys), ev.name
+            kinds.add(ev.name)
+        assert kinds == {"Transfer", "Approval", "Mint", "NftTransfer", "Listed", "Sale",
+                         "OpOk", "OpFailed", "Commitment"}
+
+    def test_export_renders_raw_fields_as_text(self):
+        kp, addr = wallet(b"export-text")
+        spender, dst = b"\xcc" * 20, b"\xbb" * 20
+        state = fresh_state(supply=1_000, deployer=addr.payload)
+        tx_ids = []
+        for nonce, (method, args) in enumerate([("transfer", (dst, amount(5))),
+                                                ("approve", (spender, amount(70)))]):
+            metadata = txcraft.TxMetadata(sender=addr, receiver=addr, nonce=nonce,
+                                          gas_limit=500_000, sim_time=0)
+            payload = txcraft.TxPayload(contract_id=FT, method=method, args=args)
+            tx = txcraft.build_transaction(kp.secret_key, metadata, payload)
+            assert execute(state, tx)[1].success
+            tx_ids.append(tx.tx_id.hex())
+        me = addr.payload.hex()
+        assert vm.export_events_ndjson(state) == (
+            '{"event_name":"Transfer","fields":{"amount":"5","dst":"' + "bb" * 20
+            + '","src":"' + me + '"},"tx_id":"' + tx_ids[0] + '"}\n'
+            '{"event_name":"Approval","fields":{"amount":"70","owner":"' + me
+            + '","spender":"' + "cc" * 20 + '"},"tx_id":"' + tx_ids[1] + '"}\n')
 
 
 class TestDelegation:
