@@ -139,13 +139,14 @@ def storage_plan_for(arch: ArchitectureType, config: SimConfig) -> storage.Stora
 def compose(arch: ArchitectureType, sim_config: SimConfig, *,
             funded: dict[bytes, int] | None = None,
             registered_users: tuple[bytes, ...] = (),
-            faults: FaultPlan = NO_FAULTS) -> SimulationTopology:
+            faults: FaultPlan = NO_FAULTS,
+            keep_history: bool = False) -> SimulationTopology:
     """Wire access, computation, storage and one chain into a topology.
 
     funded seeds fungible-token balances at genesis (the sum becomes the
     total supply); registered_users are granted to the agent when the
     access mode is agent-based. faults is the only fault configuration:
-    every field of the plan is wired here.
+    every field of the plan is wired here. keep_history goes to the chain.
     """
     state = vm.ContractState()
 
@@ -189,7 +190,7 @@ def compose(arch: ArchitectureType, sim_config: SimConfig, *,
                                    seed=sim_config.seed, behaviors=behaviors,
                                    byz_mode=faults.byz_mode,
                                    crash_prob=faults.maintainer_crash_prob,
-                                   delegation=delegation)
+                                   delegation=delegation, keep_history=keep_history)
 
     fabric = storage.StorageFabric(
         storage_plan_for(arch, sim_config),

@@ -213,8 +213,10 @@ def cmd_simulate(args) -> int:
     arch = _pick_arch(args)
     sim = _load_sim(args, seed)
     script = _load_script(args)
-    # The report's fault-free main run, kept so the dumps show its chain.
-    main = evaluation._ScenarioRun(arch, script, sim, scenario.NO_FAULTS)
+    # The report's fault-free main run, kept so the dumps show its chain;
+    # it keeps block bodies and the event log only when a dump needs them.
+    main = evaluation._ScenarioRun(arch, script, sim, scenario.NO_FAULTS,
+                                   keep_history=bool(args.dump_chain or args.dump_events))
     report = evaluation._report(arch, script, _load_faults(args), sim, main.run())
     content = report_json(report) if args.format == "json" else _report_markdown(report)
     _write(args.out, f"report_type{arch.type_id}.{'json' if args.format == 'json' else 'md'}", content)
@@ -273,7 +275,7 @@ def cmd_demo(args) -> int:
     seed = _resolve_seed(args)
     arch = architecture(args.type_id)
     run = evaluation._ScenarioRun(arch, nft_sale_script(repetitions=1), _load_sim(args, seed),
-                                  scenario.NO_FAULTS)
+                                  scenario.NO_FAULTS, keep_history=True)
     stats = run.run()
     print(f"Demo: NFT sale on Type{arch.type_id} ({arch.tuple_label}), seed {seed}")
     if stats.infeasible_reason or stats.ops_succeeded != stats.ops_attempted:
@@ -303,7 +305,9 @@ def cmd_demo(args) -> int:
         print(f"  raw data stored off-chain, cid {ref.cid.digest.hex()[:16]}…")
         print("  cid hooked on-chain inside the mint transaction")
     else:
-        print(f"  raw data ({len(ref.data)} bytes) carried inline in the mint transaction")
+        # The token's dat: cell holds the 0x00 tag and the inline bytes.
+        data = vm.query_state(chain.state, NFT_ID, "dataOf", (minted.field("token_id"),))
+        print(f"  raw data ({len(data) - 1} bytes) carried inline in the mint transaction")
     for label, conf in (("mint", mint), ("list", listing), ("buy", sale)):
         print(f"  {label} tx {conf.tx.tx_id.hex()[:16]}… signed by {signers[conf.tx.metadata.sender.payload]}")
 

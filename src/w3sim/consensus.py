@@ -128,13 +128,19 @@ def round_ticks(config: ConsensusConfig, n_nodes: int, record: RoundRecord) -> i
 
 
 @dataclass(frozen=True, slots=True)
-class Block:
+class BlockHeader:
+    """A block without its transactions: what a chain keeps by default."""
+
     height: int
     parent_hash: bytes
-    txs: tuple[Transaction, ...]
     state_root: bytes
     proposer: int
     block_hash: bytes
+
+
+@dataclass(frozen=True, slots=True)
+class Block(BlockHeader):
+    txs: tuple[Transaction, ...]
 
 
 def make_block(height: int, parent_hash: bytes, txs: tuple[Transaction, ...],
@@ -144,7 +150,7 @@ def make_block(height: int, parent_hash: bytes, txs: tuple[Transaction, ...],
         + [tx.tx_id for tx in txs]
         + [state_root]
     )
-    return Block(height, parent_hash, txs, state_root, proposer, identity.digest(b"w3/blk" + header))
+    return Block(height, parent_hash, state_root, proposer, identity.digest(b"w3/blk" + header), txs)
 
 
 @dataclass
@@ -175,6 +181,12 @@ class ChainNetwork:
     byzantine mode, crash_prob, the chance that a maintainer is offline in
     any one round, and adversarial_share, the adversary's share of block
     production under the majority-chain rule.
+
+    The chain keeps state, not history: storage, pool, nonces, per-tx
+    confirmation ticks, the touch index, the round trace and a header per
+    confirmed block. run_round hands each round's confirmations to its
+    caller. keep_history also keeps the block bodies, every Confirmation
+    and the event log, which chain_ndjson and the event export need.
     """
 
     def __init__(self, config: ConsensusConfig, state: vm.ContractState | None = None,
@@ -183,11 +195,15 @@ class ChainNetwork:
                  byz_mode: ByzantineMode = ByzantineMode.SILENT,
                  crash_prob: float = 0.0,
                  adversarial_share: float = 0.0,
-                 delegation: vm.DelegationPolicy | None = None):
+                 delegation: vm.DelegationPolicy | None = None,
+                 keep_history: bool = False):
         self.config = config
+        self.keep_history = keep_history
         self.crash_prob = crash_prob
         self.adversarial_share = adversarial_share
         self.state = state if state is not None else vm.ContractState()
+        if not keep_history:
+            self.state.event_log = None
         self.schedule = schedule
         self.delegation = delegation
         self.rng = Random(seed)
@@ -205,8 +221,9 @@ class ChainNetwork:
             self.nodes.append(MaintainerNode(i, kp, addr, behavior, byz_mode))
         genesis = make_block(0, ZERO_HASH, (), self.state.state_root, -1)
         self.genesis = genesis
-        self.confirmed_blocks: list[Block] = [genesis]
-        self.confirmations: list[Confirmation] = []
+        self.confirmed_blocks: list[Block | BlockHeader] = [genesis]
+        self.confirmations: list[Confirmation] | None = [] if keep_history else None
+        self.txs_confirmed = 0
         self.confirmed_tick: dict[bytes, int] = {}
         self.discards: list[tuple[bytes, str]] = []
         self.touch_index: dict[tuple[bytes, bytes], tuple[bytes, tuple[bytes, ...], int]] = {}
@@ -305,6 +322,9 @@ class ChainNetwork:
         """Pay a maintainer proposer the block's gas, append the block, confirm its txs now."""
         if block_gas and block.proposer >= 0:
             self.state.credit_native(self.nodes[block.proposer].address.payload, block_gas)
+        if not self.keep_history:
+            block = BlockHeader(block.height, block.parent_hash, block.state_root, block.proposer,
+                                block.block_hash)
         self.confirmed_blocks.append(block)
         self.gas_total += block_gas
         self.bytes_total += block_bytes
@@ -314,7 +334,9 @@ class ChainNetwork:
             self.confirmed_tick[tx.tx_id] = self.now
             self._unconfirmed -= 1
             self._index_touches(tx, receipt)
-        self.confirmations.extend(confs)
+        self.txs_confirmed += len(confs)
+        if self.keep_history:
+            self.confirmations.extend(confs)
         return confs
 
     def _index_touches(self, tx: Transaction, receipt: vm.Receipt):
@@ -438,6 +460,8 @@ class ChainNetwork:
             receipts, block_gas = self._execute_txs(pending.txs, pending.height)
             confs.extend(self._confirm(pending, receipts, block_gas,
                                        sum(tx.wire_size() for tx in pending.txs)))
+            # The branch keeps what the confirmed log keeps (a header, by default).
+            qualifying[self._mc_confirmed_upto] = self.confirmed_blocks[-1]
         return confs
 
     # -- probes --------------------------------------------------------------
@@ -463,15 +487,18 @@ class ChainNetwork:
         tick = self.confirmed_tick.get(tx_id)
         return tick is not None and tick <= deadline_ticks
 
-    def run_until_drained(self, max_rounds: int = 5000) -> int:
+    def run_until_drained(self, max_rounds: int = 5000, sink=None) -> int:
         """Run rounds until every submitted tx confirms or is discarded.
 
         Bounded by max_rounds so byzantine stalls and non-qualifying
         branches terminate; leftover transactions simply stay unconfirmed.
+        sink, if given, is called with each round's confirmations.
         """
         rounds = 0
         while rounds < max_rounds and (self.pool or self._unconfirmed > 0):
-            self.run_round()
+            confs = self.run_round()
+            if sink is not None:
+                sink(confs)
             rounds += 1
         return rounds
 
@@ -480,8 +507,11 @@ def chain_ndjson(network: ChainNetwork) -> str:
     """Confirmed chain as newline-delimited JSON blocks.
 
     Each transaction appears both by id and as its canonical wire bytes
-    in hex, so envelopes can be inspected or re-parsed offline.
+    in hex, so envelopes can be inspected or re-parsed offline. Needs a
+    chain built with keep_history.
     """
+    if not network.keep_history:
+        raise ValueError("chain kept no block bodies; build it with keep_history=True")
     lines = []
     for block in network.confirmed_blocks:
         record = {

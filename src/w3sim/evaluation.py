@@ -94,7 +94,7 @@ class _ScenarioRun:
     FUND = 10**12
 
     def __init__(self, arch: ArchitectureType, script: ScenarioScript,
-                 sim: SimConfig, faults: FaultPlan):
+                 sim: SimConfig, faults: FaultPlan, keep_history: bool = False):
         self.arch = arch
         self.script = script
         self.sim = sim
@@ -107,12 +107,16 @@ class _ScenarioRun:
         funded = {w.address.payload: self.FUND for w in self.wallets.values()}
         registered = tuple(w.address.payload for _, w in sorted(self.wallets.items()))
         self.topology = compose(arch, sim, funded=funded, registered_users=registered,
-                                faults=faults)
+                                faults=faults, keep_history=keep_history)
         self.data_rng = Random(sim.seed ^ 0xDA7A)
         self.tokens = [rep.to_bytes(32, "big") for rep in range(script.repetitions)]
-        self.refs: dict[int, object] = {}
-        self.pending: list[tuple[int, object]] = []  # (rep, tx_id or ticket)
-        self.settled_upto = 0  # confirmations already scanned by _settle_wave
+        # Each repetition's linked data ref; None where the data went inline
+        # (its bytes live in the token's dat: cell) or there was none.
+        self.refs: dict[int, LinkedRef | None] = {}
+        # The wave's unconfirmed ops, by tx id or agent (origin, seq), to
+        # their repetition; _absorb moves each confirmed one to ok_reps.
+        self.pending: dict[object, int] = {}
+        self.ok_reps: set[int] = set()
         self.minted: dict[bytes, bytes] = {}  # token id -> confirmed mint tx id
 
     # -- step helpers -----------------------------------------------------
@@ -126,11 +130,11 @@ class _ScenarioRun:
                 ticket = access.submit_via_agent(topo.agent, wallet.address.payload, op,
                                                  topo.chain, topo.fabric,
                                                  self.sim.gas_schedule, inline=inline)
-                self.pending.append((rep, ticket))
+                self.pending[(ticket.origin, ticket.seq)] = rep
             else:
                 tx_id = access.submit_direct(wallet, topo.chain, op, topo.fabric,
                                              self.sim.gas_schedule, inline=inline)
-                self.pending.append((rep, tx_id))
+                self.pending[tx_id] = rep
         except access.AccessError:
             pass  # op failed before reaching the chain
 
@@ -138,48 +142,45 @@ class _ScenarioRun:
         topo = self.topology
         if topo.agent is not None:
             access.flush(topo.agent, topo.chain, self.sim.gas_schedule)
-        topo.chain.run_until_drained(DRAIN_ROUNDS)
+        # Passed per call, never stored: a bound method held by the chain
+        # would make the run a reference cycle.
+        topo.chain.run_until_drained(DRAIN_ROUNDS, sink=self._absorb)
 
-    def _settle_wave(self) -> set[int]:
-        """Resolve every pending submission to success/failure; returns the
-        repetitions whose op succeeded.
-
-        Pending handles were submitted after the previous settle, so only
-        the confirmations added since then can carry them. Their mints go
-        to self.minted, which _bind_hooks reads.
-        """
-        self._drain()
-        confirmations = self.topology.chain.confirmations
-        fresh = confirmations[self.settled_upto:]
-        self.settled_upto = len(confirmations)
-        ok_tx = {c.tx.tx_id for c in fresh if c.receipt.success}
-        ok_ops = set()  # (origin, seq) of every OpOk marker
-        for c in fresh:
+    def _absorb(self, confirmations) -> None:
+        """Settle the pending ops a round confirmed and note its mints; keep nothing else."""
+        for c in confirmations:
+            if not c.receipt.success:
+                continue  # a reverted tx failed, and its receipt has no events
+            keys = [c.tx.tx_id]
             for ev in c.receipt.events:
                 if ev.name == "OpOk":
-                    ok_ops.add((ev.field("origin"), ev.field("seq")))
+                    keys.append((ev.field("origin"), ev.field("seq")))
                 elif ev.name == "Mint":
                     self.minted[ev.field("token_id")] = c.tx.tx_id
-        ok_reps = set()
-        for rep, handle in self.pending:
-            if isinstance(handle, access.BundleTicket):
-                good = (handle.origin, handle.seq) in ok_ops
-            else:
-                good = handle in ok_tx
-            if good:
-                ok_reps.add(rep)
-                self.stats.ops_succeeded += 1
-                self.stats.onchain_ops += 1
-        self.pending = []
+            for key in keys:
+                rep = self.pending.pop(key, None)
+                if rep is not None:
+                    self.ok_reps.add(rep)
+
+    def _settle_wave(self) -> set[int]:
+        """Drain the chain; returns the repetitions whose op of this wave succeeded.
+
+        An op still pending once the chain drains failed.
+        """
+        self._drain()
+        ok_reps, self.ok_reps, self.pending = self.ok_reps, set(), {}
+        self.stats.ops_succeeded += len(ok_reps)
+        self.stats.onchain_ops += len(ok_reps)
         return ok_reps
 
     # -- steps --------------------------------------------------------------
 
     def run(self) -> RunStats:
         # A run builds no reference cycle, so reference counting frees all
-        # of it; pausing the cyclic collector stops its full passes from
-        # rescanning the growing confirmed history. The caller's state is
-        # restored, so a collector it had turned off stays off.
+        # of it; pausing the cyclic collector stops its passes from
+        # rescanning the run's state (storage cells, tx indexes, round
+        # trace) as it grows. The caller's state is restored, so a
+        # collector it had turned off stays off.
         collecting = gc.isenabled()
         gc.disable()
         try:
@@ -195,7 +196,7 @@ class _ScenarioRun:
             if collecting:
                 gc.enable()
         chain = self.topology.chain
-        self.stats.txs_confirmed = len(chain.confirmations)
+        self.stats.txs_confirmed = chain.txs_confirmed
         self.stats.ticks = chain.now
         self.stats.gas_total = chain.gas_total
         self.stats.violations = chain.integrity_violations + chain.safety_breaks
@@ -223,7 +224,7 @@ class _ScenarioRun:
                         raise ScenarioInfeasible(f"InlineTooLarge: {err}") from err
                     self.stats.ops_attempted += 1
                     continue
-                fresh[rep] = ref
+                fresh[rep] = ref if isinstance(ref, LinkedRef) else None
                 self._submit(wallet, op, rep, inline=inline)
             confirmed = self._settle_wave()
             # A new upload replaces a repetition's ref only when its own mint

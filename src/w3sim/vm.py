@@ -150,7 +150,7 @@ class ContractState:
         self.storage: dict[bytes, dict[bytes, bytes]] = {}
         self.native_balances: dict[bytes, int] = {}
         self.contracts: dict[bytes, ContractDef] = {}
-        self.event_log: list[Event] = []
+        self.event_log: list[Event] | None = []  # None: a chain that keeps no history
         self._root_acc = 0
         # Root term of every live storage cell, so an overwrite or delete
         # subtracts the stored term instead of re-hashing the old value.
@@ -591,7 +591,8 @@ def execute(state: ContractState, tx: Transaction, schedule: GasSchedule = DEFAU
     # bundle rewrites its sequence cell once per op, the state takes it once.
     for (cid, key), value in ov.overlay.items():
         state.set_storage(cid, key, value)
-    state.event_log.extend(ov.events)
+    if state.event_log is not None:
+        state.event_log.extend(ov.events)
     return state, Receipt(TxStatus.SUCCESS, None, gas, tuple(ov.events),
                           tuple([slot for slot, _, _ in ov.journal]))
 
@@ -727,6 +728,8 @@ def export_events_ndjson(state: ContractState) -> str:
     Field values render as text here only: bytes as lowercase hex, ints
     in decimal, strings as they are.
     """
+    if state.event_log is None:
+        raise ValueError("state kept no event log; build its chain with keep_history=True")
     lines = []
     for ev in state.event_log:
         fields = {k: v.hex() if isinstance(v, bytes) else str(v) for k, v in ev.fields}

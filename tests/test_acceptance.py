@@ -49,7 +49,7 @@ def _drive_definition1(type_id: int, target_txs: int) -> tuple[int, int]:
     by_payload = {w.address.payload: w.address for w in wallets}
     funded = {w.address.payload: 10**12 for w in wallets}
     topo = compose(arch, sim, funded=funded,
-                   registered_users=tuple(sorted(by_payload)))
+                   registered_users=tuple(sorted(by_payload)), keep_history=True)
     chain = topo.chain
     for w in wallets:
         access.connect_wallet(w, "def1")
@@ -222,7 +222,7 @@ def test_criterion_4_nft_running_example(capsys):
     alice = access.WalletClient.create(b"c4-alice")
     bob = access.WalletClient.create(b"c4-bob")
     funded = {alice.address.payload: 5_000, bob.address.payload: 5_000}
-    topo = compose(architecture(2), SimConfig(seed=42), funded=funded)
+    topo = compose(architecture(2), SimConfig(seed=42), funded=funded, keep_history=True)
     chain, fabric = topo.chain, topo.fabric
     access.connect_wallet(alice, "market")
     access.connect_wallet(bob, "market")
@@ -308,7 +308,8 @@ def test_criterion_6_agent_batching():
     wallets = [access.WalletClient.create(b"c6-%d" % i) for i in range(2)]
     funded = {w.address.payload: 10**9 for w in wallets}
     topo = compose(architecture(7), SimConfig(seed=7, batch_size=10), funded=funded,
-                   registered_users=tuple(w.address.payload for w in wallets))
+                   registered_users=tuple(w.address.payload for w in wallets),
+                   keep_history=True)
     w1, w2 = wallets
     for i in range(25):
         access.submit_via_agent(topo.agent, w1.address.payload,

@@ -25,7 +25,8 @@ def build_topology(type_id=1, n_users=2, seed=7, **sim_kwargs):
     funded = {w.address.payload: 100_000 for w in wallets}
     topo = compose(architecture(type_id), SimConfig(seed=seed, **sim_kwargs),
                    funded=funded,
-                   registered_users=tuple(w.address.payload for w in wallets))
+                   registered_users=tuple(w.address.payload for w in wallets),
+                   keep_history=True)
     return topo, wallets
 
 

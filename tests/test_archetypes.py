@@ -274,7 +274,8 @@ class TestChainExecution:
         deploy_contract(state, ContractDef(VERIFIER_ID, ContractKind.HYBRID_VERIFIER, {}))
         policy = DelegationPolicy(executor_behavior=ExecutorBehavior.MALICIOUS,
                                   tamper_target="unchecked", run_seed=44)
-        chain = ChainNetwork(ConsensusConfig(), state, delegation=policy if hybrid else None)
+        chain = ChainNetwork(ConsensusConfig(), state, delegation=policy if hybrid else None,
+                             keep_history=True)
         kp, addr = actors[0]
         metadata = txcraft.TxMetadata(sender=addr, receiver=addr, nonce=0,
                                       gas_limit=500_000, sim_time=0)

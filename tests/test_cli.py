@@ -28,6 +28,20 @@ repeat count=4
 
 
 @pytest.fixture
+def scenario_runs(monkeypatch):
+    """Every _ScenarioRun the command builds, in order."""
+    runs = []
+    real_init = evaluation._ScenarioRun.__init__
+
+    def recording_init(run, *args, **kwargs):
+        runs.append(run)
+        real_init(run, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation._ScenarioRun, "__init__", recording_init)
+    return runs
+
+
+@pytest.fixture
 def scenario_file(tmp_path):
     path = tmp_path / "sale.scenario"
     path.write_text(SMALL_SCENARIO)
@@ -60,15 +74,8 @@ class TestSimulate:
         for key in ("tps", "gas_total", "availability", "security_violations", "config"):
             assert key in record
 
-    def test_dump_chain_and_events(self, tmp_path, scenario_file, capsys, monkeypatch):
-        runs = []
-        real_init = evaluation._ScenarioRun.__init__
-
-        def counting_init(run, *args):
-            runs.append(run)
-            real_init(run, *args)
-
-        monkeypatch.setattr(evaluation._ScenarioRun, "__init__", counting_init)
+    def test_dump_chain_and_events(self, tmp_path, scenario_file, capsys, scenario_runs):
+        runs = scenario_runs
         chain_path = tmp_path / "chain.ndjson"
         events_path = tmp_path / "events.ndjson"
         code, _, _ = run_cli(["simulate", "--type", "1", "--seed", "4",
@@ -87,6 +94,28 @@ class TestSimulate:
         assert chain_path.read_text() == chain_ndjson(main)
         assert events_path.read_text() == vm.export_events_ndjson(main.state)
         assert json.loads((tmp_path / "r.json").read_text())["ticks"] == main.now
+        # Only the dumped run keeps history, and its dumps are full: every
+        # confirmed tx in a block body, every event in the log.
+        assert main.keep_history and not runs[1].topology.chain.keep_history
+        blocks = [json.loads(line) for line in chain_path.read_text().splitlines()]
+        assert sum(len(b["tx_ids"]) for b in blocks) == main.txs_confirmed > 0
+        assert len(events_path.read_text().splitlines()) == len(main.state.event_log) > 0
+
+    def test_simulate_without_a_dump_keeps_no_history(self, tmp_path, scenario_file, capsys,
+                                                      scenario_runs):
+        runs = scenario_runs
+        code, _, _ = run_cli(["simulate", "--type", "7", "--seed", "4",
+                              "--scenario", scenario_file,
+                              "--out", str(tmp_path / "r.json")], capsys)
+        assert code == 0 and len(runs) == 2
+        for run in runs:
+            chain = run.topology.chain
+            assert not chain.keep_history and chain.confirmations is None
+            # A dump of a chain without history fails instead of writing headers only.
+            with pytest.raises(ValueError, match="keep_history"):
+                chain_ndjson(chain)
+            with pytest.raises(ValueError, match="keep_history"):
+                vm.export_events_ndjson(chain.state)
 
     def test_env_seed_override(self, tmp_path, scenario_file, capsys, monkeypatch):
         monkeypatch.setenv("W3SIM_SEED", "777")

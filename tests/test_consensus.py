@@ -7,6 +7,7 @@ import pytest
 from w3sim import access, identity, storage, txcraft, vm
 from w3sim.consensus import (
     ZERO_HASH,
+    BlockHeader,
     ByzantineMode,
     ChainNetwork,
     Confirmation,
@@ -41,7 +42,8 @@ def funded_state(payloads, supply_each=10_000):
 
 
 def make_network(n=4, byzantine=0, byz_mode=ByzantineMode.SILENT, seed=1,
-                 rule=None, adversarial_share=0.0, crashed=0, pool_capacity=10_000):
+                 rule=None, adversarial_share=0.0, crashed=0, pool_capacity=10_000,
+                 keep_history=False):
     rule = rule or ConsensusRule(kind=RuleKind.BFT_QUORUM, fraction=2 / 3)
     behaviors = []
     for i in range(n):
@@ -56,7 +58,7 @@ def make_network(n=4, byzantine=0, byz_mode=ByzantineMode.SILENT, seed=1,
     state = funded_state([addr.payload])
     config = ConsensusConfig(rule=rule, n_nodes=n, pool_capacity=pool_capacity)
     net = ChainNetwork(config, state, seed=seed, behaviors=behaviors, byz_mode=byz_mode,
-                       adversarial_share=adversarial_share)
+                       adversarial_share=adversarial_share, keep_history=keep_history)
     return net, kp, addr
 
 
@@ -127,7 +129,7 @@ class TestBftQuorum:
         quorum = quorum_oracle(n)
         max_tolerated = n - quorum
         for f in range(0, min(max_tolerated + 2, n)):
-            net, kp, addr = make_network(n=n, byzantine=f, seed=100 + n + f)
+            net, kp, addr = make_network(n=n, byzantine=f, seed=100 + n + f, keep_history=True)
             net.submit(transfer_tx(kp, addr, 0))
             for _ in range(4 * n):
                 net.run_round()
@@ -141,7 +143,7 @@ class TestBftQuorum:
         assert net.check_liveness(tx.tx_id, 10_000)
 
     def test_n4_two_silent_never_confirms(self):
-        net, kp, addr = make_network(n=4, byzantine=2)
+        net, kp, addr = make_network(n=4, byzantine=2, keep_history=True)
         tx = transfer_tx(kp, addr, 0)
         net.submit(tx)
         for _ in range(60):
@@ -174,8 +176,8 @@ class TestMajorityChain:
         return ConsensusRule(kind=RuleKind.MAJORITY_CHAIN, fraction=0.51, confirm_depth=k)
 
     def test_five_of_nine_confirms_after_k_extensions(self):
-        net, kp, addr = make_network(n=9, byzantine=4, seed=3,
-                                     rule=self.mc_rule(k=3), adversarial_share=4 / 9)
+        net, kp, addr = make_network(n=9, byzantine=4, seed=3, rule=self.mc_rule(k=3),
+                                     adversarial_share=4 / 9, keep_history=True)
         tx = transfer_tx(kp, addr, 0)
         net.submit(tx)
         while tx.tx_id not in net.confirmed_tick:
@@ -228,7 +230,7 @@ class TestProbes:
         assert net.check_persistence()
 
     def test_persistence_with_crashed_node(self):
-        net, kp, addr = make_network(n=5, crashed=1, seed=22)
+        net, kp, addr = make_network(n=5, crashed=1, seed=22, keep_history=True)
         for i in range(4):
             net.submit(transfer_tx(kp, addr, i, sim_time=i))
         for _ in range(12):
@@ -266,7 +268,7 @@ class TestProbes:
 
 class TestDeterminismAndOrder:
     def run_once(self, seed=5):
-        net, kp, addr = make_network(n=7, seed=seed)
+        net, kp, addr = make_network(n=7, seed=seed, keep_history=True)
         for i in range(20):
             net.submit(transfer_tx(kp, addr, i, sim_time=i))
         net.run_until_drained()
@@ -330,7 +332,8 @@ def per_transaction_records():
     receipt = vm.execute(net.state, tx)[1]
     block = make_block(1, ZERO_HASH, (tx,), net.state.state_root, 0)
     cid = storage.ContentId.of(b"blob")
-    return [tx.metadata, tx.payload, tx, tx.signature, receipt, block,
+    header = BlockHeader(1, ZERO_HASH, block.state_root, 0, block.block_hash)
+    return [tx.metadata, tx.payload, tx, tx.signature, receipt, block, header,
             Confirmation(tx, receipt, block.block_hash, 1, 3), cid, storage.InlineRef(b"blob"),
             storage.LinkedRef(cid, tx.tx_id), access.UserOp(FT, "balanceOf", (addr.payload,)),
             access.BundleTicket(addr.payload, 4)]

@@ -14,7 +14,15 @@ from hypothesis import given, settings, strategies as st
 from w3sim import evaluation as ev
 from w3sim.access import AgentBehavior
 from w3sim.archetypes import FT_ID, NFT_ID, SimConfig, architecture
-from w3sim.consensus import ByzantineMode, ConsensusConfig, ConsensusRule, RuleKind
+from w3sim.consensus import (
+    Block,
+    BlockHeader,
+    ByzantineMode,
+    Confirmation,
+    ConsensusConfig,
+    ConsensusRule,
+    RuleKind,
+)
 from w3sim.evaluation import (
     MERGED_GROUPS,
     banded_sign,
@@ -44,7 +52,8 @@ from w3sim.scenario import (
     faults_text,
 )
 from w3sim.storage import LinkedRef
-from w3sim.vm import TAMPER_TARGETS, ExecutorBehavior, GasSchedule, query_state
+from w3sim.txcraft import Transaction
+from w3sim.vm import TAMPER_TARGETS, ExecutorBehavior, GasSchedule, Receipt, query_state
 
 FAST = nft_sale_script(repetitions=6)
 
@@ -357,7 +366,8 @@ class TestMintHooks:
         mint = Step(StepKind.MINT_NFT, "alice", (("data_size", 768),))
         script = ScenarioScript(steps=(Step(StepKind.CONNECT_WALLET, "alice"), mint, mint),
                                 repetitions=6)
-        run = ev._ScenarioRun(architecture(2), script, SimConfig(seed=42), NO_FAULTS)
+        run = ev._ScenarioRun(architecture(2), script, SimConfig(seed=42), NO_FAULTS,
+                              keep_history=True)
         run.run()
         minted = {}
         for c in run.topology.chain.confirmations:
@@ -482,7 +492,7 @@ class TestRunInvariants:
         balances = sum(int.from_bytes(v, "big") for k, v in ft.items() if k.startswith(b"bal:"))
         assert int.from_bytes(ft[b"sup:"], "big") == balances
         assert chain.check_persistence()
-        assert len(chain.confirmed_tick) == len(chain.confirmations)
+        assert len(chain.confirmed_tick) == chain.txs_confirmed
         if stats.violations == 0:
             nft = chain.state.storage.get(NFT_ID, {})
             held = Counter(v for k, v in nft.items() if k.startswith(b"own:"))
@@ -585,3 +595,64 @@ def _other_value(value):
     if isinstance(value, tuple):
         return tuple(v + 1 for v in value)
     return value + 1
+
+
+RULES = [ConsensusRule(), ConsensusRule(kind=RuleKind.MAJORITY_CHAIN)]
+
+
+class TestHistory:
+    """Keeping history changes what a run holds, never what it measures."""
+
+    @pytest.mark.parametrize("rule", RULES, ids=["bft", "majority"])
+    @pytest.mark.parametrize("type_id", range(1, 13))
+    def test_outputs_are_identical_with_and_without_history(self, type_id, rule):
+        arch, script = architecture(type_id), nft_sale_script(repetitions=12)
+        sim = SimConfig(seed=42, consensus=ConsensusConfig(rule=rule))
+        seen = []
+        for keep in (False, True):
+            outputs = []
+            for faults in (NO_FAULTS, DEFAULT_FAULTS):
+                run = ev._ScenarioRun(arch, script, sim, faults, keep_history=keep)
+                stats = run.run()
+                chain = run.topology.chain
+                assert chain.keep_history is keep
+                outputs.append((dataclasses.asdict(stats), stats.rounds,
+                                chain.confirmed_blocks[-1].block_hash, chain.state.state_root,
+                                chain.bytes_total, chain.now))
+                if faults is NO_FAULTS:
+                    report = ev._report(arch, script, DEFAULT_FAULTS, sim, stats)
+                    outputs.append(report_json(report))
+            seen.append(outputs)
+        assert seen[0] == seen[1]
+
+    @staticmethod
+    def held() -> Counter:
+        """Live receipts, confirmations, transactions and block bodies in the process."""
+        gc.collect()
+        held = Counter()
+        for obj in gc.get_objects():
+            kind = type(obj)
+            if kind in (Receipt, Confirmation, Transaction) or (kind is Block and obj.txs):
+                held[kind.__name__] += 1
+        return held
+
+    @pytest.mark.parametrize("rule", RULES, ids=["bft", "majority"])
+    @pytest.mark.parametrize("type_id", [1, 7])
+    def test_a_run_without_history_keeps_no_receipt_or_block_body(self, type_id, rule):
+        sim = SimConfig(seed=42, consensus=ConsensusConfig(rule=rule))
+        script = nft_sale_script(repetitions=30)
+        before = self.held()
+        run = ev._ScenarioRun(architecture(type_id), script, sim, NO_FAULTS)
+        stats = run.run()
+        chain = run.topology.chain
+        assert stats.ops_succeeded == stats.ops_attempted
+        assert self.held() == before
+        assert chain.confirmations is None and chain.state.event_log is None
+        assert {type(b) for b in chain.confirmed_blocks[1:]} == {BlockHeader}
+        assert chain.txs_confirmed == len(chain.confirmed_tick) > 0
+        # The same run with history holds them all: the probe sees retention.
+        kept = ev._ScenarioRun(architecture(type_id), script, sim, NO_FAULTS, keep_history=True)
+        kept.run()
+        grown = self.held() - before
+        assert grown["Receipt"] == grown["Confirmation"] == kept.topology.chain.txs_confirmed
+        assert grown["Block"] > 0

@@ -96,7 +96,8 @@ def agent_events_digest() -> str:
     script = nft_sale_script()
     h = hashlib.sha256()
     for type_id in (7, 10):
-        run = ev._ScenarioRun(architecture(type_id), script, SimConfig(seed=42), NO_FAULTS)
+        run = ev._ScenarioRun(architecture(type_id), script, SimConfig(seed=42), NO_FAULTS,
+                              keep_history=True)
         run.run()
         chain = run.topology.chain
         h.update(vm.export_events_ndjson(chain.state).encode())
@@ -134,7 +135,8 @@ def rule_and_hybrid_digest() -> str:
         sim = SimConfig(seed=42, consensus=ConsensusConfig(rule=rule))
         for faults in (NO_FAULTS, parse_faults(RULE_AND_HYBRID_FAULTS)):
             for type_id in range(1, 13):
-                run = ev._ScenarioRun(architecture(type_id), script, sim, faults)
+                run = ev._ScenarioRun(architecture(type_id), script, sim, faults,
+                                      keep_history=True)
                 stats = run.run()
                 chain = run.topology.chain
                 h.update(json.dumps(asdict(stats), sort_keys=True).encode())

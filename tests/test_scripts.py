@@ -36,3 +36,16 @@ def test_consensus_thresholds():
     assert lines[4].startswith("majority chain")
     assert len(lines) == 10
     assert all(line.lstrip().startswith("adversarial share") for line in lines[5:])
+
+
+def test_heap_profile():
+    lines = run_script("heap_profile.py", "--types", "1,7", "--reps", "3", "--top", "2")
+    headers = [line for line in lines if line.startswith("type ")]
+    assert [h.split()[:4] for h in headers] == [["type", "1", "reps", "3"],
+                                                ["type", "7", "reps", "3"]]
+    for header in headers:
+        words = header.split()
+        end, peak = float(words[5]), float(words[8])
+        assert 0 < end <= peak and words[6] == words[9] == "MB"
+    sites = [line for line in lines if not line.startswith("type ")]
+    assert len(sites) == 4 and all(" MB " in site and " blocks " in site for site in sites)
