@@ -21,6 +21,7 @@ FT = b"\x01" * 20
 
 
 def one_tx_state(tag: bytes):
+    """A funded sender's state, one transfer it signed, and its key pair."""
     kp = identity.generate_keypair(tag)
     addr = identity.derive_address(kp.public_key)
     state = vm.ContractState()
@@ -32,7 +33,7 @@ def one_tx_state(tag: bytes):
                                   gas_limit=100_000, sim_time=0)
     payload = txcraft.TxPayload(contract_id=FT, method="transfer",
                                 args=(b"\x0f" * 20, (1).to_bytes(16, "big")))
-    return state, txcraft.build_transaction(kp.secret_key, metadata, payload)
+    return state, txcraft.build_transaction(kp.secret_key, metadata, payload), kp
 
 
 def bft_grid(seeds: int):
@@ -43,10 +44,11 @@ def bft_grid(seeds: int):
         for f in range(0, n - quorum + 3):
             confirmed = 0
             for seed in range(seeds):
-                state, tx = one_tx_state(b"grid-%d-%d-%d" % (n, f, seed))
+                state, tx, kp = one_tx_state(b"grid-%d-%d-%d" % (n, f, seed))
                 net = ChainNetwork(ConsensusConfig(n_nodes=n), state, seed=seed,
                                    behaviors=[NodeBehavior.BYZANTINE] * f
                                    + [NodeBehavior.HONEST] * (n - f))
+                net.register_key(kp)
                 net.submit(tx)
                 for _ in range(4 * n):
                     net.run_round()
@@ -61,10 +63,11 @@ def majority_grid(seeds: int):
     for share in (0.30, 0.45, 0.49, 0.55, 0.70):
         confirmed = 0
         for seed in range(seeds):
-            state, tx = one_tx_state(b"mc-%d-%d" % (int(share * 100), seed))
+            state, tx, kp = one_tx_state(b"mc-%d-%d" % (int(share * 100), seed))
             net = ChainNetwork(ConsensusConfig(rule=rule, n_nodes=9), state, seed=seed,
                                behaviors=[NodeBehavior.BYZANTINE] * 4 + [NodeBehavior.HONEST] * 5,
                                adversarial_share=share)
+            net.register_key(kp)
             net.submit(tx)
             for _ in range(120):
                 net.run_round()

@@ -125,10 +125,6 @@ class SimulationTopology:
     fabric: storage.StorageFabric
     agent: access.Agent | None
 
-    @property
-    def integrity_violations(self) -> int:
-        return self.chain.integrity_violations
-
 
 def storage_plan_for(arch: ArchitectureType, config: SimConfig) -> storage.StoragePlan:
     return storage.StoragePlan(route=storage.Route[arch.storage.name], replicas=config.replicas,
@@ -147,6 +143,8 @@ def compose(arch: ArchitectureType, sim_config: SimConfig, *,
     total supply); registered_users are granted to the agent when the
     access mode is agent-based. faults is the only fault configuration:
     every field of the plan is wired here. keep_history goes to the chain.
+    The chain accepts the agent's key; callers register their own wallets'
+    keys with it.
     """
     state = vm.ContractState()
 
@@ -191,6 +189,8 @@ def compose(arch: ArchitectureType, sim_config: SimConfig, *,
                                    byz_mode=faults.byz_mode,
                                    crash_prob=faults.maintainer_crash_prob,
                                    delegation=delegation, keep_history=keep_history)
+    if agent is not None:
+        chain.register_key(agent.keypair)
 
     fabric = storage.StorageFabric(
         storage_plan_for(arch, sim_config),

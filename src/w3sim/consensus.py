@@ -180,7 +180,12 @@ class ChainNetwork:
     Faults are given apart from the config: fixed per-node behaviors, the
     byzantine mode, crash_prob, the chance that a maintainer is offline in
     any one round, and adversarial_share, the adversary's share of block
-    production under the majority-chain rule.
+    production under the majority-chain rule. Crashes draw from their own
+    stream, so turning them on leaves the message delays as they were.
+
+    The chain accepts a transaction only from a sender whose key pair was
+    given to register_key; any other sender's transactions are discarded
+    as InvalidSignature.
 
     The chain keeps state, not history: storage, pool, nonces, per-tx
     confirmation ticks, the touch index, the round trace and a header per
@@ -206,7 +211,9 @@ class ChainNetwork:
             self.state.event_log = None
         self.schedule = schedule
         self.delegation = delegation
-        self.rng = Random(seed)
+        self.rng = Random(seed)  # message delays and majority-chain elections
+        self.crash_rng = Random(seed ^ 0xC7A54)
+        self.keys: dict[bytes, identity.KeyPair] = {}  # address payload -> key pair
         self.now = 0
         self.round_count = 0
         self.rounds: list[RoundRecord] = []  # one record per round, in order
@@ -247,6 +254,10 @@ class ChainNetwork:
         self.pool[tx.tx_id] = tx
         self._unconfirmed += 1
 
+    def register_key(self, kp: identity.KeyPair) -> None:
+        """Accept signatures by kp for the address its public key derives."""
+        self.keys[identity.derive_address(kp.public_key).payload] = kp
+
     def expected_nonce(self, payload: bytes) -> int:
         return self.next_nonce.get(payload, 0)
 
@@ -261,7 +272,7 @@ class ChainNetwork:
     def _offline(self, node: MaintainerNode) -> bool:
         if node.behavior is NodeBehavior.CRASHED:
             return True
-        return self.crash_prob > 0 and self.rng.random() < self.crash_prob
+        return self.crash_prob > 0 and self.crash_rng.random() < self.crash_prob
 
     def _pack_block(self) -> tuple[Transaction, ...]:
         picked: list[Transaction] = []
@@ -302,7 +313,7 @@ class ChainNetwork:
         for tx in txs:
             sender = tx.metadata.sender.payload
             try:
-                validate_transaction(tx, self.next_nonce.get(sender, 0))
+                validate_transaction(tx, self.next_nonce.get(sender, 0), self.keys)
             except TxError as err:
                 self.discards.append((tx.tx_id, type(err).__name__))
                 self._unconfirmed -= 1

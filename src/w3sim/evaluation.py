@@ -29,7 +29,6 @@ from random import Random
 
 from . import access, vm
 from .archetypes import (
-    ALL_TYPES,
     NFT_ID,
     MARKET_ID,
     AccessMode,
@@ -39,6 +38,7 @@ from .archetypes import (
     StorageMode,
     architecture,
     compose,
+    type_from_tuple,
 )
 from .consensus import ConsensusConfig, PoolFull, RoundRecord, round_ticks
 from .scenario import (
@@ -108,6 +108,8 @@ class _ScenarioRun:
         registered = tuple(w.address.payload for _, w in sorted(self.wallets.items()))
         self.topology = compose(arch, sim, funded=funded, registered_users=registered,
                                 faults=faults, keep_history=keep_history)
+        for wallet in self.wallets.values():
+            self.topology.chain.register_key(wallet.keypair)
         self.data_rng = Random(sim.seed ^ 0xDA7A)
         self.tokens = [rep.to_bytes(32, "big") for rep in range(script.repetitions)]
         # Each repetition's linked data ref; None where the data went inline
@@ -357,7 +359,7 @@ def _ticks_at(main: RunStats, consensus: ConsensusConfig, n_nodes: int) -> int:
     Exact for a fault-free run only. Without faults the maintainer count
     changes nothing but the clock: the blocks, their bytes and gas and the
     delay draws are the same at every n. Under faults it is not: crashes
-    draw from the chain's rng and change the round count.
+    draw once per maintainer per round, and they change the round count.
     """
     return sum(round_ticks(consensus, n_nodes, record) for record in main.rounds)
 
@@ -470,9 +472,6 @@ def stakeholder_benefits(arch: ArchitectureType) -> tuple[int, int, int]:
 
 MERGED_GROUPS: tuple[tuple[int, ...], ...] = ((1,), (2, 3), (4,), (5, 6), (7,), (8, 9), (10,), (11, 12))
 
-PROPERTY_COLUMNS = ("performance", "scalability", "gas", "security", "anonymity",
-                    "confidentiality", "availability", "usability")
-STAKEHOLDER_COLUMNS = ("user", "provider", "maintainer")
 MEASURED_COLUMNS = ("performance_sign", "scalability_sign", "gas_trend_sign", "availability_trend_sign")
 
 
@@ -612,17 +611,9 @@ def compare(reports: dict[int, MetricReport], baseline: MetricReport,
 
 
 def _effective_arch(report: MetricReport) -> ArchitectureType:
-    return architecture(_effective_type_id(report))
-
-
-def _effective_type_id(report: MetricReport) -> int:
-    a = 2 if report.agent_used else 1
-    b = 2 if report.hybrid_used else 1
-    c = 2 if report.offchain_used else 1
-    for arch in ALL_TYPES:
-        if (arch.access.value, arch.compute.value, min(arch.storage.value, 2)) == (a, b, c):
-            return arch.type_id
-    raise AssertionError("unreachable")
+    return type_from_tuple(AccessMode.AGENT if report.agent_used else AccessMode.BROWSER,
+                           ComputeMode.HYBRID if report.hybrid_used else ComputeMode.ON_CHAIN,
+                           StorageMode.HYBRID if report.offchain_used else StorageMode.ON_CHAIN)
 
 
 @dataclass(frozen=True)

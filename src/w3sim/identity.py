@@ -2,8 +2,9 @@
 
 Every digest in the simulator is SHA-256. Key pairs are deterministic
 digest chains over a caller-supplied seed; signatures are digests over
-(secret key, message) and verification re-derives them through an
-in-process registry mapping public keys back to secrets. The function
+(secret key, message), and verification re-derives the digest from the
+signer's key pair. The module keeps no state: a chain holds the key pairs
+whose signatures it accepts (ChainNetwork.register_key). The function
 surface mirrors a real scheme so an actual signature algorithm can be
 swapped in without touching callers.
 """
@@ -64,21 +65,12 @@ class Signature:
     tag: bytes
 
 
-# Registry is append-only; mutation happens only from the single-threaded
-# simulation loop, reads are safe anywhere.
-_SK_BY_PK: dict[bytes, bytes] = {}
-_PK_BY_PAYLOAD: dict[bytes, bytes] = {}
-
-
 def generate_keypair(seed: bytes) -> KeyPair:
     """Derive a key pair deterministically from a non-empty seed."""
     if not seed:
         raise EmptySeed("seed must be non-empty")
     sk = digest(b"w3/sk" + seed)
-    pk = _public_key_of(sk)
-    _SK_BY_PK[pk] = sk
-    _PK_BY_PAYLOAD[digest(pk)[:ADDRESS_BYTES]] = pk
-    return KeyPair(secret_key=sk, public_key=pk)
+    return KeyPair(secret_key=sk, public_key=_public_key_of(sk))
 
 
 def _public_key_of(sk: bytes) -> bytes:
@@ -143,14 +135,10 @@ def sign(sk: bytes, message: bytes) -> Signature:
     return Signature(tag=digest(b"w3/sig" + sk + message))
 
 
-def verify(pk: bytes, message: bytes, sig: Signature) -> bool:
-    """True iff sig was produced over message by the secret matching pk."""
-    sk = _SK_BY_PK.get(pk)
-    if sk is None:
-        return False
-    return sig.tag == digest(b"w3/sig" + sk + message)
+def verify(kp: KeyPair, message: bytes, sig: Signature) -> bool:
+    """True iff sig was produced over message by kp's secret key.
 
-
-def public_key_for_payload(payload: bytes) -> bytes | None:
-    """Look up the public key behind an address payload, if registered."""
-    return _PK_BY_PAYLOAD.get(payload)
+    Simulator-grade: the verifier holds the signer's key pair, so it
+    re-derives the digest; a real scheme needs only the public key.
+    """
+    return sig.tag == digest(b"w3/sig" + kp.secret_key + message)

@@ -170,8 +170,8 @@ class StorageFabric:
         if self.fault_prob > 0 and self.fault_rng is not None:
             self.store.sample_crashes(self.fault_rng, self.fault_prob)
 
-    def put(self, data: bytes, plan: StoragePlan | None = None) -> StorageRef:
-        plan = plan or self.plan
+    def put(self, data: bytes) -> StorageRef:
+        plan = self.plan
         if plan.route is not Route.ON_CHAIN:
             self._sample_faults()
         if plan.route is Route.ON_CHAIN:

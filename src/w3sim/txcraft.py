@@ -6,10 +6,11 @@ big-endian integers, so transaction ids are bit-exact across builds.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from . import identity
-from .identity import Address, Signature
+from .identity import Address, KeyPair, Signature
 
 
 class TxError(Exception):
@@ -130,10 +131,15 @@ def build_transaction(sk: bytes, metadata: TxMetadata, payload: TxPayload) -> Tr
     return Transaction(metadata=metadata, payload=payload, signature=sig, tx_id=identity.digest(body))
 
 
-def validate_transaction(tx: Transaction, expected_nonce: int) -> None:
-    """Raise InvalidSignature / StaleNonce / FutureNonce; return None when ok."""
-    pk = identity.public_key_for_payload(tx.metadata.sender.payload)
-    if pk is None or not identity.verify(pk, signing_bytes(tx.metadata, tx.payload), tx.signature):
+def validate_transaction(tx: Transaction, expected_nonce: int,
+                         keys: Mapping[bytes, KeyPair]) -> None:
+    """Raise InvalidSignature / StaleNonce / FutureNonce; return None when ok.
+
+    keys maps an address payload to the key pair whose signatures count
+    for it; a sender missing from keys has an invalid signature.
+    """
+    kp = keys.get(tx.metadata.sender.payload)
+    if kp is None or not identity.verify(kp, signing_bytes(tx.metadata, tx.payload), tx.signature):
         raise InvalidSignature(f"transaction {tx.tx_id.hex()[:12]} has a bad signature")
     if tx.metadata.nonce < expected_nonce:
         raise StaleNonce(f"nonce {tx.metadata.nonce} already used (expected {expected_nonce})")

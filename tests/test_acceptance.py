@@ -52,6 +52,7 @@ def _drive_definition1(type_id: int, target_txs: int) -> tuple[int, int]:
                    registered_users=tuple(sorted(by_payload)), keep_history=True)
     chain = topo.chain
     for w in wallets:
+        chain.register_key(w.keypair)
         access.connect_wallet(w, "def1")
     rng = random.Random(4242 + type_id)
     snapshots: dict[tuple[bytes, bytes], access.RetrievedState] = {}
@@ -103,7 +104,7 @@ def _drive_definition1(type_id: int, target_txs: int) -> tuple[int, int]:
             chain.run_round()
             check_all_keys()
             guard += 1
-    assert topo.integrity_violations == 0
+    assert chain.integrity_violations == 0
     return len(chain.confirmations), checks
 
 
@@ -139,6 +140,7 @@ def _bft_run(n, f, seed, byz_mode):
     state.set_storage(FT_ID, b"sup:", _amount(10_000))
     net = ChainNetwork(ConsensusConfig(n_nodes=n), state, seed=seed,
                        behaviors=behaviors, byz_mode=byz_mode)
+    net.register_key(kp)
     metadata = txcraft.TxMetadata(sender=addr, receiver=addr, nonce=0,
                                   gas_limit=100_000, sim_time=0)
     payload = txcraft.TxPayload(contract_id=FT_ID, method="transfer",
@@ -177,6 +179,7 @@ def test_criterion_2_consensus_thresholds():
                 ConsensusConfig(rule=mc_rule, n_nodes=9), state, seed=seed,
                 behaviors=[NodeBehavior.BYZANTINE] * 4 + [NodeBehavior.HONEST] * 5,
                 adversarial_share=share)
+            net.register_key(kp)
             metadata = txcraft.TxMetadata(sender=addr, receiver=addr, nonce=0,
                                           gas_limit=100_000, sim_time=0)
             payload = txcraft.TxPayload(contract_id=FT_ID, method="transfer",
@@ -224,8 +227,9 @@ def test_criterion_4_nft_running_example(capsys):
     funded = {alice.address.payload: 5_000, bob.address.payload: 5_000}
     topo = compose(architecture(2), SimConfig(seed=42), funded=funded, keep_history=True)
     chain, fabric = topo.chain, topo.fabric
-    access.connect_wallet(alice, "market")
-    access.connect_wallet(bob, "market")
+    for wallet in (alice, bob):
+        chain.register_key(wallet.keypair)
+        access.connect_wallet(wallet, "market")
 
     data = random.Random(42).randbytes(900)  # above the hybrid threshold
     token = (1).to_bytes(32, "big")

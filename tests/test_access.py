@@ -27,6 +27,8 @@ def build_topology(type_id=1, n_users=2, seed=7, **sim_kwargs):
                    funded=funded,
                    registered_users=tuple(w.address.payload for w in wallets),
                    keep_history=True)
+    for w in wallets:
+        topo.chain.register_key(w.keypair)
     return topo, wallets
 
 
@@ -75,7 +77,7 @@ class TestDirectSubmission:
         body = txcraft.signing_bytes(metadata, payload) + len(sig.tag).to_bytes(4, "big") + sig.tag
         forged = txcraft.Transaction(metadata, payload, sig, identity.digest(body))
         with pytest.raises(txcraft.InvalidSignature):
-            txcraft.validate_transaction(forged, 0)
+            txcraft.validate_transaction(forged, 0, topo.chain.keys)
         topo.chain.submit(forged)
         topo.chain.run_until_drained(max_rounds=30)
         assert ("InvalidSignature" in dict((tid, r) for tid, r in topo.chain.discards).values())

@@ -238,6 +238,7 @@ class TestHybridExecution:
                        faults=FaultPlan(executor_behavior=ExecutorBehavior.MALICIOUS,
                                         tamper_target="unchecked"))
         kp, addr = wallets[0]
+        topo.chain.register_key(kp)
         token = (5).to_bytes(32, "big")
         metadata = txcraft.TxMetadata(sender=addr, receiver=addr, nonce=0,
                                       gas_limit=500_000, sim_time=0)
@@ -245,7 +246,7 @@ class TestHybridExecution:
                                     inline_data=b"\x00data")
         topo.chain.submit(txcraft.build_transaction(kp.secret_key, metadata, payload))
         topo.chain.run_until_drained()
-        assert topo.integrity_violations == 1
+        assert topo.chain.integrity_violations == 1
 
 
 class TestChainExecution:
@@ -277,6 +278,7 @@ class TestChainExecution:
         chain = ChainNetwork(ConsensusConfig(), state, delegation=policy if hybrid else None,
                              keep_history=True)
         kp, addr = actors[0]
+        chain.register_key(kp)
         metadata = txcraft.TxMetadata(sender=addr, receiver=addr, nonce=0,
                                       gas_limit=500_000, sim_time=0)
         payload = txcraft.TxPayload(contract_id=NFT_ID, method="mint",

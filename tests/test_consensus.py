@@ -59,6 +59,7 @@ def make_network(n=4, byzantine=0, byz_mode=ByzantineMode.SILENT, seed=1,
     config = ConsensusConfig(rule=rule, n_nodes=n, pool_capacity=pool_capacity)
     net = ChainNetwork(config, state, seed=seed, behaviors=behaviors, byz_mode=byz_mode,
                        adversarial_share=adversarial_share, keep_history=keep_history)
+    net.register_key(kp)
     return net, kp, addr
 
 
@@ -121,6 +122,27 @@ class TestSubmission:
         net, kp, addr = make_network()
         net.submit(transfer_tx(kp, addr, 0))
         assert len(net.pool) == 1
+
+
+class TestKeys:
+    def test_a_key_registered_only_on_another_chain_is_rejected(self):
+        net, kp, addr = make_network(seed=3)
+        tx = transfer_tx(kp, addr, 0)
+        assert txcraft.validate_transaction(tx, 0, net.keys) is None
+        fresh = ChainNetwork(ConsensusConfig(n_nodes=4), funded_state([addr.payload]), seed=3)
+        with pytest.raises(txcraft.InvalidSignature):
+            txcraft.validate_transaction(tx, 0, fresh.keys)
+        fresh.submit(tx)
+        fresh.run_until_drained(max_rounds=30)
+        assert fresh.discards == [(tx.tx_id, "InvalidSignature")]
+        assert tx.tx_id not in fresh.confirmed_tick
+        net.submit(tx)
+        net.run_until_drained(max_rounds=30)
+        assert tx.tx_id in net.confirmed_tick
+
+    def test_maintainer_keys_are_not_registered(self):
+        net = ChainNetwork(ConsensusConfig(n_nodes=4))
+        assert net.keys == {}  # maintainers sign nothing
 
 
 class TestBftQuorum:

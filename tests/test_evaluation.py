@@ -357,6 +357,38 @@ class TestFaultPlanPaths:
                            FaultPlan(maintainer_crash_prob=0.15))
         assert stats.ops_succeeded == stats.ops_attempted
 
+    @pytest.mark.parametrize("type_id", [1, 7])
+    def test_maintainer_crashes_leave_the_message_delays_alone(self, type_id):
+        script = nft_sale_script(repetitions=12)
+        calm = ev.run_raw(architecture(type_id), script, SimConfig(seed=42), NO_FAULTS)
+        crashy = ev.run_raw(architecture(type_id), script, SimConfig(seed=42),
+                            FaultPlan(maintainer_crash_prob=0.15))
+        assert crashy.rounds != calm.rounds  # the crashes changed the run
+        common = min(len(calm.rounds), len(crashy.rounds))
+        assert common > 0
+        assert ([r.delay for r in crashy.rounds[:common]]
+                == [r.delay for r in calm.rounds[:common]])
+
+
+class TestKeyScope:
+    """A run accepts the keys it registers, and nothing a run before it made."""
+
+    def test_reports_do_not_depend_on_the_runs_before_them(self):
+        forward = {t: report_json(run_scenario(architecture(t), FAST, DEFAULT_FAULTS, seed=42))
+                   for t in range(1, 13)}
+        backward = {t: report_json(run_scenario(architecture(t), FAST, DEFAULT_FAULTS, seed=42))
+                    for t in range(12, 0, -1)}
+        assert forward == backward
+
+    @pytest.mark.parametrize("type_id", [1, 7])
+    def test_a_run_registers_its_wallets_and_agent_only(self, type_id):
+        run = ev._ScenarioRun(architecture(type_id), FAST, SimConfig(seed=42), NO_FAULTS)
+        expected = {w.address.payload: w.keypair for w in run.wallets.values()}
+        agent = run.topology.agent
+        if agent is not None:
+            expected[agent.address.payload] = agent.keypair
+        assert run.topology.chain.keys == expected
+
 
 class TestMintHooks:
     def test_every_linked_ref_is_hooked_to_its_confirmed_mint(self):

@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from w3sim import identity
+from w3sim import identity, txcraft
+from w3sim.consensus import ChainNetwork, ConsensusConfig
 from w3sim.identity import (
     AddressScheme,
     BASE58_ALPHABET,
@@ -153,13 +154,13 @@ class TestSignatures:
     def test_roundtrip(self):
         kp = generate_keypair(b"signer")
         sig = sign(kp.secret_key, b"hello world")
-        assert verify(kp.public_key, b"hello world", sig)
+        assert verify(kp, b"hello world", sig)
 
     def test_wrong_key(self):
         kp1 = generate_keypair(b"signer-1")
         kp2 = generate_keypair(b"signer-2")
         sig = sign(kp1.secret_key, b"msg")
-        assert not verify(kp2.public_key, b"msg", sig)
+        assert not verify(kp2, b"msg", sig)
 
     def test_all_single_byte_flips_fail(self):
         kp = generate_keypair(b"flipper")
@@ -169,21 +170,35 @@ class TestSignatures:
             for delta in range(1, 256):
                 mutated = bytearray(message)
                 mutated[pos] ^= delta
-                assert not verify(kp.public_key, bytes(mutated), sig)
+                assert not verify(kp, bytes(mutated), sig)
 
     def test_flipped_sig_fails(self):
         kp = generate_keypair(b"flipper2")
         sig = sign(kp.secret_key, b"payload")
         bad = identity.Signature(tag=bytes([sig.tag[0] ^ 1]) + sig.tag[1:])
-        assert not verify(kp.public_key, b"payload", bad)
+        assert not verify(kp, b"payload", bad)
 
     def test_random_forgeries_fail(self):
         kp = generate_keypair(b"forgery-target")
         rng = random.Random(13)
         for _ in range(10_000):
             forged = identity.Signature(tag=rng.randbytes(32))
-            assert not verify(kp.public_key, b"the message", forged)
+            assert not verify(kp, b"the message", forged)
+
+    def test_module_keeps_no_mutable_state(self):
+        generate_keypair(b"stateless")
+        mutable = [name for name, value in vars(identity).items()
+                   if not name.startswith("__")
+                   and isinstance(value, (dict, list, set, bytearray))]
+        assert mutable == []
 
     def test_unknown_pk_fails(self):
-        sig = identity.Signature(tag=b"\x00" * 32)
-        assert not verify(b"\xaa" * 32, b"m", sig)
+        # A chain accepts only keys registered with it; this one never was.
+        kp = generate_keypair(b"never-registered")
+        addr = derive_address(kp.public_key)
+        metadata = txcraft.TxMetadata(sender=addr, receiver=addr, nonce=0,
+                                      gas_limit=100_000, sim_time=0)
+        tx = txcraft.build_transaction(kp.secret_key, metadata, txcraft.TxPayload())
+        chain = ChainNetwork(ConsensusConfig())
+        with pytest.raises(txcraft.InvalidSignature):
+            txcraft.validate_transaction(tx, 0, chain.keys)

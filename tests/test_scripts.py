@@ -5,6 +5,7 @@ checks its header lines and the number of rows it prints.
 """
 
 import os
+import re
 import subprocess
 import sys
 
@@ -36,6 +37,13 @@ def test_consensus_thresholds():
     assert lines[4].startswith("majority chain")
     assert len(lines) == 10
     assert all(line.lstrip().startswith("adversarial share") for line in lines[5:])
+    # A quorum cell confirms iff the honest nodes alone make a quorum.
+    for line in lines[1:4]:
+        n, quorum = map(int, re.match(r"\s*n=\s*(\d+) \(quorum (\d+)\)", line).groups())
+        rates = {int(f): int(rate) for f, rate in re.findall(r"f=(\d+):\s*(\d+)%", line)}
+        assert rates == {f: 100 if f <= n - quorum else 0 for f in range(n - quorum + 3)}, line
+    shares = dict(re.findall(r"share (\S+): +(\d+)%", "\n".join(lines[5:])))
+    assert [shares[s] for s in ("0.30", "0.45", "0.55", "0.70")] == ["100", "100", "0", "0"]
 
 
 def test_heap_profile():

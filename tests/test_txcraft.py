@@ -57,11 +57,12 @@ def test_nonce_changes_tx_id():
 def test_validate_ok_and_nonce_errors():
     kp, addr = make_wallet(b"w4")
     tx = build_transaction(kp.secret_key, metadata_for(addr, nonce=5), TxPayload())
-    assert validate_transaction(tx, 5) is None
+    keys = {addr.payload: kp}
+    assert validate_transaction(tx, 5, keys) is None
     with pytest.raises(StaleNonce):
-        validate_transaction(tx, 6)  # replay: nonce already consumed
+        validate_transaction(tx, 6, keys)  # replay: nonce already consumed
     with pytest.raises(FutureNonce):
-        validate_transaction(tx, 3)
+        validate_transaction(tx, 3, keys)
 
 
 def test_tampered_payload_invalid_signature():
@@ -72,7 +73,7 @@ def test_tampered_payload_invalid_signature():
     forged = Transaction(metadata=tx.metadata, payload=forged_payload,
                          signature=tx.signature, tx_id=tx.tx_id)
     with pytest.raises(InvalidSignature):
-        validate_transaction(forged, 0)
+        validate_transaction(forged, 0, {addr.payload: kp})
 
 
 def test_method_requires_contract():
@@ -91,7 +92,7 @@ def test_build_validate_fuzz():
                             args=tuple(rng.randbytes(rng.randrange(0, 8)) for _ in range(rng.randrange(0, 4))),
                             inline_data=rng.randbytes(rng.randrange(0, 64)))
         tx = build_transaction(kp.secret_key, metadata, payload)
-        assert validate_transaction(tx, metadata.nonce) is None
+        assert validate_transaction(tx, metadata.nonce, {addr.payload: kp}) is None
 
 
 def test_serialization_injective_on_corpus():
