@@ -22,6 +22,7 @@ import json
 import math
 from fractions import Fraction
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -274,9 +275,17 @@ class ChainNetwork:
             return True
         return self.crash_prob > 0 and self.crash_rng.random() < self.crash_prob
 
-    def _pack_block(self) -> tuple[Transaction, ...]:
+    def _pack_block(self, unconfirmed: Sequence[Block] = ()) -> tuple[Transaction, ...]:
+        """Pick up to max_txs_per_block pooled txs, each at its sender's next nonce.
+
+        The next nonces continue from the confirmed ones through the txs of
+        the given unconfirmed blocks, the branch the new block extends.
+        """
         picked: list[Transaction] = []
         expected = dict(self.next_nonce)
+        for block in unconfirmed:
+            for tx in block.txs:
+                expected[tx.metadata.sender.payload] = tx.metadata.nonce + 1
         drop: list[bytes] = []
         for tx_id, tx in self.pool.items():
             if len(picked) >= self.config.max_txs_per_block:
@@ -360,14 +369,20 @@ class ChainNetwork:
             return
         keys_by_contract: dict[bytes, dict[bytes, None]] = {}
         for cid, key in receipt.writes:
-            keys_by_contract.setdefault(cid, {})[key] = None
-        addrs = {value for ev in receipt.events for key, value in ev.fields
-                 if key in _ADDRESS_FIELDS}
-        addrs.add(tx.metadata.sender.payload)
+            keys = keys_by_contract.get(cid)
+            if keys is None:
+                keys = keys_by_contract[cid] = {}
+            keys[key] = None
+        addrs = {tx.metadata.sender.payload}
+        for ev in receipt.events:
+            for key, value in ev.fields:
+                if key in _ADDRESS_FIELDS:
+                    addrs.add(value)
+        index, tx_id, now = self.touch_index, tx.tx_id, self.now
         for cid, keys in keys_by_contract.items():
-            entry = (tx.tx_id, tuple(keys), self.now)
+            entry = (tx_id, tuple(keys), now)
             for addr in addrs:
-                self.touch_index[(addr, cid)] = entry
+                index[(addr, cid)] = entry
 
     def _votes_for(self, offline: set[int]) -> int:
         votes = 0
@@ -449,7 +464,7 @@ class ChainNetwork:
             proposer = -2
         else:
             branch = self._honest_branch
-            txs = self._pack_block()
+            txs = self._pack_block(branch[self._mc_confirmed_upto + 1:])
             proposer = self.round_count % self.config.n_nodes
             for tx in txs:
                 self.pool.pop(tx.tx_id, None)
@@ -498,19 +513,39 @@ class ChainNetwork:
         tick = self.confirmed_tick.get(tx_id)
         return tick is not None and tick <= deadline_ticks
 
-    def run_until_drained(self, max_rounds: int = 5000, sink=None) -> int:
-        """Run rounds until every submitted tx confirms or is discarded.
+    @property
+    def stall_rounds(self) -> int:
+        """Rounds in a row without progress after which the chain has stalled.
 
-        Bounded by max_rounds so byzantine stalls and non-qualifying
-        branches terminate; leftover transactions simply stay unconfirmed.
-        sink, if given, is called with each round's confirmations.
+        One full proposer rotation, so a quorum chain with fewer than n/3
+        faulty maintainers always has a correct proposer among them, plus
+        confirm_depth + 1, the rounds a majority-chain block takes to bury.
         """
-        rounds = 0
-        while rounds < max_rounds and (self.pool or self._unconfirmed > 0):
+        return self.config.n_nodes + self.config.rule.confirm_depth + 1
+
+    @property
+    def quiescent(self) -> bool:
+        """True when every submitted tx has confirmed or been discarded."""
+        return not self.pool and self._unconfirmed == 0
+
+    def run_until_drained(self, max_rounds: int | None = None, sink=None) -> int:
+        """Run rounds until the chain is quiescent or has stalled; returns the rounds run.
+
+        The chain has stalled once stall_rounds rounds in a row neither
+        confirm nor discard a transaction; what is left stays pooled or
+        unconfirmed, so callers tell a stall by the chain not being
+        quiescent. max_rounds, if given, bounds the rounds as well. sink,
+        if given, is called with each round's confirmations.
+        """
+        rounds = idle = 0
+        stall = self.stall_rounds
+        while not self.quiescent and idle < stall and (max_rounds is None or rounds < max_rounds):
+            left = self._unconfirmed
             confs = self.run_round()
             if sink is not None:
                 sink(confs)
             rounds += 1
+            idle = idle + 1 if self._unconfirmed == left else 0
         return rounds
 
 

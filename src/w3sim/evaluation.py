@@ -40,7 +40,7 @@ from .archetypes import (
     compose,
     type_from_tuple,
 )
-from .consensus import ConsensusConfig, PoolFull, RoundRecord, round_ticks
+from .consensus import ConsensusConfig, RoundRecord, round_ticks
 from .scenario import (
     DEFAULT_FAULTS,
     NO_FAULTS,
@@ -54,7 +54,6 @@ from .storage import InlineTooLarge, LinkedRef, Route, StorageError
 
 SCALE_GRID = (4, 10)  # maintainer counts the scalability slope spans
 DEAD_BAND = 0.05  # relative dead-band for measured-sign computation
-DRAIN_ROUNDS = 600
 
 
 class ScenarioInfeasible(Exception):
@@ -89,7 +88,16 @@ def actor_seed(seed: int, name: str) -> bytes:
 
 
 class _ScenarioRun:
-    """One architecture, one script, one fault plan, one seed."""
+    """One architecture, one script, one fault plan, one seed.
+
+    Each step's ops form a wave. A wave goes to the chain in windows that
+    fit the transaction pool: once the pool has no slot left for the next
+    op's transaction, the chain runs until it is quiescent, then the next
+    window starts. A chain that stalls (ChainNetwork.stall_rounds rounds
+    without progress) ends the wave: in a faulted run the wave's
+    unconfirmed and unsubmitted ops fail, which is the availability the
+    run measures; a fault-free run that stalls is infeasible.
+    """
 
     FUND = 10**12
 
@@ -119,6 +127,7 @@ class _ScenarioRun:
         # their repetition; _absorb moves each confirmed one to ok_reps.
         self.pending: dict[object, int] = {}
         self.ok_reps: set[int] = set()
+        self.wave_stalled = False  # the chain stalled in this wave; its later ops fail
         self.minted: dict[bytes, bytes] = {}  # token id -> confirmed mint tx id
 
     # -- step helpers -----------------------------------------------------
@@ -127,6 +136,10 @@ class _ScenarioRun:
                 inline: bytes | None = None):
         topo = self.topology
         self.stats.ops_attempted += 1
+        if not self.wave_stalled and not self._has_slot():
+            self._drain()  # the window is full: run the chain until it is quiescent
+        if self.wave_stalled:
+            return  # a stall ended the wave; its later ops fail unsubmitted
         try:
             if topo.agent is not None:
                 ticket = access.submit_via_agent(topo.agent, wallet.address.payload, op,
@@ -140,13 +153,32 @@ class _ScenarioRun:
         except access.AccessError:
             pass  # op failed before reaching the chain
 
-    def _drain(self):
+    def _has_slot(self) -> bool:
+        """True if the pool can take the transaction that the next op goes out in.
+
+        An agent op joins the bundle the buffer is filling, whose slot was
+        taken when the bundle's first op came in.
+        """
         topo = self.topology
+        if topo.agent is not None and topo.agent.batch_buffer:
+            return True
+        return len(topo.chain.pool) < topo.chain.config.pool_capacity
+
+    def _drain(self):
+        """Flush the agent and run the chain until it is quiescent or stalls."""
+        topo = self.topology
+        chain = topo.chain
         if topo.agent is not None:
-            access.flush(topo.agent, topo.chain, self.sim.gas_schedule)
+            access.flush(topo.agent, chain, self.sim.gas_schedule)
         # Passed per call, never stored: a bound method held by the chain
         # would make the run a reference cycle.
-        topo.chain.run_until_drained(DRAIN_ROUNDS, sink=self._absorb)
+        chain.run_until_drained(sink=self._absorb)
+        if not chain.quiescent:
+            if self.faults == NO_FAULTS:
+                raise ScenarioInfeasible(
+                    f"chain stalled: {chain.stall_rounds} rounds without progress "
+                    f"with {len(self.pending)} ops unconfirmed")
+            self.wave_stalled = True
 
     def _absorb(self, confirmations) -> None:
         """Settle the pending ops a round confirmed and note its mints; keep nothing else."""
@@ -167,10 +199,12 @@ class _ScenarioRun:
     def _settle_wave(self) -> set[int]:
         """Drain the chain; returns the repetitions whose op of this wave succeeded.
 
-        An op still pending once the chain drains failed.
+        An op still pending once the chain drains or stalls failed.
         """
-        self._drain()
+        if not self.wave_stalled:
+            self._drain()
         ok_reps, self.ok_reps, self.pending = self.ok_reps, set(), {}
+        self.wave_stalled = False
         self.stats.ops_succeeded += len(ok_reps)
         self.stats.onchain_ops += len(ok_reps)
         return ok_reps
@@ -190,10 +224,6 @@ class _ScenarioRun:
                 self._run_step_wave(step)
         except ScenarioInfeasible as err:
             self.stats.infeasible_reason = str(err)
-        except PoolFull as err:
-            # A submission or agent flush that overflows the pool ends the
-            # run; counting the rest as failed ops would understate throughput.
-            self.stats.infeasible_reason = f"PoolFull: {err}"
         finally:
             if collecting:
                 gc.enable()

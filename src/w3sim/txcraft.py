@@ -69,38 +69,30 @@ class Transaction:
         m, p = self.metadata, self.payload
         return (_WIRE_FIXED + len(m.sender.payload) + len(m.receiver.payload)
                 + len(p.contract_id) + len(p.method.encode()) + len(p.inline_data)
-                + sum(4 + len(a) for a in p.args) + len(self.signature.tag))
+                + 4 * len(p.args) + sum(map(len, p.args)) + len(self.signature.tag))
 
 
 def _ser_bytes(b: bytes) -> bytes:
     return len(b).to_bytes(4, "big") + b
 
 
-def _ser_u64(n: int) -> bytes:
-    return n.to_bytes(8, "big")
-
-
 def serialize_metadata(m: TxMetadata) -> bytes:
     # Addresses serialize as their scheme-independent 20-byte payload.
-    return b"".join(
-        (
-            _ser_bytes(m.sender.payload),
-            _ser_bytes(m.receiver.payload),
-            _ser_u64(m.nonce),
-            _ser_u64(m.gas_limit),
-            _ser_u64(m.sim_time),
-        )
-    )
+    sender, receiver = m.sender.payload, m.receiver.payload
+    return b"".join((
+        len(sender).to_bytes(4, "big"), sender,
+        len(receiver).to_bytes(4, "big"), receiver,
+        m.nonce.to_bytes(8, "big"), m.gas_limit.to_bytes(8, "big"), m.sim_time.to_bytes(8, "big"),
+    ))
 
 
 def serialize_payload(p: TxPayload) -> bytes:
-    parts = [
-        _ser_bytes(p.contract_id),
-        _ser_bytes(p.method.encode()),
-        len(p.args).to_bytes(4, "big"),
-    ]
-    parts.extend(_ser_bytes(a) for a in p.args)
-    parts.append(_ser_bytes(p.inline_data))
+    method = p.method.encode()
+    parts = [len(p.contract_id).to_bytes(4, "big"), p.contract_id,
+             len(method).to_bytes(4, "big"), method, len(p.args).to_bytes(4, "big")]
+    for a in p.args:
+        parts += (len(a).to_bytes(4, "big"), a)
+    parts += (len(p.inline_data).to_bytes(4, "big"), p.inline_data)
     return b"".join(parts)
 
 

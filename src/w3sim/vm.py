@@ -9,10 +9,13 @@ executed off-chain.
 State root: every entry (storage cell, native balance, contract record)
 hashes to a 32-byte digest; the root is the sum of those digests mod
 2**256, rendered big-endian. The combiner is order-independent, so the
-root is a pure function of the entry set and can be maintained in O(1)
-per write. Storage cells keep their root term, so an overwrite or delete
-hashes only the new value. Tests recompute the root from scratch as an
-independent oracle.
+root is a pure function of the entry set and can be maintained
+incrementally. A storage write only marks its cell dirty; reading
+`state_root`, once per block, folds each dirty cell in, swapping the term
+of its value at the last fold for the term of its value now. So a cell
+written many times between two reads hashes once, and an overwrite or
+delete hashes only the new value. Tests recompute the root from scratch
+as an independent oracle.
 
 Execution writes through a per-transaction overlay with an undo journal;
 the state takes the overlay only on success, so a reverted call leaves
@@ -152,11 +155,15 @@ class ContractState:
         self.contracts: dict[bytes, ContractDef] = {}
         self.event_log: list[Event] | None = []  # None: a chain that keeps no history
         self._root_acc = 0
-        # Root term of every live storage cell, so an overwrite or delete
-        # subtracts the stored term instead of re-hashing the old value.
+        # Storage cells written since the root was last read; reading it
+        # folds them in, so a cell written many times in one block hashes once.
+        self._dirty: set[tuple[bytes, bytes]] = set()
+        # Root term of every storage cell as of the last fold, so an
+        # overwrite or delete subtracts the stored term instead of
+        # re-hashing the old value.
         self._cell_terms: dict[bytes, dict[bytes, int]] = {}
         # b"w3/st" + _ser_bytes(contract_id), the digest prefix every cell
-        # of a contract shares.
+        # of a contract shares; made with the contract's _cell_terms entry.
         self._cell_prefix: dict[bytes, bytes] = {}
 
     @staticmethod
@@ -173,6 +180,8 @@ class ContractState:
 
     @property
     def state_root(self) -> bytes:
+        if self._dirty:
+            self._fold_dirty()
         return self._root_acc.to_bytes(32, "big")
 
     def _add(self, entry_digest: bytes):
@@ -185,19 +194,45 @@ class ContractState:
         return self.storage.get(contract_id, {}).get(key)
 
     def set_storage(self, contract_id: bytes, key: bytes, value: bytes | None):
-        area = self.storage.setdefault(contract_id, {})
-        terms = self._cell_terms.setdefault(contract_id, {})
-        acc = self._root_acc - terms.pop(key, 0)
-        if value is None:
-            area.pop(key, None)
-        else:
-            area[key] = value
-            prefix = self._cell_prefix.get(contract_id)
-            if prefix is None:
-                prefix = self._cell_prefix[contract_id] = b"w3/st" + _ser_bytes(contract_id)
-            term = int.from_bytes(identity.digest(prefix + _ser_bytes(key) + _ser_bytes(value)), "big")
-            terms[key] = term
-            acc += term
+        """Write one cell; None deletes it."""
+        self.take_writes({(contract_id, key): value})
+
+    def take_writes(self, writes: dict[tuple[bytes, bytes], bytes | None]):
+        """Write value to each (contract_id, key) cell of writes, deleting it for None.
+
+        The cells only turn dirty here; the next state_root read folds them in.
+        """
+        storage = self.storage
+        for (contract_id, key), value in writes.items():
+            area = storage.get(contract_id)
+            if area is None:
+                area = storage[contract_id] = {}
+            if value is None:
+                area.pop(key, None)
+            else:
+                area[key] = value
+        self._dirty.update(writes)
+
+    def _fold_dirty(self):
+        """Swap each dirty cell's root term as of the last fold for the term of its value now."""
+        acc = self._root_acc
+        storage, cell_terms, prefixes = self.storage, self._cell_terms, self._cell_prefix
+        digest = identity.digest
+        for contract_id, key in self._dirty:
+            terms = cell_terms.get(contract_id)
+            if terms is None:
+                terms = cell_terms[contract_id] = {}
+                prefixes[contract_id] = b"w3/st" + _ser_bytes(contract_id)
+            acc -= terms.pop(key, 0)
+            value = storage[contract_id].get(key)
+            if value is not None:
+                # storage_entry_digest(contract_id, key, value), its prefix cached.
+                term = int.from_bytes(digest(b"".join((
+                    prefixes[contract_id], len(key).to_bytes(4, "big"), key,
+                    len(value).to_bytes(4, "big"), value))), "big")
+                terms[key] = term
+                acc += term
+        self._dirty.clear()
         self._root_acc = acc % _ROOT_MOD
 
     def native_balance(self, payload: bytes) -> int:
@@ -387,8 +422,10 @@ class _TxOverlay:
         return self.state.get_storage(contract_id, key) if value is _UNSET else value
 
     def sload(self, contract_id: bytes, key: bytes) -> bytes | None:
+        """peek, counted as a read."""
         self.reads.append(key)
-        return self.peek(contract_id, key)
+        value = self.overlay.get((contract_id, key), _UNSET)
+        return self.state.get_storage(contract_id, key) if value is _UNSET else value
 
     def sstore(self, contract_id: bytes, key: bytes, value: bytes | None):
         slot = (contract_id, key)
@@ -587,10 +624,9 @@ def execute(state: ContractState, tx: Transaction, schedule: GasSchedule = DEFAU
     if revert_reason is not None:
         return state, Receipt(TxStatus.REVERTED, revert_reason, min(gas, tx.metadata.gas_limit), ())
 
-    # The overlay holds each cell's last value, in first-write order: a
-    # bundle rewrites its sequence cell once per op, the state takes it once.
-    for (cid, key), value in ov.overlay.items():
-        state.set_storage(cid, key, value)
+    # The overlay holds each cell's last value: a bundle rewrites its
+    # sequence cell once per op, the state takes it once.
+    state.take_writes(ov.overlay)
     if state.event_log is not None:
         state.event_log.extend(ov.events)
     return state, Receipt(TxStatus.SUCCESS, None, gas, tuple(ov.events),
@@ -618,9 +654,9 @@ def _run_op(ov: _TxOverlay, schedule: GasSchedule, policy: DelegationPolicy | No
                 + schedule.per_storage_write * (len(ov.journal) - mark)
                 + schedule.per_event * (len(ov.events) - event_mark)), None
 
-    entries = ov.journal[mark:]
-    core = [e for e in entries if not is_aux_key(e[0][1])]
-    aux_entries = [e for e in entries if is_aux_key(e[0][1])]
+    core, aux_entries = [], []
+    for entry in ov.journal[mark:]:
+        (aux_entries if is_aux_key(entry[0][1]) else core).append(entry)
     aux = [(slot, value) for slot, _, value in aux_entries]
 
     tampered_checked = False
@@ -656,9 +692,13 @@ def _run_op(ov: _TxOverlay, schedule: GasSchedule, policy: DelegationPolicy | No
         return gas, "CommitmentMismatch"
 
     if aux:
-        commitment = identity.digest(
-            b"w3/com" + b"".join(_ser_bytes(c) + _ser_bytes(k) + _ser_bytes(v or b"")
-                                 for (c, k), v in aux))
+        # b"w3/com" + _ser_bytes(c) + _ser_bytes(k) + _ser_bytes(v or b"") per write, in one join.
+        parts = [b"w3/com"]
+        for (c, k), v in aux:
+            v = v or b""
+            parts += (len(c).to_bytes(4, "big"), c, len(k).to_bytes(4, "big"), k,
+                      len(v).to_bytes(4, "big"), v)
+        commitment = identity.digest(b"".join(parts))
         ov.emit("Commitment", ("digest", commitment))
     # The receipt lists the op's core writes, then its delegated ones.
     ov.journal[mark:] = core + aux_entries

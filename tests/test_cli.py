@@ -146,6 +146,24 @@ class TestMatrix:
         assert "| Architecture |" in out.read_text()
 
 
+    def test_matrix_exits_one_when_the_fault_free_chain_stalls(self, tmp_path, scenario_file,
+                                                                capsys):
+        # A majority-chain rule that asks for more than the whole network
+        # confirms nothing; every report is infeasible, so no row is measured.
+        config = tmp_path / "sim.cfg"
+        config.write_text("[consensus]\nrule = majority\nfraction = 1.0\n")
+        code, out, _ = run_cli(["matrix", "--seed", "42", "--scenario", scenario_file,
+                                "--config", str(config)], capsys)
+        assert code == 1
+        assert "Type1.present: expected +1, measured +0" in out
+        report = tmp_path / "r.json"
+        run_cli(["simulate", "--type", "1", "--seed", "42", "--scenario", scenario_file,
+                 "--config", str(config), "--out", str(report)], capsys)
+        record = json.loads(report.read_text())
+        assert record["feasible"] is False
+        assert record["infeasible_reason"].startswith("chain stalled: ")
+
+
 class TestSweep:
     def test_writes_reports_and_matrix(self, tmp_path, scenario_file, capsys):
         out = str(tmp_path / "sweepdir")

@@ -3,6 +3,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from w3sim import access, identity, storage, txcraft, vm
 from w3sim.consensus import (
@@ -240,6 +241,79 @@ class TestMajorityChain:
         for _ in range(80):
             net.run_round()
         assert len(net.confirmed_blocks) == 1  # genesis only
+
+
+    def test_one_sender_fills_every_block(self):
+        # Each proposal continues the sender's nonces through the honest
+        # branch's unconfirmed blocks, so 40 transfers fill five blocks in
+        # five rounds; the fifth is buried confirm_depth (6) rounds later.
+        net, kp, addr = make_network(n=7, seed=1, rule=self.mc_rule())
+        for i in range(40):
+            net.submit(transfer_tx(kp, addr, i, sim_time=i))
+        assert net.run_until_drained() == 5 + 6
+        assert net.quiescent and net.txs_confirmed == 40 and not net.discards
+
+
+class TestStallRule:
+    def test_stall_rounds_is_a_rotation_plus_the_burial_depth(self):
+        net, _, _ = make_network(n=7)
+        assert net.stall_rounds == 7 + ConsensusRule().confirm_depth + 1
+        net, _, _ = make_network(n=4, rule=ConsensusRule(kind=RuleKind.MAJORITY_CHAIN,
+                                                         fraction=0.51, confirm_depth=2))
+        assert net.stall_rounds == 4 + 2 + 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 13), crashed=st.booleans(), seed=st.integers(0, 2**16),
+           data=st.data())
+    def test_fewer_than_a_third_faulty_never_stall(self, n, crashed, seed, data):
+        # The faulty maintainers sit anywhere in the proposer rotation,
+        # next to each other included.
+        f = (n - 1) // 3
+        faulty = data.draw(st.sets(st.integers(0, n - 1), min_size=f, max_size=f))
+        bad = NodeBehavior.CRASHED if crashed else NodeBehavior.BYZANTINE
+        behaviors = [bad if i in faulty else NodeBehavior.HONEST for i in range(n)]
+        kp = identity.generate_keypair(b"stall-user")
+        addr = identity.derive_address(kp.public_key)
+        net = ChainNetwork(ConsensusConfig(n_nodes=n), funded_state([addr.payload]), seed=seed,
+                           behaviors=behaviors)
+        net.register_key(kp)
+        for i in range(50):
+            net.submit(transfer_tx(kp, addr, i, sim_time=i))
+        net.run_until_drained()
+        assert net.quiescent and net.txs_confirmed == 50
+
+    def test_a_chain_without_quorum_stalls(self):
+        net, kp, addr = make_network(n=7, byzantine=3)
+        for i in range(5):
+            net.submit(transfer_tx(kp, addr, i, sim_time=i))
+        assert net.run_until_drained() == net.stall_rounds
+        assert not net.quiescent and len(net.pool) == 5 and net.txs_confirmed == 0
+
+    def test_a_majority_chain_without_a_qualifying_branch_stalls(self):
+        rule = ConsensusRule(kind=RuleKind.MAJORITY_CHAIN, fraction=0.51)
+        net, kp, addr = make_network(n=10, seed=9, rule=rule, adversarial_share=0.5)
+        net.submit(transfer_tx(kp, addr, 0))
+        assert net.run_until_drained() == net.stall_rounds
+        assert not net.quiescent and net.txs_confirmed == 0
+
+    def test_an_explicit_bound_still_caps_the_rounds(self):
+        net, kp, addr = make_network(n=7, byzantine=3)
+        net.submit(transfer_tx(kp, addr, 0))
+        assert net.run_until_drained(max_rounds=5) == 5
+        net, kp, addr = make_network(n=7)
+        for i in range(40):
+            net.submit(transfer_tx(kp, addr, i, sim_time=i))
+        assert net.run_until_drained(max_rounds=2) == 2 and net.txs_confirmed == 16
+
+    def test_a_round_that_only_discards_is_progress(self):
+        # Discarding a stale tx moves the chain on as much as confirming one.
+        net, kp, addr = make_network(n=4)
+        net.submit(transfer_tx(kp, addr, 0))
+        net.run_until_drained()
+        stale = transfer_tx(kp, addr, 0, sim_time=1)
+        net.submit(stale)
+        assert net.run_until_drained() == 1
+        assert net.quiescent and net.discards == [(stale.tx_id, "StaleNonce")]
 
 
 class TestProbes:

@@ -18,6 +18,7 @@ from w3sim.consensus import (
     Block,
     BlockHeader,
     ByzantineMode,
+    ChainNetwork,
     Confirmation,
     ConsensusConfig,
     ConsensusRule,
@@ -430,26 +431,100 @@ class TestMintHooks:
 
 
 class TestPoolLimit:
-    # Type1 overflows on a wallet submission; Type7 on the agent's final
-    # flush (bundles of 10 from 25 ops: two auto flushes, then the drain's).
+    # A wave goes to the chain in windows no larger than the pool. Type1
+    # sends 40 wallet txs per wave through a pool of 16 (windows of 16, 16
+    # and 8); Type7 sends 25 ops per wave as bundles of 10 through a pool of
+    # 2 (two full bundles, then the wave's last 5 ops in a window of their own).
     @pytest.mark.parametrize("type_id, reps, capacity", [(1, 40, 16), (7, 25, 2)])
-    def test_overflow_makes_the_run_and_report_infeasible(self, type_id, reps, capacity):
-        sim = SimConfig(seed=42, consensus=ConsensusConfig(pool_capacity=capacity))
+    def test_a_small_pool_runs_to_completion(self, type_id, reps, capacity):
         script = nft_sale_script(repetitions=reps)
-        stats = run_raw(architecture(type_id), script, sim, NO_FAULTS)
-        assert stats.infeasible_reason == f"PoolFull: pool at capacity {capacity}"
-        report = run_scenario(architecture(type_id), script, DEFAULT_FAULTS, seed=42, sim=sim)
-        assert not report.feasible
-        assert report.infeasible_reason.startswith("PoolFull")
+        small = SimConfig(seed=42, consensus=ConsensusConfig(pool_capacity=capacity))
+        stats = run_raw(architecture(type_id), script, small, NO_FAULTS)
+        assert stats.infeasible_reason is None
+        assert stats.ops_succeeded == stats.ops_attempted == 4 * reps
+        # The same transactions confirm as through the default pool; only
+        # their submission ticks, and so the tx ids and block timing, differ.
+        full = run_raw(architecture(type_id), script, SimConfig(seed=42), NO_FAULTS)
+        assert (stats.txs_confirmed, stats.gas_total) == (full.txs_confirmed, full.gas_total)
+        assert run_scenario(architecture(type_id), script, DEFAULT_FAULTS, seed=42,
+                            sim=small).feasible
 
-    def test_overflow_in_the_faulted_run_makes_the_report_infeasible(self):
-        # Three silent maintainers of seven stall the chain: the mint wave
-        # stays pooled and the list wave overflows a pool of 8.
-        sim = SimConfig(seed=42, consensus=ConsensusConfig(pool_capacity=8))
+    def test_the_pool_never_holds_more_than_its_capacity(self, monkeypatch):
+        high = []
+        submit = ChainNetwork.submit
+
+        def watching(chain, tx):
+            submit(chain, tx)
+            high.append(len(chain.pool))
+
+        monkeypatch.setattr(ChainNetwork, "submit", watching)
+        for type_id in (1, 7):
+            sim = SimConfig(seed=42, consensus=ConsensusConfig(pool_capacity=3))
+            stats = run_raw(architecture(type_id), nft_sale_script(repetitions=40), sim, NO_FAULTS)
+            assert stats.ops_succeeded == stats.ops_attempted
+        assert max(high) == 3
+
+    @pytest.mark.parametrize("capacity", [8, 10_000])
+    def test_a_stall_in_the_faulted_run_is_lost_availability(self, capacity):
+        # Three silent maintainers of seven leave no quorum: every wave
+        # stalls, and its ops fail. With a pool of 8 the mint wave's 6 txs
+        # stay pooled, the list wave fills the pool and the buy wave finds it
+        # full; neither the stall nor the full pool ends the run.
+        sim = SimConfig(seed=42, consensus=ConsensusConfig(pool_capacity=capacity))
         report = run_scenario(architecture(1), FAST, FaultPlan(byzantine_maintainers=3),
                               seed=42, sim=sim)
+        assert report.feasible and report.infeasible_reason is None
+        assert report.availability == 0.0
+        fault_free = run_scenario(architecture(1), FAST, NO_FAULTS, seed=42, sim=sim)
+        assert report.tps == fault_free.tps > 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(type_id=st.sampled_from([1, 7]), reps=st.integers(1, 30),
+           capacity=st.integers(1, 20), silent=st.integers(0, 3))
+    def test_no_pool_size_or_stall_ends_a_run(self, type_id, reps, capacity, silent):
+        # Fewer than a third silent (at most 2 of 7) never stalls the chain;
+        # 3 of 7 stall every wave, whatever the pool holds.
+        sim = SimConfig(seed=42, consensus=ConsensusConfig(pool_capacity=capacity))
+        report = run_scenario(architecture(type_id), nft_sale_script(repetitions=reps),
+                              FaultPlan(byzantine_maintainers=silent), seed=42, sim=sim)
+        assert report.feasible
+        assert report.availability == (0.0 if silent == 3 else 1.0)
+
+    def test_a_stall_in_the_fault_free_run_makes_the_report_infeasible(self):
+        # A majority-chain rule that asks for more than the whole network
+        # confirms nothing, without any fault.
+        rule = ConsensusRule(kind=RuleKind.MAJORITY_CHAIN, fraction=1.0)
+        sim = SimConfig(seed=42, consensus=ConsensusConfig(rule=rule))
+        stats = run_raw(architecture(1), FAST, sim, NO_FAULTS)
+        assert stats.infeasible_reason == ("chain stalled: 14 rounds without progress "
+                                           "with 6 ops unconfirmed")
+        report = run_scenario(architecture(1), FAST, DEFAULT_FAULTS, seed=42, sim=sim)
         assert not report.feasible
-        assert report.infeasible_reason == "faulted run: PoolFull: pool at capacity 8"
+        assert report.infeasible_reason == stats.infeasible_reason
+
+
+class TestFaultFreeAvailability:
+    """Without faults every op the script attempts succeeds, at any size."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(type_id=st.integers(1, 12), reps=st.integers(1, 60), seed=st.integers(0, 2**16))
+    def test_every_type_at_small_sizes(self, type_id, reps, seed):
+        report = run_scenario(architecture(type_id), nft_sale_script(repetitions=reps),
+                              NO_FAULTS, seed=seed)
+        assert report.feasible
+        assert report.availability == 1.0
+        assert report.ops_succeeded == report.ops_attempted == 4 * reps
+
+    # 12,000 repetitions is more than the 10,000-transaction pool holds, so
+    # the wallet type's waves go in two windows; the agent type's 1,200
+    # bundles per wave fit in one.
+    @pytest.mark.parametrize("reps", [6_000, 12_000])
+    @pytest.mark.parametrize("type_id", [1, 7])
+    def test_the_bulk_sizes(self, type_id, reps):
+        stats = run_raw(architecture(type_id), nft_sale_script(repetitions=reps),
+                        SimConfig(seed=42), NO_FAULTS)
+        assert stats.infeasible_reason is None
+        assert stats.ops_succeeded == stats.ops_attempted == 4 * reps
 
 
 class TestScenarioFiles:
@@ -565,8 +640,9 @@ class TestAcyclicRun:
 
     @pytest.mark.parametrize("sim, reason", [
         (SimConfig(seed=42, inline_cap=100), "InlineTooLarge"),
-        (SimConfig(seed=42, consensus=ConsensusConfig(pool_capacity=4)), "PoolFull"),
-    ], ids=["infeasible", "pool-full"])
+        (SimConfig(seed=42, consensus=ConsensusConfig(
+            rule=ConsensusRule(kind=RuleKind.MAJORITY_CHAIN, fraction=1.0))), "chain stalled"),
+    ], ids=["infeasible", "stalled"])
     def test_an_infeasible_run_leaves_no_cyclic_garbage(self, sim, reason):
         gc.collect()
         stats = run_raw(architecture(1), FAST, sim, NO_FAULTS)

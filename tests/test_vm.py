@@ -310,6 +310,38 @@ class TestDeterminismAndRoot:
             state.set_storage(cid, key, value)
             assert state.state_root == recompute_root(state)
 
+    @given(st.lists(
+        st.one_of(
+            st.tuples(st.just("set"), st.sampled_from((FT, NFT, b"\x00" * 20)),
+                      st.sampled_from((b"a", b"b", b"own:\x01", b"")),
+                      st.none() | st.binary(max_size=8)),
+            st.tuples(st.just("take"), st.dictionaries(
+                st.tuples(st.sampled_from((FT, MARKET)), st.sampled_from((b"a", b"c"))),
+                st.none() | st.binary(max_size=4), max_size=3)),
+            st.tuples(st.just("native"), st.sampled_from((b"\xcc" * 20, b"\xdd" * 20)),
+                      st.integers(0, 3)),
+            st.tuples(st.just("deploy"), st.binary(min_size=20, max_size=20)),
+            st.just(("read",))),
+        max_size=60))
+    def test_root_read_at_any_point_matches_scratch_oracle(self, actions):
+        # Writes only mark their cells dirty; a read folds whatever piled
+        # up since the last one, so the root must not depend on where the
+        # reads fall.
+        state = fresh_state()
+        for action in actions:
+            kind = action[0]
+            if kind == "set":
+                state.set_storage(*action[1:])
+            elif kind == "take":
+                state.take_writes(action[1])
+            elif kind == "native":
+                state.credit_native(action[1], action[2])
+            elif kind == "deploy" and action[1] not in state.contracts:
+                state.register_contract(ContractDef(action[1], ContractKind.NON_FUNGIBLE_TOKEN, {}))
+            elif kind == "read":
+                assert state.state_root == recompute_root(state)
+        assert state.state_root == recompute_root(state)
+
     def test_root_changes_iff_entries_change(self):
         state = fresh_state()
         root = state.state_root
