@@ -184,10 +184,14 @@ def compose(arch: ArchitectureType, sim_config: SimConfig, *,
         else consensus.NodeBehavior.HONEST
         for i in range(sim_config.consensus.n_nodes)
     ]
+    # The quorum rule reads the byzantine nodes' behaviours; the majority-chain
+    # rule reads the adversary's share of block production, their share of nodes.
     chain = consensus.ChainNetwork(sim_config.consensus, state, sim_config.gas_schedule,
                                    seed=sim_config.seed, behaviors=behaviors,
                                    byz_mode=faults.byz_mode,
                                    crash_prob=faults.maintainer_crash_prob,
+                                   adversarial_share=behaviors.count(
+                                       consensus.NodeBehavior.BYZANTINE) / len(behaviors),
                                    delegation=delegation, keep_history=keep_history)
     if agent is not None:
         chain.register_key(agent.keypair)

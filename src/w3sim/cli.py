@@ -217,7 +217,9 @@ def cmd_simulate(args) -> int:
     # it keeps block bodies and the event log only when a dump needs them.
     main = evaluation._ScenarioRun(arch, script, sim, scenario.NO_FAULTS,
                                    keep_history=bool(args.dump_chain or args.dump_events))
-    report = evaluation._report(arch, script, _load_faults(args), sim, main.run())
+    stats, faults = main.run(), _load_faults(args)
+    report = evaluation._report(arch, script, faults, sim, stats,
+                                evaluation._faulted_run(arch, script, sim, faults, stats))
     content = report_json(report) if args.format == "json" else _report_markdown(report)
     _write(args.out, f"report_type{arch.type_id}.{'json' if args.format == 'json' else 'md'}", content)
     chain = main.topology.chain

@@ -12,23 +12,33 @@ of scenario-based trade-off analysis: throughput/gas on a fault-free run,
 the scaling slope between 4 and 10 maintainers, availability and
 integrity under the fault plan. All sub-runs share one seed, so a report
 is a pure function of (architecture, script, faults, seed, config). A
-report costs two sub-runs, the fault-free main run and the faulted run:
-without faults the maintainer count changes only the clock, so the
-scaling grid is re-timed from the main run's round trace instead of
-being simulated again.
+report costs at most two sub-runs, the fault-free main run and the
+faulted run: without faults the maintainer count changes only the clock,
+so the scaling grid is re-timed from the main run's round trace instead
+of being simulated again.
+
+Sub-runs that are provably the same run are made once. A run depends on
+the architecture only through its access mode, its compute mode and the
+storage route the script's data takes (_run_shape), and on the fault plan
+only through the faults that can reach that shape (_reaching_faults). So
+the faulted run is the main run when no fault reaches it (Types 1 and 7
+under DEFAULT_FAULTS), and a sweep runs the types of one shape once (at
+the default inputs, the hybrid- and off-chain-storage pairs 2/3, 5/6, 8/9
+and 11/12, whose 768-byte blobs go off-chain either way).
 """
 
 from __future__ import annotations
 
 import gc
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
+from functools import partial
 from random import Random
 
 from . import access, vm
 from .archetypes import (
+    ALL_TYPES,
     NFT_ID,
     MARKET_ID,
     AccessMode,
@@ -38,6 +48,7 @@ from .archetypes import (
     StorageMode,
     architecture,
     compose,
+    storage_plan_for,
     type_from_tuple,
 )
 from .consensus import ConsensusConfig, RoundRecord, round_ticks
@@ -85,6 +96,11 @@ class RunStats:
 
 def actor_seed(seed: int, name: str) -> bytes:
     return f"actor/{seed}/{name}".encode()
+
+
+def _mint_size(step: Step) -> int:
+    """Bytes of the data blob each op of a mint step carries."""
+    return step.param("data_size", 768)
 
 
 class _ScenarioRun:
@@ -244,7 +260,7 @@ class _ScenarioRun:
             access.connect_wallet(wallet, "nft-market")
             return
         if kind is StepKind.MINT_NFT:
-            size = step.param("data_size", 768)
+            size = _mint_size(step)
             fresh = {}
             for rep, token in enumerate(self.tokens):
                 data = self.data_rng.randbytes(size)
@@ -274,9 +290,15 @@ class _ScenarioRun:
             self._settle_wave()
             return
         if kind is StepKind.RETRIEVE_STATE:
+            # No round runs within the wave, so one retrieval serves every repetition.
+            try:
+                served = bool(access.retrieve_state(self.topology.chain, wallet.address,
+                                                    NFT_ID).entries)
+            except access.NoConfirmedState:
+                served = False
             for rep in range(self.script.repetitions):
                 self.stats.ops_attempted += 1
-                if self._retrieve_ok(wallet, rep):
+                if served and self._retrieve_ok(wallet, rep):
                     self.stats.ops_succeeded += 1
             return
         raise ValueError(f"unhandled step kind {kind}")
@@ -290,16 +312,13 @@ class _ScenarioRun:
                     self.refs[rep] = self.topology.fabric.bind_hook(ref, tx_id)
 
     def _retrieve_ok(self, wallet: access.WalletClient, rep: int) -> bool:
+        """True if the wallet owns rep's token and, for linked data, reads back its verified blob."""
         topo = self.topology
-        token = self.tokens[rep]
         try:
-            retrieved = access.retrieve_state(topo.chain, wallet.address, NFT_ID)
-            owner = vm.query_state(topo.chain.state, NFT_ID, "ownerOf", (token,))
-        except (access.NoConfirmedState, vm.QueryError):
+            owner = vm.query_state(topo.chain.state, NFT_ID, "ownerOf", (self.tokens[rep],))
+        except vm.QueryError:
             return False
         if owner != wallet.address.payload:
-            return False
-        if not retrieved.entries:
             return False
         ref = self.refs.get(rep)
         if isinstance(ref, LinkedRef):
@@ -314,6 +333,67 @@ class _ScenarioRun:
 def run_raw(arch: ArchitectureType, script: ScenarioScript, sim: SimConfig,
             faults: FaultPlan) -> RunStats:
     return _ScenarioRun(arch, script, sim, faults).run()
+
+
+def _run_shape(arch: ArchitectureType, script: ScenarioScript,
+               sim: SimConfig) -> tuple[AccessMode, ComputeMode, Route]:
+    """The parts of arch that its run of script under sim depends on.
+
+    They are the access mode, the compute mode and the storage route the
+    script's data takes. A hybrid plan inlines a blob of at most
+    inline_threshold bytes and links a larger one, and an empty blob is
+    never stored, so when no mint carries a blob the plan would inline,
+    StorageFabric.put takes the off-chain plan's branch for every blob.
+    """
+    route = storage_plan_for(arch, sim).route
+    sizes = [_mint_size(step) for step in script.steps if step.kind is StepKind.MINT_NFT]
+    if route is Route.HYBRID and all(size == 0 or size > sim.inline_threshold for size in sizes):
+        route = Route.OFF_CHAIN
+    return arch.access, arch.compute, route
+
+
+def _reaching_faults(arch: ArchitectureType, script: ScenarioScript, sim: SimConfig,
+                     faults: FaultPlan) -> FaultPlan:
+    """faults with each field that cannot act on arch's run reset to its NO_FAULTS value.
+
+    Storage crashes act only on off-chain writes and reads, the executor
+    only on delegated computation, the agent only under agent access;
+    maintainer faults act on every chain.
+    """
+    access_mode, compute_mode, route = _run_shape(arch, script, sim)
+    cut = {}
+    if route is Route.ON_CHAIN:
+        cut["storage_crash_prob"] = NO_FAULTS.storage_crash_prob
+    if compute_mode is ComputeMode.ON_CHAIN:
+        cut["executor_behavior"] = NO_FAULTS.executor_behavior
+        cut["tamper_target"] = NO_FAULTS.tamper_target
+    if access_mode is AccessMode.BROWSER:
+        cut["agent_behavior"] = NO_FAULTS.agent_behavior
+    return replace(faults, **cut)
+
+
+def _faulted_run(arch: ArchitectureType, script: ScenarioScript, base: SimConfig,
+                 faults: FaultPlan, main: RunStats) -> RunStats | None:
+    """The faulted run that goes with main, made only when it can differ from main.
+
+    None when main is infeasible, which makes the report infeasible
+    whatever the faults do. main itself when no fault of the plan reaches
+    arch's run: main did not stall, so that run would not either. Else a
+    run under the plan as given, whose stall rule is the faulted one.
+    """
+    if main.infeasible_reason:
+        return None
+    if _reaching_faults(arch, script, base, faults) == NO_FAULTS:
+        return main
+    return run_raw(arch, script, base, faults)
+
+
+def _reports(archs: list[ArchitectureType], script: ScenarioScript, faults: FaultPlan,
+             base: SimConfig) -> list[MetricReport]:
+    """The reports on archs, which share one run shape, from their one main and faulted run."""
+    main = run_raw(archs[0], script, base, NO_FAULTS)
+    faulted = _faulted_run(archs[0], script, base, faults, main)
+    return [_report(arch, script, faults, base, main, faulted) for arch in archs]
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +460,7 @@ def run_scenario(arch: ArchitectureType, script: ScenarioScript | None = None,
     script = script or nft_sale_script()
     faults = faults if faults is not None else DEFAULT_FAULTS
     base = replace(sim or SimConfig(), seed=seed)
-    return _report(arch, script, faults, base, run_raw(arch, script, base, NO_FAULTS))
+    return _reports([arch], script, faults, base)[0]
 
 
 def _ticks_at(main: RunStats, consensus: ConsensusConfig, n_nodes: int) -> int:
@@ -395,8 +475,11 @@ def _ticks_at(main: RunStats, consensus: ConsensusConfig, n_nodes: int) -> int:
 
 
 def _report(arch: ArchitectureType, script: ScenarioScript, faults: FaultPlan,
-            base: SimConfig, main: RunStats) -> MetricReport:
-    """The report on arch from its fault-free main run under base, plus a faulted run."""
+            base: SimConfig, main: RunStats, faulted: RunStats | None) -> MetricReport:
+    """The report on arch from its fault-free main run under base and its run under faults.
+
+    faulted is read only when main is feasible.
+    """
     scores = rule_scores(arch)
     common = dict(
         type_id=arch.type_id, tuple_label=arch.tuple_label, seed=base.seed,
@@ -437,7 +520,6 @@ def _report(arch: ArchitectureType, script: ScenarioScript, faults: FaultPlan,
         latency = {n: _ticks_at(main, cons, n) / main.onchain_ops for n in SCALE_GRID}
         slope = -(latency[hi] - latency[lo]) / (hi - lo)
 
-    faulted = run_raw(arch, script, base, faults)
     if faulted.infeasible_reason:
         return infeasible(f"faulted run: {faulted.infeasible_reason}")
     availability = (faulted.ops_succeeded / faulted.ops_attempted) if faulted.ops_attempted else 0.0
@@ -684,27 +766,28 @@ def diff_against_reference(measured: OrdinalMatrix,
 # ---------------------------------------------------------------------------
 
 
-def _sweep_one(args) -> tuple[int, MetricReport]:
-    type_id, script, faults, seed, sim = args
-    return type_id, run_scenario(architecture(type_id), script, faults, seed, sim)
-
-
 def run_sweep(script: ScenarioScript | None = None, faults: FaultPlan | None = None,
               seed: int = 42, sim: SimConfig | None = None,
               jobs: int = 1) -> dict[int, MetricReport]:
+    """Reports on all twelve types; the types of one run shape share their runs.
+
+    jobs > 1 spreads the shapes over that many worker processes.
+    """
     script = script or nft_sale_script()
     faults = faults if faults is not None else DEFAULT_FAULTS
-    tasks = [(t, script, faults, seed, sim) for t in range(1, 13)]
-    reports: dict[int, MetricReport] = {}
+    base = replace(sim or SimConfig(), seed=seed)
+    shapes: dict[tuple, list[ArchitectureType]] = {}
+    for arch in ALL_TYPES:
+        shapes.setdefault(_run_shape(arch, script, base), []).append(arch)
+    work = partial(_reports, script=script, faults=faults, base=base)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # a serial sweep never loads it
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for type_id, report in pool.map(_sweep_one, tasks):
-                reports[type_id] = report
+            batches = list(pool.map(work, shapes.values()))
     else:
-        for task in tasks:
-            type_id, report = _sweep_one(task)
-            reports[type_id] = report
-    return reports
+        batches = map(work, shapes.values())  # lazily: one shape's runs are held at a time
+    reports = {report.type_id: report for batch in batches for report in batch}
+    return dict(sorted(reports.items()))
 
 
 # ---------------------------------------------------------------------------

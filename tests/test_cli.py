@@ -78,7 +78,7 @@ class TestSimulate:
         runs = scenario_runs
         chain_path = tmp_path / "chain.ndjson"
         events_path = tmp_path / "events.ndjson"
-        code, _, _ = run_cli(["simulate", "--type", "1", "--seed", "4",
+        code, _, _ = run_cli(["simulate", "--type", "2", "--seed", "4",
                               "--scenario", scenario_file,
                               "--out", str(tmp_path / "r.json"),
                               "--dump-chain", str(chain_path),
@@ -104,7 +104,7 @@ class TestSimulate:
     def test_simulate_without_a_dump_keeps_no_history(self, tmp_path, scenario_file, capsys,
                                                       scenario_runs):
         runs = scenario_runs
-        code, _, _ = run_cli(["simulate", "--type", "7", "--seed", "4",
+        code, _, _ = run_cli(["simulate", "--type", "8", "--seed", "4",
                               "--scenario", scenario_file,
                               "--out", str(tmp_path / "r.json")], capsys)
         assert code == 0 and len(runs) == 2
@@ -116,6 +116,18 @@ class TestSimulate:
                 chain_ndjson(chain)
             with pytest.raises(ValueError, match="keep_history"):
                 vm.export_events_ndjson(chain.state)
+
+    @pytest.mark.parametrize("type_id", [1, 7])
+    def test_no_faulted_run_where_no_default_fault_reaches(self, tmp_path, scenario_file, capsys,
+                                                            scenario_runs, type_id):
+        # On-chain storage and compute leave the default plan's flaky storage
+        # and lying executor nothing to act on: the main run is the faulted run.
+        out = tmp_path / "r.json"
+        code, _, _ = run_cli(["simulate", "--type", str(type_id), "--seed", "4",
+                              "--scenario", scenario_file, "--out", str(out)], capsys)
+        assert code == 0 and len(scenario_runs) == 1
+        report = json.loads(out.read_text())
+        assert report["availability"] == 1.0 and report["config"]["faults.storage_crash_prob"] == "0.6"
 
     def test_env_seed_override(self, tmp_path, scenario_file, capsys, monkeypatch):
         monkeypatch.setenv("W3SIM_SEED", "777")

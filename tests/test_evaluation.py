@@ -4,12 +4,15 @@ import gc
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 import weakref
 from collections import Counter
 from enum import Enum
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_golden import FAULT_WIRING_PLANS
 
 from w3sim import evaluation as ev
 from w3sim.access import AgentBehavior
@@ -321,6 +324,97 @@ class TestSweepAndCompare:
         assert "Type11/12" in md
 
 
+# Each plan reaches a different set of types. In order: no fault; flaky
+# storage and a lying executor; every field of the topology; a withholding
+# agent; byzantine maintainers; crashing maintainers.
+SHARED_RUN_PLANS = (NO_FAULTS, DEFAULT_FAULTS, *(parse_faults(text) for text in FAULT_WIRING_PLANS),
+                    FaultPlan(maintainer_crash_prob=0.15))
+
+
+class TestSharedRuns:
+    """A sweep runs each distinct sub-run once, and reports what separate runs would."""
+
+    @staticmethod
+    def count_runs(monkeypatch) -> list:
+        calls = []
+
+        def counting_run_raw(arch, script, sim, faults):
+            calls.append((arch.type_id, faults))
+            return run_raw(arch, script, sim, faults)
+
+        monkeypatch.setattr(ev, "run_raw", counting_run_raw)
+        return calls
+
+    @pytest.mark.parametrize("plan", SHARED_RUN_PLANS,
+                             ids=["none", "default", "wiring", "agent", "byzantine", "crash"])
+    @pytest.mark.parametrize("data_size", [0, SimConfig().inline_threshold,
+                                           SimConfig().inline_threshold + 1, 768])
+    def test_reports_equal_two_fresh_runs_per_type(self, data_size, plan):
+        script = nft_sale_script(data_size=data_size, repetitions=8)
+        base = SimConfig(seed=42)
+        swept = run_sweep(script, plan, seed=42)
+        for type_id in range(1, 13):
+            arch = architecture(type_id)
+            fresh = ev._report(arch, script, plan, base, run_raw(arch, script, base, NO_FAULTS),
+                               run_raw(arch, script, base, plan))
+            assert swept[type_id] == fresh, type_id
+
+    def test_the_default_sweep_makes_14_runs(self, monkeypatch):
+        # One main run per merged row. Types 1 and 7 store and compute on-chain,
+        # out of reach of the default plan's flaky storage and lying executor,
+        # so their main run is their faulted run.
+        calls = self.count_runs(monkeypatch)
+        run_sweep()
+        assert len(calls) == 14
+        assert [t for t, faults in calls if faults == NO_FAULTS] == [1, 2, 4, 5, 7, 8, 10, 11]
+        assert [t for t, faults in calls if faults == DEFAULT_FAULTS] == [2, 4, 5, 8, 10, 11]
+
+    def test_inlined_data_keeps_hybrid_and_offchain_storage_apart(self, monkeypatch):
+        calls = self.count_runs(monkeypatch)
+        script = nft_sale_script(data_size=SimConfig().inline_threshold, repetitions=4)
+        run_sweep(script, DEFAULT_FAULTS)
+        assert [t for t, faults in calls if faults == NO_FAULTS] == list(range(1, 13))
+        assert [t for t, faults in calls if faults == DEFAULT_FAULTS] == [2, 3, 4, 5, 6, 8, 9,
+                                                                         10, 11, 12]
+
+    def test_maintainer_faults_reach_every_type(self, monkeypatch):
+        calls = self.count_runs(monkeypatch)
+        plan = dataclasses.replace(DEFAULT_FAULTS, maintainer_crash_prob=0.1)
+        run_sweep(FAST, plan)
+        assert len(calls) == 16
+        assert [(t, faults) for t, faults in calls if t in (1, 7)] == [
+            (1, NO_FAULTS), (1, plan), (7, NO_FAULTS), (7, plan)]
+
+    @pytest.mark.parametrize("type_id, runs", [(1, 1), (3, 2), (7, 1), (10, 2)])
+    def test_a_single_report_runs_the_faulted_run_only_if_a_fault_reaches(
+            self, monkeypatch, type_id, runs):
+        calls = self.count_runs(monkeypatch)
+        run_scenario(architecture(type_id), FAST, DEFAULT_FAULTS, seed=42)
+        assert len(calls) == runs
+
+    def test_importing_evaluation_loads_no_process_pool(self):
+        # Only a parallel sweep imports the pool.
+        code = "import sys, w3sim.evaluation; print('concurrent.futures' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert proc.stdout.strip() == "False"
+
+    def test_a_retrieval_wave_reads_the_chain_once(self, monkeypatch):
+        calls = []
+        retrieve = ev.access.retrieve_state
+
+        def counting(*args):
+            calls.append(args)
+            return retrieve(*args)
+
+        monkeypatch.setattr(ev.access, "retrieve_state", counting)
+        stats = run_raw(architecture(2), FAST, SimConfig(seed=42), NO_FAULTS)
+        assert stats.ops_succeeded == stats.ops_attempted
+        assert len(calls) == 1
+
+
 class TestFaultPlanPaths:
     def test_withholding_agent_starves_agent_types_only(self):
         from w3sim.access import AgentBehavior
@@ -352,6 +446,19 @@ class TestFaultPlanPaths:
             rule=ConsensusRule(kind=RuleKind.MAJORITY_CHAIN, fraction=0.51, confirm_depth=6)))
         stats = ev.run_raw(architecture(1), FAST, sim, NO_FAULTS)
         assert stats.ops_succeeded == stats.ops_attempted > 0
+
+    def test_byzantine_maintainers_reach_the_majority_chain_rule(self):
+        # The adversary's share of block production is the byzantine share of
+        # the maintainers: 1 of 7 wins some rounds and slows the honest branch,
+        # 6 of 7 outgrow it and confirm only their own empty blocks.
+        sim = SimConfig(seed=42, consensus=ConsensusConfig(
+            rule=ConsensusRule(kind=RuleKind.MAJORITY_CHAIN)))
+        calm = ev.run_raw(architecture(1), FAST, sim, NO_FAULTS)
+        one = ev.run_raw(architecture(1), FAST, sim, FaultPlan(byzantine_maintainers=1))
+        six = ev.run_raw(architecture(1), FAST, sim, FaultPlan(byzantine_maintainers=6))
+        assert calm.ops_succeeded == one.ops_succeeded == one.ops_attempted > 0
+        assert one.ticks > calm.ticks
+        assert six.ops_succeeded == 0 and six.infeasible_reason is None
 
     def test_transient_maintainer_crashes_below_quorum_loss(self):
         stats = ev.run_raw(architecture(1), FAST, SimConfig(seed=5),
@@ -718,7 +825,7 @@ class TestHistory:
         sim = SimConfig(seed=42, consensus=ConsensusConfig(rule=rule))
         seen = []
         for keep in (False, True):
-            outputs = []
+            outputs, runs = [], []
             for faults in (NO_FAULTS, DEFAULT_FAULTS):
                 run = ev._ScenarioRun(arch, script, sim, faults, keep_history=keep)
                 stats = run.run()
@@ -727,9 +834,8 @@ class TestHistory:
                 outputs.append((dataclasses.asdict(stats), stats.rounds,
                                 chain.confirmed_blocks[-1].block_hash, chain.state.state_root,
                                 chain.bytes_total, chain.now))
-                if faults is NO_FAULTS:
-                    report = ev._report(arch, script, DEFAULT_FAULTS, sim, stats)
-                    outputs.append(report_json(report))
+                runs.append(stats)
+            outputs.append(report_json(ev._report(arch, script, DEFAULT_FAULTS, sim, *runs)))
             seen.append(outputs)
         assert seen[0] == seen[1]
 
