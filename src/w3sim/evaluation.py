@@ -103,6 +103,11 @@ def _mint_size(step: Step) -> int:
     return step.param("data_size", 768)
 
 
+def _token_id(rep: int) -> bytes:
+    """The id of the token that repetition rep mints, lists and sells."""
+    return rep.to_bytes(32, "big")
+
+
 class _ScenarioRun:
     """One architecture, one script, one fault plan, one seed.
 
@@ -135,7 +140,6 @@ class _ScenarioRun:
         for wallet in self.wallets.values():
             self.topology.chain.register_key(wallet.keypair)
         self.data_rng = Random(sim.seed ^ 0xDA7A)
-        self.tokens = [rep.to_bytes(32, "big") for rep in range(script.repetitions)]
         # Each repetition's linked data ref; None where the data went inline
         # (its bytes live in the token's dat: cell) or there was none.
         self.refs: dict[int, LinkedRef | None] = {}
@@ -144,7 +148,7 @@ class _ScenarioRun:
         self.pending: dict[object, int] = {}
         self.ok_reps: set[int] = set()
         self.wave_stalled = False  # the chain stalled in this wave; its later ops fail
-        self.minted: dict[bytes, bytes] = {}  # token id -> confirmed mint tx id
+        self.minted: dict[int, bytes] = {}  # repetition -> its token's confirmed mint tx id
 
     # -- step helpers -----------------------------------------------------
 
@@ -206,7 +210,7 @@ class _ScenarioRun:
                 if ev.name == "OpOk":
                     keys.append((ev.field("origin"), ev.field("seq")))
                 elif ev.name == "Mint":
-                    self.minted[ev.field("token_id")] = c.tx.tx_id
+                    self.minted[int.from_bytes(ev.field("token_id"), "big")] = c.tx.tx_id
             for key in keys:
                 rep = self.pending.pop(key, None)
                 if rep is not None:
@@ -262,9 +266,9 @@ class _ScenarioRun:
         if kind is StepKind.MINT_NFT:
             size = _mint_size(step)
             fresh = {}
-            for rep, token in enumerate(self.tokens):
+            for rep in range(self.script.repetitions):
                 data = self.data_rng.randbytes(size)
-                op = access.UserOp(NFT_ID, "mint", args=(token,), data=data)
+                op = access.UserOp(NFT_ID, "mint", args=(_token_id(rep),), data=data)
                 try:
                     inline, ref = access.prepare_data(op, self.topology.fabric)
                 except StorageError as err:
@@ -285,8 +289,8 @@ class _ScenarioRun:
         if kind in (StepKind.LIST_NFT, StepKind.BUY_NFT):
             method = "list" if kind is StepKind.LIST_NFT else "buy"
             price = step.param("price", 100).to_bytes(16, "big")
-            for rep, token in enumerate(self.tokens):
-                self._submit(wallet, access.UserOp(MARKET_ID, method, args=(token, price)), rep)
+            for rep in range(self.script.repetitions):
+                self._submit(wallet, access.UserOp(MARKET_ID, method, args=(_token_id(rep), price)), rep)
             self._settle_wave()
             return
         if kind is StepKind.RETRIEVE_STATE:
@@ -307,7 +311,7 @@ class _ScenarioRun:
         """Attach the confirmed mint tx as the hook for each linked ref."""
         for rep, ref in list(self.refs.items()):
             if ref is not None and ref.hook_tx is None:
-                tx_id = self.minted.get(self.tokens[rep])
+                tx_id = self.minted.get(rep)
                 if tx_id is not None:
                     self.refs[rep] = self.topology.fabric.bind_hook(ref, tx_id)
 
@@ -315,7 +319,7 @@ class _ScenarioRun:
         """True if the wallet owns rep's token and, for linked data, reads back its verified blob."""
         topo = self.topology
         try:
-            owner = vm.query_state(topo.chain.state, NFT_ID, "ownerOf", (self.tokens[rep],))
+            owner = vm.query_state(topo.chain.state, NFT_ID, "ownerOf", (_token_id(rep),))
         except vm.QueryError:
             return False
         if owner != wallet.address.payload:

@@ -108,6 +108,8 @@ class OffChainStore:
     def __init__(self, n_nodes: int = 10):
         self.nodes = [StorageNode(i) for i in range(n_nodes)]
         self.placement: dict[bytes, tuple[int, ...]] = {}
+        # One tuple per distinct replica set, which every blob placed on it shares.
+        self._replica_sets: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def live_nodes(self) -> list[StorageNode]:
         return [n for n in self.nodes if n.alive]
@@ -127,10 +129,10 @@ class OffChainStore:
         cid = ContentId.of(data)
         # Deterministic placement: rotate by content digest for spread.
         start = int.from_bytes(cid.digest[:4], "big") % len(live)
-        chosen = [live[(start + i) % len(live)].node_id for i in range(replicas)]
+        chosen = tuple([live[(start + i) % len(live)].node_id for i in range(replicas)])
         for node_id in chosen:
             self.nodes[node_id].blobs[cid.digest] = data
-        self.placement[cid.digest] = tuple(chosen)
+        self.placement[cid.digest] = self._replica_sets.setdefault(chosen, chosen)
         return cid
 
     def read(self, cid: ContentId) -> bytes:

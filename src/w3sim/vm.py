@@ -10,12 +10,14 @@ State root: every entry (storage cell, native balance, contract record)
 hashes to a 32-byte digest; the root is the sum of those digests mod
 2**256, rendered big-endian. The combiner is order-independent, so the
 root is a pure function of the entry set and can be maintained
-incrementally. A storage write only marks its cell dirty; reading
-`state_root`, once per block, folds each dirty cell in, swapping the term
-of its value at the last fold for the term of its value now. So a cell
-written many times between two reads hashes once, and an overwrite or
-delete hashes only the new value. Tests recompute the root from scratch
-as an independent oracle.
+incrementally, with no per-cell term kept. A storage write marks its cell
+dirty and, on the cell's first write since the last read, notes the value
+it had at that read; reading `state_root`, once per block, folds each
+dirty cell in, subtracting the digest of its noted value and adding the
+digest of its value now. So a cell written many times between two reads
+hashes its old and new value once, a cell rewritten with its noted value
+hashes nothing, and a created or deleted cell hashes one value. Tests
+recompute the root from scratch as an independent oracle.
 
 Execution writes through a per-transaction overlay with an undo journal;
 the state takes the overlay only on success, so a reverted call leaves
@@ -155,16 +157,11 @@ class ContractState:
         self.contracts: dict[bytes, ContractDef] = {}
         self.event_log: list[Event] | None = []  # None: a chain that keeps no history
         self._root_acc = 0
-        # Storage cells written since the root was last read; reading it
-        # folds them in, so a cell written many times in one block hashes once.
-        self._dirty: set[tuple[bytes, bytes]] = set()
-        # Root term of every storage cell as of the last fold, so an
-        # overwrite or delete subtracts the stored term instead of
-        # re-hashing the old value.
-        self._cell_terms: dict[bytes, dict[bytes, int]] = {}
-        # b"w3/st" + _ser_bytes(contract_id), the digest prefix every cell
-        # of a contract shares; made with the contract's _cell_terms entry.
-        self._cell_prefix: dict[bytes, bytes] = {}
+        # Each storage cell written since the root was last read, to its
+        # value at that read (None: the cell was empty). Reading the root
+        # folds them in, so a cell written many times in one block hashes
+        # its old and new value once.
+        self._dirty: dict[tuple[bytes, bytes], bytes | None] = {}
 
     @staticmethod
     def storage_entry_digest(contract_id: bytes, key: bytes, value: bytes) -> bytes:
@@ -200,38 +197,37 @@ class ContractState:
     def take_writes(self, writes: dict[tuple[bytes, bytes], bytes | None]):
         """Write value to each (contract_id, key) cell of writes, deleting it for None.
 
-        The cells only turn dirty here; the next state_root read folds them in.
+        The cells only turn dirty here, each noting its value before its
+        first write since the last root read; the next read folds them in.
         """
-        storage = self.storage
-        for (contract_id, key), value in writes.items():
+        storage, dirty = self.storage, self._dirty
+        for slot, value in writes.items():
+            contract_id, key = slot
             area = storage.get(contract_id)
             if area is None:
                 area = storage[contract_id] = {}
+            if slot not in dirty:
+                dirty[slot] = area.get(key)
             if value is None:
                 area.pop(key, None)
             else:
                 area[key] = value
-        self._dirty.update(writes)
 
     def _fold_dirty(self):
-        """Swap each dirty cell's root term as of the last fold for the term of its value now."""
+        """Swap each dirty cell's digest at the last read for the digest of its value now."""
         acc = self._root_acc
-        storage, cell_terms, prefixes = self.storage, self._cell_terms, self._cell_prefix
-        digest = identity.digest
-        for contract_id, key in self._dirty:
-            terms = cell_terms.get(contract_id)
-            if terms is None:
-                terms = cell_terms[contract_id] = {}
-                prefixes[contract_id] = b"w3/st" + _ser_bytes(contract_id)
-            acc -= terms.pop(key, 0)
-            value = storage[contract_id].get(key)
-            if value is not None:
-                # storage_entry_digest(contract_id, key, value), its prefix cached.
-                term = int.from_bytes(digest(b"".join((
-                    prefixes[contract_id], len(key).to_bytes(4, "big"), key,
-                    len(value).to_bytes(4, "big"), value))), "big")
-                terms[key] = term
-                acc += term
+        storage, digest = self.storage, identity.digest
+        for (contract_id, key), old in self._dirty.items():
+            new = storage[contract_id].get(key)
+            if new == old:
+                continue
+            # storage_entry_digest(contract_id, key, value) of both values, sharing the head.
+            head = b"".join((b"w3/st", len(contract_id).to_bytes(4, "big"), contract_id,
+                             len(key).to_bytes(4, "big"), key))
+            if old is not None:
+                acc -= int.from_bytes(digest(b"".join((head, len(old).to_bytes(4, "big"), old))), "big")
+            if new is not None:
+                acc += int.from_bytes(digest(b"".join((head, len(new).to_bytes(4, "big"), new))), "big")
         self._dirty.clear()
         self._root_acc = acc % _ROOT_MOD
 

@@ -342,6 +342,32 @@ class TestDeterminismAndRoot:
                 assert state.state_root == recompute_root(state)
         assert state.state_root == recompute_root(state)
 
+    def test_fold_hashes_each_cell_against_its_value_at_the_last_read(self, monkeypatch):
+        # Each window between two root reads writes cells A and B; a read
+        # hashes a changed cell's value at the last read and its value now.
+        state = fresh_state()
+        state.set_storage(FT, b"B", b"b0")
+        assert state.state_root == recompute_root(state)
+        digests = []
+        real_digest = identity.digest
+        windows = (
+            # A created, overwritten, deleted and re-created; B rewritten with its own value.
+            ([(b"A", b"1"), (b"A", b"2"), (b"A", None), (b"A", b"3"), (b"B", b"b0")], 1),
+            # A overwritten; B deleted.
+            ([(b"A", b"4"), (b"B", None)], 3),
+            # A deleted and put back as it was; B re-created; C created and deleted.
+            ([(b"A", None), (b"A", b"4"), (b"B", b"b0"), (b"C", b"c"), (b"C", None)], 1),
+        )
+        for writes, hashed in windows:
+            for key, value in writes:
+                state.set_storage(FT, key, value)
+            monkeypatch.setattr(identity, "digest", lambda data: digests.append(data) or real_digest(data))
+            root = state.state_root
+            monkeypatch.setattr(identity, "digest", real_digest)
+            assert root == recompute_root(state)
+            assert len(digests) == hashed
+            digests.clear()
+
     def test_root_changes_iff_entries_change(self):
         state = fresh_state()
         root = state.state_root
