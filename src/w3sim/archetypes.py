@@ -115,6 +115,8 @@ class SimConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.replicas > self.storage_nodes:
+            raise ValueError(f"replicas must be <= storage nodes ({self.storage_nodes}), got {self.replicas}")
 
 
 @dataclass

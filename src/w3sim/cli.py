@@ -15,7 +15,7 @@ import configparser
 import os
 import sys
 
-from . import access, evaluation, identity, scenario, storage, vm
+from . import access, evaluation, identity, scenario, vm
 from .archetypes import FT_ID, NFT_ID, SimConfig, architecture, parse_tuple
 from .consensus import ConsensusConfig, ConsensusRule, RuleKind, chain_ndjson
 from .evaluation import (
@@ -233,7 +233,7 @@ def cmd_simulate(args) -> int:
 
 def _sweep_outputs(args, seed):
     sim = _load_sim(args, seed)
-    reports = run_sweep(_load_script(args), _load_faults(args), seed=seed, sim=sim,
+    reports = run_sweep(_load_script(args), _load_faults(args), sim=sim,
                         jobs=getattr(args, "jobs", 1))
     matrix = compare(reports, reports[1])
     return reports, matrix
@@ -302,8 +302,8 @@ def cmd_demo(args) -> int:
         print(f"  agent {agent.address.text} registered for both users")
 
     print(PHASE_BANNERS[1])
-    ref = run.refs[0]
-    if isinstance(ref, storage.LinkedRef):
+    ref = run.refs.get(0)
+    if ref is not None:
         print(f"  raw data stored off-chain, cid {ref.cid.digest.hex()[:16]}…")
         print("  cid hooked on-chain inside the mint transaction")
     else:
@@ -329,7 +329,7 @@ def cmd_demo(args) -> int:
     ok_sale = retrieved.tx_id == sale.tx.tx_id
     ok_supply = supply == alice_bal + bob_bal
     print(f"  retrieval for Bob returns confirming tx {retrieved.tx_id.hex()[:12]}… (buy: {ok_sale})")
-    if isinstance(ref, storage.LinkedRef):
+    if ref is not None:
         print("  off-chain raw data verified against its cid by the retrieval")
     print(f"  NFT owner is Bob: {owner == bob.address.payload}; supply conserved ({supply}): {ok_supply}")
     print(f"  balances: Alice {alice_bal}, Bob {bob_bal}")

@@ -140,20 +140,21 @@ class _ScenarioRun:
         for wallet in self.wallets.values():
             self.topology.chain.register_key(wallet.keypair)
         self.data_rng = Random(sim.seed ^ 0xDA7A)
-        # Each repetition's linked data ref; None where the data went inline
-        # (its bytes live in the token's dat: cell) or there was none.
-        self.refs: dict[int, LinkedRef | None] = {}
+        # Each repetition's linked data ref, hooked to the mint that anchored it
+        # (inline data lives in the token's dat: cell). By the key its mint op
+        # went out under, each upload whose mint has not succeeded yet.
+        self.refs: dict[int, LinkedRef] = {}
+        self.uploads: dict[object, tuple[int, LinkedRef]] = {}
         # The wave's unconfirmed ops, by tx id or agent (origin, seq), to
         # their repetition; _absorb moves each confirmed one to ok_reps.
         self.pending: dict[object, int] = {}
         self.ok_reps: set[int] = set()
         self.wave_stalled = False  # the chain stalled in this wave; its later ops fail
-        self.minted: dict[int, bytes] = {}  # repetition -> its token's confirmed mint tx id
 
     # -- step helpers -----------------------------------------------------
 
     def _submit(self, wallet: access.WalletClient, op: access.UserOp, rep: int,
-                inline: bytes | None = None):
+                inline: bytes | None = None, upload: LinkedRef | None = None):
         topo = self.topology
         self.stats.ops_attempted += 1
         if not self.wave_stalled and not self._has_slot():
@@ -165,13 +166,15 @@ class _ScenarioRun:
                 ticket = access.submit_via_agent(topo.agent, wallet.address.payload, op,
                                                  topo.chain, topo.fabric,
                                                  self.sim.gas_schedule, inline=inline)
-                self.pending[(ticket.origin, ticket.seq)] = rep
+                key = (ticket.origin, ticket.seq)
             else:
-                tx_id = access.submit_direct(wallet, topo.chain, op, topo.fabric,
-                                             self.sim.gas_schedule, inline=inline)
-                self.pending[tx_id] = rep
+                key = access.submit_direct(wallet, topo.chain, op, topo.fabric,
+                                           self.sim.gas_schedule, inline=inline)
         except access.AccessError:
-            pass  # op failed before reaching the chain
+            return  # op failed before reaching the chain
+        self.pending[key] = rep
+        if upload is not None:
+            self.uploads[key] = (rep, upload)
 
     def _has_slot(self) -> bool:
         """True if the pool can take the transaction that the next op goes out in.
@@ -201,7 +204,7 @@ class _ScenarioRun:
             self.wave_stalled = True
 
     def _absorb(self, confirmations) -> None:
-        """Settle the pending ops a round confirmed and note its mints; keep nothing else."""
+        """Settle the pending ops a round confirmed and hook the uploads its mints carried."""
         for c in confirmations:
             if not c.receipt.success:
                 continue  # a reverted tx failed, and its receipt has no events
@@ -209,12 +212,13 @@ class _ScenarioRun:
             for ev in c.receipt.events:
                 if ev.name == "OpOk":
                     keys.append((ev.field("origin"), ev.field("seq")))
-                elif ev.name == "Mint":
-                    self.minted[int.from_bytes(ev.field("token_id"), "big")] = c.tx.tx_id
             for key in keys:
                 rep = self.pending.pop(key, None)
                 if rep is not None:
                     self.ok_reps.add(rep)
+                if key in self.uploads:  # the mint that carried it succeeded, in its wave or later
+                    rep, ref = self.uploads.pop(key)
+                    self.refs[rep] = self.topology.fabric.bind_hook(ref, c.tx.tx_id)
 
     def _settle_wave(self) -> set[int]:
         """Drain the chain; returns the repetitions whose op of this wave succeeded.
@@ -265,26 +269,19 @@ class _ScenarioRun:
             return
         if kind is StepKind.MINT_NFT:
             size = _mint_size(step)
-            fresh = {}
             for rep in range(self.script.repetitions):
                 data = self.data_rng.randbytes(size)
                 op = access.UserOp(NFT_ID, "mint", args=(_token_id(rep),), data=data)
                 try:
                     inline, ref = access.prepare_data(op, self.topology.fabric)
-                except StorageError as err:
-                    if isinstance(err, InlineTooLarge) and self.topology.fabric.plan.route is Route.ON_CHAIN:
-                        raise ScenarioInfeasible(f"InlineTooLarge: {err}") from err
+                except InlineTooLarge as err:  # only the on-chain route has nowhere else to put it
+                    raise ScenarioInfeasible(f"InlineTooLarge: {err}") from err
+                except StorageError:
                     self.stats.ops_attempted += 1
                     continue
-                fresh[rep] = ref if isinstance(ref, LinkedRef) else None
-                self._submit(wallet, op, rep, inline=inline)
-            confirmed = self._settle_wave()
-            # A new upload replaces a repetition's ref only when its own mint
-            # confirmed; a repeated mint reverts, and the earlier ref stays.
-            for rep, ref in fresh.items():
-                if rep in confirmed or rep not in self.refs:
-                    self.refs[rep] = ref
-            self._bind_hooks()
+                self._submit(wallet, op, rep, inline=inline,
+                             upload=ref if isinstance(ref, LinkedRef) else None)
+            self._settle_wave()
             return
         if kind in (StepKind.LIST_NFT, StepKind.BUY_NFT):
             method = "list" if kind is StepKind.LIST_NFT else "buy"
@@ -307,14 +304,6 @@ class _ScenarioRun:
             return
         raise ValueError(f"unhandled step kind {kind}")
 
-    def _bind_hooks(self):
-        """Attach the confirmed mint tx as the hook for each linked ref."""
-        for rep, ref in list(self.refs.items()):
-            if ref is not None and ref.hook_tx is None:
-                tx_id = self.minted.get(rep)
-                if tx_id is not None:
-                    self.refs[rep] = self.topology.fabric.bind_hook(ref, tx_id)
-
     def _retrieve_ok(self, wallet: access.WalletClient, rep: int) -> bool:
         """True if the wallet owns rep's token and, for linked data, reads back its verified blob."""
         topo = self.topology
@@ -325,7 +314,7 @@ class _ScenarioRun:
         if owner != wallet.address.payload:
             return False
         ref = self.refs.get(rep)
-        if isinstance(ref, LinkedRef):
+        if ref is not None:
             try:
                 blob = topo.fabric.get(ref)
             except StorageError:
@@ -344,15 +333,15 @@ def _run_shape(arch: ArchitectureType, script: ScenarioScript,
     """The parts of arch that its run of script under sim depends on.
 
     They are the access mode, the compute mode and the storage route the
-    script's data takes. A hybrid plan inlines a blob of at most
-    inline_threshold bytes and links a larger one, and an empty blob is
-    never stored, so when no mint carries a blob the plan would inline,
-    StorageFabric.put takes the off-chain plan's branch for every blob.
+    script's data takes. An empty blob is never stored, so the data takes
+    the on-chain route when arch's plan inlines every non-empty blob, the
+    off-chain route when it inlines none, and the hybrid one otherwise.
     """
-    route = storage_plan_for(arch, sim).route
+    plan = storage_plan_for(arch, sim)
     sizes = [_mint_size(step) for step in script.steps if step.kind is StepKind.MINT_NFT]
-    if route is Route.HYBRID and all(size == 0 or size > sim.inline_threshold for size in sizes):
-        route = Route.OFF_CHAIN
+    inlined = {plan.inlines(size) for size in sizes if size}
+    route = (Route.HYBRID if len(inlined) == 2 else
+             Route.OFF_CHAIN if inlined == {False} else Route.ON_CHAIN)
     return arch.access, arch.compute, route
 
 
@@ -458,12 +447,12 @@ def _config_snapshot(sim: SimConfig, script: ScenarioScript, faults: FaultPlan) 
 
 
 def run_scenario(arch: ArchitectureType, script: ScenarioScript | None = None,
-                 faults: FaultPlan | None = None, seed: int = 42,
+                 faults: FaultPlan | None = None, seed: int | None = None,
                  sim: SimConfig | None = None) -> MetricReport:
-    """Measure one architecture; deterministic in (arch, script, faults, seed, sim)."""
+    """Measure one architecture under sim, with seed, if given, as its seed; deterministic."""
     script = script or nft_sale_script()
     faults = faults if faults is not None else DEFAULT_FAULTS
-    base = replace(sim or SimConfig(), seed=seed)
+    base = (sim or SimConfig()) if seed is None else replace(sim or SimConfig(), seed=seed)
     return _reports([arch], script, faults, base)[0]
 
 
@@ -771,15 +760,16 @@ def diff_against_reference(measured: OrdinalMatrix,
 
 
 def run_sweep(script: ScenarioScript | None = None, faults: FaultPlan | None = None,
-              seed: int = 42, sim: SimConfig | None = None,
+              seed: int | None = None, sim: SimConfig | None = None,
               jobs: int = 1) -> dict[int, MetricReport]:
     """Reports on all twelve types; the types of one run shape share their runs.
 
-    jobs > 1 spreads the shapes over that many worker processes.
+    seed, when given, replaces sim's seed. jobs > 1 spreads the shapes over
+    that many worker processes.
     """
     script = script or nft_sale_script()
     faults = faults if faults is not None else DEFAULT_FAULTS
-    base = replace(sim or SimConfig(), seed=seed)
+    base = (sim or SimConfig()) if seed is None else replace(sim or SimConfig(), seed=seed)
     shapes: dict[tuple, list[ArchitectureType]] = {}
     for arch in ALL_TYPES:
         shapes.setdefault(_run_shape(arch, script, base), []).append(arch)

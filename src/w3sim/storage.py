@@ -58,6 +58,12 @@ class StoragePlan:
         if self.inline_threshold <= 0:
             raise ValueError("inline_threshold must be positive")
 
+    def inlines(self, size: int) -> bool:
+        """True if a blob of size bytes goes inline on-chain, False if off-chain."""
+        if self.route is Route.HYBRID:
+            return size <= min(self.inline_threshold, self.inline_cap)
+        return self.route is Route.ON_CHAIN
+
 
 @dataclass(frozen=True, slots=True)
 class ContentId:
@@ -174,18 +180,13 @@ class StorageFabric:
 
     def put(self, data: bytes) -> StorageRef:
         plan = self.plan
-        if plan.route is not Route.ON_CHAIN:
-            self._sample_faults()
-        if plan.route is Route.ON_CHAIN:
-            if len(data) > plan.inline_cap:
-                raise InlineTooLarge(f"{len(data)} bytes exceeds inline cap {plan.inline_cap}")
-            return InlineRef(data=data)
-        if plan.route is Route.HYBRID and len(data) <= plan.inline_threshold:
+        if plan.inlines(len(data)):
             if len(data) > plan.inline_cap:
                 raise InlineTooLarge(f"{len(data)} bytes exceeds inline cap {plan.inline_cap}")
             return InlineRef(data=data)
         if not data:
             raise StorageError("off-chain put requires non-empty data")
+        self._sample_faults()  # storage nodes crash only where a write reaches them
         cid = self.store.write(data, plan.replicas)
         self.offchain_bytes += len(data) * plan.replicas
         return LinkedRef(cid=cid)

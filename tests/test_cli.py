@@ -320,18 +320,23 @@ class TestConfigFile:
         assert code == 2
         assert "max_tx_per_block" in err
 
-    @pytest.mark.parametrize("text", ["[network]\ncapacity = 0\n",
-                                      "[network]\nmax_txs_per_block = 0\n",
-                                      "[consensus]\nblock_interval = 0\n",
-                                      "[network]\nnodes = 0\n"])
-    def test_out_of_range_config_value_exits_2(self, tmp_path, scenario_file, capsys, text):
+    OUT_OF_RANGE = [("[network]\ncapacity = 0\n", "must be >= 1"),
+                    ("[network]\nmax_txs_per_block = 0\n", "must be >= 1"),
+                    ("[consensus]\nblock_interval = 0\n", "must be >= 1"),
+                    ("[network]\nnodes = 0\n", "must be >= 1"),
+                    ("[storage]\nreplicas = 11\n", "replicas must be <= storage nodes (10)")]
+
+    @pytest.mark.parametrize("text, message", OUT_OF_RANGE,
+                             ids=[text for text, _ in OUT_OF_RANGE])
+    def test_out_of_range_config_value_exits_2(self, tmp_path, scenario_file, capsys, text,
+                                               message):
         config = tmp_path / "sim.cfg"
         config.write_text(text)
         out = tmp_path / "r.json"
         code, _, err = run_cli(["simulate", "--type", "1", "--scenario", scenario_file,
                                 "--config", str(config), "--out", str(out)], capsys)
         assert code == 2
-        assert "must be >= 1" in err
+        assert message in err
         assert not out.exists()
 
     @pytest.mark.parametrize("text, message", [

@@ -162,6 +162,21 @@ class TestRunScenario:
         assert r2.feasible
         assert r2.availability == 1.0
 
+    def test_a_blob_over_the_cap_but_under_the_threshold_goes_off_chain(self):
+        script = nft_sale_script(data_size=1500, repetitions=5)
+        sim = SimConfig(seed=42, inline_threshold=2000)
+        assert "InlineTooLarge" in run_raw(architecture(1), script, sim, NO_FAULTS).infeasible_reason
+        stats = run_raw(architecture(2), script, sim, NO_FAULTS)
+        assert stats.ops_succeeded == stats.ops_attempted == 20
+
+    def test_the_seed_is_the_sims_unless_one_is_given(self):
+        sim = SimConfig(seed=7)
+        assert run_scenario(architecture(1), FAST, NO_FAULTS, sim=sim).seed == 7
+        assert run_scenario(architecture(1), FAST, NO_FAULTS).seed == SimConfig().seed
+        assert run_scenario(architecture(1), FAST, NO_FAULTS, seed=9, sim=sim).seed == 9
+        assert {r.seed for r in run_sweep(FAST, NO_FAULTS, sim=sim).values()} == {7}
+        assert {r.seed for r in run_sweep(FAST, NO_FAULTS, seed=9, sim=sim).values()} == {9}
+
     def test_infeasible_baseline_yields_missing_row_mismatches(self):
         big = nft_sale_script(data_size=1_000_000, repetitions=1)
         reports = {t: run_scenario(architecture(t), big, NO_FAULTS, seed=3) for t in (1, 2)}
@@ -345,19 +360,41 @@ class TestSharedRuns:
         monkeypatch.setattr(ev, "run_raw", counting_run_raw)
         return calls
 
-    @pytest.mark.parametrize("plan", SHARED_RUN_PLANS,
-                             ids=["none", "default", "wiring", "agent", "byzantine", "crash"])
-    @pytest.mark.parametrize("data_size", [0, SimConfig().inline_threshold,
-                                           SimConfig().inline_threshold + 1, 768])
-    def test_reports_equal_two_fresh_runs_per_type(self, data_size, plan):
-        script = nft_sale_script(data_size=data_size, repetitions=8)
-        base = SimConfig(seed=42)
-        swept = run_sweep(script, plan, seed=42)
+    @staticmethod
+    def assert_reports_equal_two_fresh_runs(script, plan, base):
+        swept = run_sweep(script, plan, sim=base)
         for type_id in range(1, 13):
             arch = architecture(type_id)
             fresh = ev._report(arch, script, plan, base, run_raw(arch, script, base, NO_FAULTS),
                                run_raw(arch, script, base, plan))
             assert swept[type_id] == fresh, type_id
+
+    @pytest.mark.parametrize("plan", SHARED_RUN_PLANS,
+                             ids=["none", "default", "wiring", "agent", "byzantine", "crash"])
+    @pytest.mark.parametrize("data_size", [0, 100, SimConfig().inline_threshold,
+                                           SimConfig().inline_threshold + 1, 768])
+    def test_reports_equal_two_fresh_runs_per_type(self, data_size, plan):
+        script = nft_sale_script(data_size=data_size, repetitions=8)
+        self.assert_reports_equal_two_fresh_runs(script, plan, SimConfig(seed=42))
+
+    @pytest.mark.parametrize("plan", SHARED_RUN_PLANS,
+                             ids=["none", "default", "wiring", "agent", "byzantine", "crash"])
+    def test_reports_equal_two_fresh_runs_when_the_threshold_exceeds_the_cap(self, plan):
+        # A hybrid store links a 1,500-byte blob, which its threshold admits
+        # but the cap does not; an on-chain store cannot hold it at all.
+        script = nft_sale_script(data_size=1500, repetitions=8)
+        self.assert_reports_equal_two_fresh_runs(script, plan,
+                                                 SimConfig(seed=42, inline_threshold=2000))
+
+    @pytest.mark.parametrize("data_size, runs", [(0, 6), (100, 14), (257, 14)])
+    def test_sub_runs_per_data_size(self, monkeypatch, data_size, runs):
+        # An empty blob is never stored, so at 0 bytes the storage modes share
+        # one shape. A blob of at most inline_threshold bytes puts the hybrid
+        # stores with the on-chain ones, a larger one with the off-chain ones
+        # (256 and 768 bytes: the two tests below).
+        calls = self.count_runs(monkeypatch)
+        run_sweep(nft_sale_script(data_size=data_size, repetitions=4), DEFAULT_FAULTS)
+        assert len(calls) == runs
 
     def test_the_default_sweep_makes_14_runs(self, monkeypatch):
         # One main run per merged row. Types 1 and 7 store and compute on-chain,
@@ -370,12 +407,14 @@ class TestSharedRuns:
         assert [t for t, faults in calls if faults == DEFAULT_FAULTS] == [2, 4, 5, 8, 10, 11]
 
     def test_inlined_data_keeps_hybrid_and_offchain_storage_apart(self, monkeypatch):
+        # Every blob goes inline, so the hybrid stores of Types 2, 5, 8 and 11
+        # run as the on-chain stores of Types 1, 4, 7 and 10 do: no storage
+        # node is read or written, and the flaky storage reaches neither.
         calls = self.count_runs(monkeypatch)
         script = nft_sale_script(data_size=SimConfig().inline_threshold, repetitions=4)
         run_sweep(script, DEFAULT_FAULTS)
-        assert [t for t, faults in calls if faults == NO_FAULTS] == list(range(1, 13))
-        assert [t for t, faults in calls if faults == DEFAULT_FAULTS] == [2, 3, 4, 5, 6, 8, 9,
-                                                                         10, 11, 12]
+        assert [t for t, faults in calls if faults == NO_FAULTS] == [1, 3, 4, 6, 7, 9, 10, 12]
+        assert [t for t, faults in calls if faults == DEFAULT_FAULTS] == [3, 4, 6, 9, 10, 12]
 
     def test_maintainer_faults_reach_every_type(self, monkeypatch):
         calls = self.count_runs(monkeypatch)
@@ -385,11 +424,15 @@ class TestSharedRuns:
         assert [(t, faults) for t, faults in calls if t in (1, 7)] == [
             (1, NO_FAULTS), (1, plan), (7, NO_FAULTS), (7, plan)]
 
-    @pytest.mark.parametrize("type_id, runs", [(1, 1), (3, 2), (7, 1), (10, 2)])
+    @pytest.mark.parametrize("type_id, data_size, runs",
+                             [(1, 768, 1), (3, 768, 2), (7, 768, 1), (10, 768, 2), (2, 100, 1)])
     def test_a_single_report_runs_the_faulted_run_only_if_a_fault_reaches(
-            self, monkeypatch, type_id, runs):
+            self, monkeypatch, type_id, data_size, runs):
+        # At 100 bytes Type 2's hybrid store keeps every blob inline, out of
+        # reach of the flaky storage.
         calls = self.count_runs(monkeypatch)
-        run_scenario(architecture(type_id), FAST, DEFAULT_FAULTS, seed=42)
+        script = nft_sale_script(data_size=data_size, repetitions=6)
+        run_scenario(architecture(type_id), script, DEFAULT_FAULTS, seed=42)
         assert len(calls) == runs
 
     def test_importing_evaluation_loads_no_process_pool(self):
@@ -535,6 +578,33 @@ class TestMintHooks:
             anchored = query_state(state, NFT_ID, "dataOf", (rep.to_bytes(32, "big"),))
             assert anchored == b"\x01" + ref.cid.digest
         assert stats.ops_succeeded == 3 + 3  # first mints and retrievals; second mints revert
+
+    @pytest.mark.parametrize("second_mint", [False, True])
+    def test_a_mint_that_confirms_after_its_wave_stalled_is_hooked(self, second_mint):
+        # Half the maintainers crash each round: the mint wave stalls with 4
+        # of its 12 mints unconfirmed, and those confirm in the next wave. Each
+        # upload is hooked when its own mint confirms, so the retrieval reads
+        # and verifies the blob the chain anchors, even when the next wave
+        # uploads new blobs for the same tokens (whose mints then revert).
+        mint = Step(StepKind.MINT_NFT, "alice", (("data_size", 768),))
+        steps = nft_sale_script(repetitions=12).steps
+        at = steps.index(mint) + 1
+        script = ScenarioScript(steps=steps[:at] + (mint,) * second_mint + steps[at:],
+                                repetitions=12)
+        run = ev._ScenarioRun(architecture(3), script, SimConfig(seed=4),
+                              FaultPlan(maintainer_crash_prob=0.5), keep_history=True)
+        stats = run.run()
+        minted = {int.from_bytes(event.field("token_id"), "big"): c.tx.tx_id
+                  for c in run.topology.chain.confirmations
+                  for event in c.receipt.events if event.name == "Mint"}
+        assert len(minted) == 12
+        assert {rep: ref.hook_tx for rep, ref in run.refs.items()} == minted
+        state = run.topology.chain.state
+        for rep, ref in run.refs.items():
+            anchored = query_state(state, NFT_ID, "dataOf", (rep.to_bytes(32, "big"),))
+            assert anchored == b"\x01" + ref.cid.digest
+        if not second_mint:
+            assert (stats.ops_attempted, stats.ops_succeeded) == (48, 44)
 
 
 class TestPoolLimit:

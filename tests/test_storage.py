@@ -49,6 +49,22 @@ class TestPut:
         assert isinstance(fabric.put(b"x" * 200), InlineRef)
         assert isinstance(fabric.put(b"x" * 300), LinkedRef)
 
+    def test_hybrid_links_a_blob_between_the_cap_and_a_larger_threshold(self):
+        fabric = fabric_for(Route.HYBRID, n_nodes=5, inline_threshold=2000)
+        assert isinstance(fabric.put(b"x" * 1024), InlineRef)
+        assert isinstance(fabric.put(b"x" * 1500), LinkedRef)
+
+    def test_only_an_offchain_write_draws_storage_crashes(self, monkeypatch):
+        draws = []
+        monkeypatch.setattr(OffChainStore, "sample_crashes",
+                            lambda store, rng, crash_prob: draws.append(crash_prob))
+        fabric = fabric_for(Route.HYBRID, n_nodes=5)
+        fabric.fault_prob, fabric.fault_rng = 0.6, random.Random(1)
+        fabric.put(b"x" * 256)  # inline: no storage node is touched
+        assert draws == []
+        fabric.put(b"x" * 257)
+        assert draws == [0.6]
+
     def test_offchain_needs_enough_live_nodes(self):
         fabric = fabric_for(Route.OFF_CHAIN, n_nodes=3)
         fabric.store.set_alive(0, False)
@@ -85,6 +101,26 @@ class TestPut:
         for type_id in (1, 2, 3):
             with pytest.raises(ValueError):
                 storage_plan_for(architecture(type_id), SimConfig(replicas=0))
+
+
+class TestInlines:
+    def test_on_chain_inlines_every_blob(self):
+        plan = StoragePlan(route=Route.ON_CHAIN)
+        assert all(plan.inlines(size) for size in (0, 256, 1024, 1025, 10**6))
+
+    def test_off_chain_inlines_nothing(self):
+        plan = StoragePlan(route=Route.OFF_CHAIN)
+        assert not any(plan.inlines(size) for size in (0, 1, 256, 1024))
+
+    @pytest.mark.parametrize("threshold, cap, limit", [
+        (256, 1024, 256),    # the threshold is the limit
+        (1024, 1024, 1024),  # threshold at the cap
+        (2000, 1024, 1024),  # threshold over the cap: the cap is the limit
+    ])
+    def test_hybrid_inlines_up_to_the_lower_of_threshold_and_cap(self, threshold, cap, limit):
+        plan = StoragePlan(route=Route.HYBRID, inline_threshold=threshold, inline_cap=cap)
+        assert plan.inlines(0) and plan.inlines(limit)
+        assert not plan.inlines(limit + 1)
 
 
 class TestGet:
