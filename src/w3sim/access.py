@@ -70,9 +70,15 @@ def _next_nonce(client: WalletClient | Agent, chain: ChainNetwork) -> int:
     return nonce
 
 
+# One int object per distinct gas limit, which every pending transaction
+# with that limit shares; keyed by the limit, so no call hashes a schedule.
+_GAS_LIMITS: dict[int, int] = {}
+
+
 def _gas_limit_for(inline_len: int, schedule: vm.GasSchedule) -> int:
     # Generous static envelope: constructor-free built-ins never exceed it.
-    return schedule.base_tx + schedule.per_inline_byte * inline_len + 60_000
+    limit = schedule.base_tx + schedule.per_inline_byte * inline_len + 60_000
+    return _GAS_LIMITS.setdefault(limit, limit)
 
 
 @functools.cache

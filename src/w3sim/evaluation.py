@@ -228,6 +228,8 @@ class _ScenarioRun:
         if not self.wave_stalled:
             self._drain()
         ok_reps, self.ok_reps, self.pending = self.ok_reps, set(), {}
+        if not self.uploads:
+            self.uploads = {}  # a dict keeps its table once emptied; drop the mint wave's
         self.wave_stalled = False
         self.stats.ops_succeeded += len(ok_reps)
         self.stats.onchain_ops += len(ok_reps)
@@ -351,7 +353,9 @@ def _reaching_faults(arch: ArchitectureType, script: ScenarioScript, sim: SimCon
 
     Storage crashes act only on off-chain writes and reads, the executor
     only on delegated computation, the agent only under agent access;
-    maintainer faults act on every chain.
+    maintainer faults act on every chain, but the byzantine mode only when
+    some maintainer is byzantine: only byzantine nodes read it, and the
+    majority-chain rule then sees an adversarial share of 0.
     """
     access_mode, compute_mode, route = _run_shape(arch, script, sim)
     cut = {}
@@ -362,6 +366,8 @@ def _reaching_faults(arch: ArchitectureType, script: ScenarioScript, sim: SimCon
         cut["tamper_target"] = NO_FAULTS.tamper_target
     if access_mode is AccessMode.BROWSER:
         cut["agent_behavior"] = NO_FAULTS.agent_behavior
+    if faults.byzantine_maintainers == 0:
+        cut["byz_mode"] = NO_FAULTS.byz_mode
     return replace(faults, **cut)
 
 

@@ -68,9 +68,44 @@ def nft_sale_script(data_size: int = 768, price: int = 100, repetitions: int = 3
     )
 
 
+# The parameters each step takes besides actor: each value is an int of
+# at least low and, if bits is set, below 2**bits. A price is 16 bytes
+# on-chain.
+_STEP_PARAMS: dict[str, dict[str, tuple[int, int | None]]] = {
+    "repeat": {"count": (1, None)},
+    StepKind.MINT_NFT.value: {"data_size": (0, None)},
+    StepKind.LIST_NFT.value: {"price": (0, 128)},
+    StepKind.BUY_NFT.value: {"price": (0, 128)},
+}
+
+
+def _params(lineno: int, name: str, kv: dict[str, str]) -> dict[str, int]:
+    """The values of kv, each checked to be a parameter that step name takes, in range."""
+    ranges = _STEP_PARAMS.get(name, {})
+    values = {}
+    for key, value in kv.items():
+        if key not in ranges:
+            raise ValueError(f"line {lineno}: {name} takes no parameter {key!r}")
+        low, bits = ranges[key]
+        try:
+            n = int(value)
+        except ValueError as err:
+            raise ValueError(f"line {lineno}: {key} must be an integer, got {value!r}") from err
+        if n < low or (bits is not None and n >> bits):
+            bound = f">= {low}" if bits is None else f"in [{low}, 2**{bits})"
+            raise ValueError(f"line {lineno}: {key} must be {bound}, got {n}")
+        values[key] = n
+    return values
+
+
 def parse_scenario(text: str) -> ScenarioScript:
+    """The script in text; a malformed line raises ValueError naming the line.
+
+    A step takes actor and the parameters _STEP_PARAMS lists for it, each
+    at most once and in range; at most one repeat line sets the count.
+    """
     steps: list[Step] = []
-    repetitions = 1
+    repetitions = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -81,18 +116,21 @@ def parse_scenario(text: str) -> ScenarioScript:
             if "=" not in token:
                 raise ValueError(f"line {lineno}: expected arg=value, got {token!r}")
             key, value = token.split("=", 1)
+            if key in kv:
+                raise ValueError(f"line {lineno}: {key} given twice")
             kv[key] = value
         if name == "repeat":
-            repetitions = int(kv.get("count", 1))
+            if repetitions is not None:
+                raise ValueError(f"line {lineno}: a second repeat line")
+            repetitions = _params(lineno, name, kv).get("count", 1)
             continue
         try:
             kind = StepKind(name)
         except ValueError as err:
             raise ValueError(f"line {lineno}: unknown step {name!r}") from err
         actor = kv.pop("actor", "alice")
-        params = tuple(sorted((k, int(v)) for k, v in kv.items()))
-        steps.append(Step(kind, actor, params))
-    return ScenarioScript(steps=tuple(steps), repetitions=repetitions)
+        steps.append(Step(kind, actor, tuple(sorted(_params(lineno, name, kv).items()))))
+    return ScenarioScript(steps=tuple(steps), repetitions=1 if repetitions is None else repetitions)
 
 
 def scenario_text(script: ScenarioScript) -> str:

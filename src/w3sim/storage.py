@@ -1,14 +1,14 @@
 """Content storage in three routes: inline on-chain, replicated off-chain
 with an on-chain hook, and a size-thresholded hybrid of the two.
 
-Off-chain nodes are simulator objects with availability flags; integrity
+Off-chain nodes are liveness flags over one copy of each blob; integrity
 of a linked blob is a digest check against the content id recorded by a
 confirmed hook transaction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from random import Random
 
@@ -101,43 +101,37 @@ class VerifyResult(Enum):
         return self is VerifyResult.VERIFIED
 
 
-@dataclass
-class StorageNode:
-    node_id: int
-    alive: bool = True
-    blobs: dict = field(default_factory=dict)
-
-
 class OffChainStore:
-    """A fixed set of storage nodes with cid -> replica-set placement."""
+    """A fixed set of storage nodes with cid -> replica-set placement.
+
+    Every replica of a cid holds the same bytes, so the store keeps one
+    copy per cid; a replica set is the cid's placement plus each node's
+    liveness flag, and a read succeeds while any placed node is alive.
+    """
 
     def __init__(self, n_nodes: int = 10):
-        self.nodes = [StorageNode(i) for i in range(n_nodes)]
+        self.alive = [True] * n_nodes
+        self.blobs: dict[bytes, bytes] = {}
         self.placement: dict[bytes, tuple[int, ...]] = {}
         # One tuple per distinct replica set, which every blob placed on it shares.
         self._replica_sets: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    def live_nodes(self) -> list[StorageNode]:
-        return [n for n in self.nodes if n.alive]
-
     def set_alive(self, node_id: int, alive: bool):
-        self.nodes[node_id].alive = alive
+        self.alive[node_id] = alive
 
     def sample_crashes(self, rng: Random, crash_prob: float):
         """Resample per-access availability under a fault plan."""
-        for node in self.nodes:
-            node.alive = not (crash_prob > 0 and rng.random() < crash_prob)
+        self.alive = [not (crash_prob > 0 and rng.random() < crash_prob) for _ in self.alive]
 
     def write(self, data: bytes, replicas: int) -> ContentId:
-        live = self.live_nodes()
+        live = [node_id for node_id, up in enumerate(self.alive) if up]
         if len(live) < replicas:
             raise InsufficientStorageNodes(f"{len(live)} live nodes < {replicas} replicas")
         cid = ContentId.of(data)
         # Deterministic placement: rotate by content digest for spread.
         start = int.from_bytes(cid.digest[:4], "big") % len(live)
-        chosen = tuple([live[(start + i) % len(live)].node_id for i in range(replicas)])
-        for node_id in chosen:
-            self.nodes[node_id].blobs[cid.digest] = data
+        chosen = tuple([live[(start + i) % len(live)] for i in range(replicas)])
+        self.blobs[cid.digest] = data
         self.placement[cid.digest] = self._replica_sets.setdefault(chosen, chosen)
         return cid
 
@@ -146,17 +140,14 @@ class OffChainStore:
         if placed is None:
             raise NotFound(cid.digest.hex())
         for node_id in placed:
-            node = self.nodes[node_id]
-            if node.alive and cid.digest in node.blobs:
-                return node.blobs[cid.digest]
+            if self.alive[node_id]:
+                return self.blobs[cid.digest]
         raise AllReplicasDown(cid.digest.hex())
 
     def tamper(self, cid: ContentId, mutate) -> None:
-        """Apply mutate() to every stored replica of cid (test/fault hook)."""
-        for node_id in self.placement.get(cid.digest, ()):
-            blobs = self.nodes[node_id].blobs
-            if cid.digest in blobs:
-                blobs[cid.digest] = mutate(blobs[cid.digest])
+        """Apply mutate() to the one copy of cid, which every replica holds (test/fault hook)."""
+        if cid.digest in self.blobs:
+            self.blobs[cid.digest] = mutate(self.blobs[cid.digest])
 
 
 class StorageFabric:

@@ -316,12 +316,14 @@ def decode_bundle(blob: bytes) -> list[BundleOp]:
     """
     u32, u64 = _U32.unpack_from, _U64.unpack_from
     ops = []
+    origins: dict[bytes, bytes] = {}  # one bytes object per distinct origin
     try:
         count, = u32(blob, 0)
         pos = 4
         for _ in range(count):
             n, = u32(blob, pos)
             origin = blob[pos + 4 : pos + 4 + n]
+            origin = origins.setdefault(origin, origin)
             pos += 4 + n
             seq, = u64(blob, pos)
             n, = u32(blob, pos + 8)

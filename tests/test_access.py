@@ -100,6 +100,14 @@ class TestDirectSubmission:
         assert first == identity.Address(identity.AddressScheme.BASE16_ETH, FT_ID,
                                          identity.encode_base16(FT_ID))
 
+    def test_one_gas_limit_object_per_limit(self):
+        topo, (w1, w2) = build_topology()
+        connect_wallet(w1, "svc")
+        for _ in range(2):
+            submit_direct(w1, topo.chain, transfer_op(w2.address.payload), topo.fabric)
+        first, second = (tx.metadata.gas_limit for tx in topo.chain.pool.values())
+        assert first == 81_000 and first is second
+
 
 class TestAgentBatching:
     def test_ten_ops_one_tx(self):

@@ -277,6 +277,34 @@ class TestUsageErrors:
         assert err.value.code == 2
 
 
+BAD_SCENARIO_LINES = [
+    ("mint_nft actor=alice data_size=512", "mint_nft actor=alice size=100",
+     "line 5: mint_nft takes no parameter 'size'"),
+    ("list_nft actor=alice price=100", "list_nft actor=alice prize=5",
+     "line 6: list_nft takes no parameter 'prize'"),
+    ("mint_nft actor=alice data_size=512", "mint_nft actor=alice data_size=-5",
+     "line 5: data_size must be >= 0, got -5"),
+    ("list_nft actor=alice price=100", "list_nft actor=alice price=-1",
+     "line 6: price must be in [0, 2**128), got -1"),
+    ("repeat count=4", "repeat count=0", "line 9: count must be >= 1, got 0"),
+    ("repeat count=4", "repeat count=4\nrepeat count=5", "line 10: a second repeat line"),
+]
+
+
+@pytest.mark.parametrize("command", ["simulate", "matrix"])
+@pytest.mark.parametrize("line, bad, message", BAD_SCENARIO_LINES,
+                         ids=[bad.replace("\n", " / ") for _, bad, _ in BAD_SCENARIO_LINES])
+def test_bad_scenario_file_exits_2(tmp_path, capsys, command, line, bad, message):
+    path = tmp_path / "bad.scenario"
+    path.write_text(SMALL_SCENARIO.replace(line, bad))
+    out = tmp_path / "out"
+    argv = [command, "--scenario", str(path), "--out", str(out)]
+    code, _, err = run_cli(argv + (["--type", "3"] if command == "simulate" else []), capsys)
+    assert code == 2
+    assert message in err
+    assert not out.exists()
+
+
 class TestConfigFile:
     def test_consensus_config_from_file(self, tmp_path, scenario_file, capsys):
         config = tmp_path / "sim.cfg"

@@ -341,9 +341,12 @@ class TestSweepAndCompare:
 
 # Each plan reaches a different set of types. In order: no fault; flaky
 # storage and a lying executor; every field of the topology; a withholding
-# agent; byzantine maintainers; crashing maintainers.
+# agent; byzantine maintainers; crashing maintainers; a byzantine mode with
+# no byzantine maintainer, which reaches no type.
 SHARED_RUN_PLANS = (NO_FAULTS, DEFAULT_FAULTS, *(parse_faults(text) for text in FAULT_WIRING_PLANS),
-                    FaultPlan(maintainer_crash_prob=0.15))
+                    FaultPlan(maintainer_crash_prob=0.15),
+                    FaultPlan(byz_mode=ByzantineMode.EQUIVOCATE))
+SHARED_RUN_PLAN_IDS = ["none", "default", "wiring", "agent", "byzantine", "crash", "byz-mode-only"]
 
 
 class TestSharedRuns:
@@ -369,16 +372,14 @@ class TestSharedRuns:
                                run_raw(arch, script, base, plan))
             assert swept[type_id] == fresh, type_id
 
-    @pytest.mark.parametrize("plan", SHARED_RUN_PLANS,
-                             ids=["none", "default", "wiring", "agent", "byzantine", "crash"])
+    @pytest.mark.parametrize("plan", SHARED_RUN_PLANS, ids=SHARED_RUN_PLAN_IDS)
     @pytest.mark.parametrize("data_size", [0, 100, SimConfig().inline_threshold,
                                            SimConfig().inline_threshold + 1, 768])
     def test_reports_equal_two_fresh_runs_per_type(self, data_size, plan):
         script = nft_sale_script(data_size=data_size, repetitions=8)
         self.assert_reports_equal_two_fresh_runs(script, plan, SimConfig(seed=42))
 
-    @pytest.mark.parametrize("plan", SHARED_RUN_PLANS,
-                             ids=["none", "default", "wiring", "agent", "byzantine", "crash"])
+    @pytest.mark.parametrize("plan", SHARED_RUN_PLANS, ids=SHARED_RUN_PLAN_IDS)
     def test_reports_equal_two_fresh_runs_when_the_threshold_exceeds_the_cap(self, plan):
         # A hybrid store links a 1,500-byte blob, which its threshold admits
         # but the cap does not; an on-chain store cannot hold it at all.
@@ -424,15 +425,21 @@ class TestSharedRuns:
         assert [(t, faults) for t, faults in calls if t in (1, 7)] == [
             (1, NO_FAULTS), (1, plan), (7, NO_FAULTS), (7, plan)]
 
-    @pytest.mark.parametrize("type_id, data_size, runs",
-                             [(1, 768, 1), (3, 768, 2), (7, 768, 1), (10, 768, 2), (2, 100, 1)])
+    @pytest.mark.parametrize("type_id, data_size, plan, runs", [
+        (1, 768, DEFAULT_FAULTS, 1), (3, 768, DEFAULT_FAULTS, 2), (7, 768, DEFAULT_FAULTS, 1),
+        (10, 768, DEFAULT_FAULTS, 2), (2, 100, DEFAULT_FAULTS, 1),
+        (1, 768, FaultPlan(byz_mode=ByzantineMode.EQUIVOCATE), 1),
+        (1, 768, FaultPlan(byzantine_maintainers=1, byz_mode=ByzantineMode.EQUIVOCATE), 2),
+    ], ids=["1-768-default-1", "3-768-default-2", "7-768-default-1", "10-768-default-2",
+            "2-100-default-1", "1-768-byz-mode-only-1", "1-768-byzantine-2"])
     def test_a_single_report_runs_the_faulted_run_only_if_a_fault_reaches(
-            self, monkeypatch, type_id, data_size, runs):
+            self, monkeypatch, type_id, data_size, plan, runs):
         # At 100 bytes Type 2's hybrid store keeps every blob inline, out of
-        # reach of the flaky storage.
+        # reach of the flaky storage. A byzantine mode acts only through a
+        # byzantine maintainer.
         calls = self.count_runs(monkeypatch)
         script = nft_sale_script(data_size=data_size, repetitions=6)
-        run_scenario(architecture(type_id), script, DEFAULT_FAULTS, seed=42)
+        run_scenario(architecture(type_id), script, plan, seed=42)
         assert len(calls) == runs
 
     def test_importing_evaluation_loads_no_process_pool(self):
@@ -606,6 +613,14 @@ class TestMintHooks:
         if not second_mint:
             assert (stats.ops_attempted, stats.ops_succeeded) == (48, 44)
 
+    def test_an_emptied_upload_table_is_dropped_at_its_wave_settle(self):
+        # A dict keeps its table once emptied; the run swaps it for a new one.
+        run = ev._ScenarioRun(architecture(3), nft_sale_script(repetitions=200),
+                              SimConfig(seed=42), NO_FAULTS)
+        run.run()
+        assert len(run.refs) == 200
+        assert sys.getsizeof(run.uploads) == sys.getsizeof({})
+
 
 class TestPoolLimit:
     # A wave goes to the chain in windows no larger than the pool. Type1
@@ -714,6 +729,29 @@ class TestScenarioFiles:
         with pytest.raises(ValueError):
             parse_scenario("transmogrify actor=alice")
 
+    BAD_LINES = [
+        ("mint_nft size=100", "line 2: mint_nft takes no parameter 'size'"),
+        ("list_nft prize=5", "line 2: list_nft takes no parameter 'prize'"),
+        ("retrieve_state actor=bob count=3", "line 2: retrieve_state takes no parameter 'count'"),
+        ("mint_nft data_size=-5", "line 2: data_size must be >= 0, got -5"),
+        ("list_nft price=-1", "line 2: price must be in [0, 2**128), got -1"),
+        (f"buy_nft price={2**128}", "line 2: price must be in [0, 2**128)"),
+        ("mint_nft data_size=big", "line 2: data_size must be an integer"),
+        ("mint_nft data_size=1 data_size=2", "line 2: data_size given twice"),
+        ("repeat count=0", "line 2: count must be >= 1, got 0"),
+        ("repeat count=3\nrepeat count=4", "line 3: a second repeat line"),
+    ]
+
+    @pytest.mark.parametrize("line, message", BAD_LINES, ids=[line for line, _ in BAD_LINES])
+    def test_parse_rejects_a_bad_line_by_number(self, line, message):
+        with pytest.raises(ValueError) as err:
+            parse_scenario(f"connect_wallet actor=alice\n{line}\n")
+        assert message in str(err.value)
+
+    def test_parse_takes_the_largest_price(self):
+        script = parse_scenario(f"list_nft price={2**128 - 1}\nrepeat count=1\n")
+        assert script.steps[0].param("price") == 2**128 - 1
+
     def test_buy_before_list_rejected(self):
         text = "buy_nft actor=bob\nlist_nft actor=alice price=5\n"
         with pytest.raises(ValueError):
@@ -749,6 +787,9 @@ class TestScenarioFiles:
         spec.loader.exec_module(bench)
         assert parse_faults(bench.NO_FAULTS) == NO_FAULTS
         assert parse_faults(bench.DEFAULT_FAULTS) == DEFAULT_FAULTS
+        assert parse_scenario(bench.SCENARIO.format(reps=300)) == nft_sale_script(repetitions=300)
+        with open(os.path.join(root, "scenarios", "nft_sale.scenario"), encoding="utf-8") as fh:
+            assert parse_scenario(fh.read()) == nft_sale_script()
 
 
 fault_plans = st.builds(

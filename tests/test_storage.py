@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from w3sim.archetypes import (
     AccessMode,
@@ -22,6 +23,7 @@ from w3sim.storage import (
     NotFound,
     OffChainStore,
     Route,
+    StorageError,
     StorageFabric,
     StoragePlan,
     VerifyResult,
@@ -223,8 +225,8 @@ class TestAvailabilityMonotonicity:
             ref = fabric.bind_hook(fabric.put(b"monotone"), b"\x04" * 32)
             ok = 0
             for _ in range(1_000):
-                for node in fabric.store.nodes:
-                    node.alive = rng.random() >= 0.5
+                for node_id in range(8):
+                    fabric.store.set_alive(node_id, rng.random() >= 0.5)
                 try:
                     fabric.get(ref)
                     ok += 1
@@ -244,3 +246,110 @@ class TestContentId:
         blobs = {rng.randbytes(rng.randrange(1, 64)) for _ in range(2_000)}
         cids = {ContentId.of(b).digest for b in blobs}
         assert len(cids) == len(blobs)
+
+
+class ReplicaStore:
+    """Reference model of OffChainStore that keeps a blob map on every node."""
+
+    def __init__(self, n_nodes: int):
+        self.alive = [True] * n_nodes
+        self.node_blobs = [{} for _ in range(n_nodes)]
+        self.placement = {}
+
+    def set_alive(self, node_id, alive):
+        self.alive[node_id] = alive
+
+    def sample_crashes(self, rng, crash_prob):
+        for node_id in range(len(self.alive)):
+            self.alive[node_id] = not (crash_prob > 0 and rng.random() < crash_prob)
+
+    def write(self, data, replicas):
+        live = [node_id for node_id, up in enumerate(self.alive) if up]
+        if len(live) < replicas:
+            raise InsufficientStorageNodes()
+        cid = ContentId.of(data)
+        start = int.from_bytes(cid.digest[:4], "big") % len(live)
+        chosen = tuple(live[(start + i) % len(live)] for i in range(replicas))
+        for node_id in chosen:
+            self.node_blobs[node_id][cid.digest] = data
+        self.placement[cid.digest] = chosen
+        return cid
+
+    def read(self, cid):
+        if cid.digest not in self.placement:
+            raise NotFound()
+        for node_id in self.placement[cid.digest]:
+            if self.alive[node_id] and cid.digest in self.node_blobs[node_id]:
+                return self.node_blobs[node_id][cid.digest]
+        raise AllReplicasDown()
+
+    def tamper(self, cid, mutate):
+        for node_id in self.placement.get(cid.digest, ()):
+            blobs = self.node_blobs[node_id]
+            if cid.digest in blobs:
+                blobs[cid.digest] = mutate(blobs[cid.digest])
+
+
+STORE_NODES = 5
+BLOBS = (b"alpha", b"beta", b"gamma" * 40)
+NEVER_STORED = ContentId.of(b"never stored")
+
+
+def flip_first_byte(blob: bytes) -> bytes:
+    return bytes([blob[0] ^ 1]) + blob[1:]
+
+
+store_ops = st.lists(st.one_of(
+    st.tuples(st.just("write"), st.sampled_from(BLOBS), st.integers(1, STORE_NODES)),
+    st.tuples(st.just("set_alive"), st.integers(0, STORE_NODES - 1), st.booleans()),
+    st.tuples(st.just("sample_crashes"), st.integers(0, 2**16),
+              st.sampled_from([0.0, 0.3, 0.7, 1.0])),
+    st.tuples(st.just("read"), st.sampled_from(BLOBS + (None,))),
+    st.tuples(st.just("tamper"), st.sampled_from(BLOBS)),
+), max_size=40)
+
+
+def outcome(call):
+    try:
+        return call()
+    except StorageError as err:
+        return type(err)
+
+
+class TestOneCopyStore:
+    @settings(max_examples=200, deadline=None)
+    @given(ops=store_ops)
+    # One cid written, tampered, then rewritten under another live set, and read.
+    @example(ops=[("write", b"alpha", 3), ("tamper", b"alpha"), ("set_alive", 0, False),
+                  ("set_alive", 2, False), ("write", b"alpha", 3), ("read", b"alpha"),
+                  ("set_alive", 0, True), ("tamper", b"alpha"), ("read", b"alpha")])
+    # Every replica down, then one back up.
+    @example(ops=[("write", b"beta", 2), ("sample_crashes", 1, 1.0), ("read", b"beta"),
+                  ("sample_crashes", 1, 0.3), ("read", b"beta")])
+    def test_answers_like_a_blob_map_per_replica(self, ops):
+        store, model = OffChainStore(STORE_NODES), ReplicaStore(STORE_NODES)
+        for op, *args in ops:
+            if op == "write":
+                data, replicas = args
+                assert outcome(lambda: store.write(data, replicas)) == \
+                    outcome(lambda: model.write(data, replicas))
+            elif op == "set_alive":
+                store.set_alive(*args)
+                model.set_alive(*args)
+            elif op == "sample_crashes":
+                seed, crash_prob = args
+                store.sample_crashes(random.Random(seed), crash_prob)
+                model.sample_crashes(random.Random(seed), crash_prob)
+            elif op == "read":
+                cid = NEVER_STORED if args[0] is None else ContentId.of(args[0])
+                assert outcome(lambda: store.read(cid)) == outcome(lambda: model.read(cid))
+            else:
+                cid = ContentId.of(args[0])
+                store.tamper(cid, flip_first_byte)
+                model.tamper(cid, flip_first_byte)
+            assert store.alive == model.alive
+            assert store.placement == model.placement
+            for digest, placed in model.placement.items():
+                # Every replica of a cid holds the one copy the store keeps.
+                assert {model.node_blobs[node_id][digest] for node_id in placed} == \
+                    {store.blobs[digest]}

@@ -468,6 +468,13 @@ class TestBundles:
         with pytest.raises(ValueError):
             decode_bundle(blob + suffix)
 
+    def test_decoded_ops_of_one_origin_share_one_origin_object(self):
+        ops = [BundleOp(origin, seq, FT, "transfer", (amount(1),))
+               for seq, origin in enumerate([b"\x01" * 20, b"\x02" * 20, b"\x01" * 20])]
+        decoded = decode_bundle(encode_bundle(ops))
+        assert decoded == ops
+        assert decoded[0].origin is decoded[2].origin
+
     def test_truncated_bundle_rejected(self):
         blob = encode_bundle([BundleOp(b"\x01" * 20, 0, FT, "transfer", (amount(1),))])
         with pytest.raises(ValueError):
