@@ -113,10 +113,15 @@ class SimConfig:
     offchain_fraction: float = 0.5
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("storage_nodes", "replicas", "inline_threshold", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.replicas > self.storage_nodes:
             raise ValueError(f"replicas must be <= storage nodes ({self.storage_nodes}), got {self.replicas}")
+        if self.inline_cap < 0:
+            raise ValueError(f"inline_cap must be >= 0, got {self.inline_cap}")
+        if not 0.0 <= self.offchain_fraction <= 1.0:
+            raise ValueError(f"offchain_fraction must be in [0, 1], got {self.offchain_fraction}")
 
 
 @dataclass
@@ -144,10 +149,15 @@ def compose(arch: ArchitectureType, sim_config: SimConfig, *,
     funded seeds fungible-token balances at genesis (the sum becomes the
     total supply); registered_users are granted to the agent when the
     access mode is agent-based. faults is the only fault configuration:
-    every field of the plan is wired here. keep_history goes to the chain.
-    The chain accepts the agent's key; callers register their own wallets'
-    keys with it.
+    every field of the plan is wired here, and the plan may name no more
+    byzantine maintainers than sim_config has. keep_history goes to the
+    chain. The chain accepts the agent's key; callers register their own
+    wallets' keys with it.
     """
+    n_nodes = sim_config.consensus.n_nodes
+    if faults.byzantine_maintainers > n_nodes:
+        raise ValueError(f"byzantine_maintainers must be <= n_nodes ({n_nodes}), "
+                         f"got {faults.byzantine_maintainers}")
     state = vm.ContractState()
 
     deploy = vm.deploy_contract
@@ -184,7 +194,7 @@ def compose(arch: ArchitectureType, sim_config: SimConfig, *,
     behaviors = [
         consensus.NodeBehavior.BYZANTINE if i < faults.byzantine_maintainers
         else consensus.NodeBehavior.HONEST
-        for i in range(sim_config.consensus.n_nodes)
+        for i in range(n_nodes)
     ]
     # The quorum rule reads the byzantine nodes' behaviours; the majority-chain
     # rule reads the adversary's share of block production, their share of nodes.

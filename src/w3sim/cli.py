@@ -90,9 +90,12 @@ def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("W3SIM_SEED")
-    if env is not None:
+    if env is None:
+        return DEFAULT_SEED
+    try:
         return int(env)
-    return DEFAULT_SEED
+    except ValueError as err:
+        raise ValueError(f"W3SIM_SEED must be an integer, got {env!r}") from err
 
 
 def _load_script(args):
@@ -141,12 +144,19 @@ def _load_sim(args, seed: int) -> SimConfig:
         cp = configparser.ConfigParser()
         with open(args.config, encoding="utf-8") as fh:
             cp.read_file(fh)
+
+        def number(section, key, kind=int):
+            try:
+                return kind(cp[section][key])
+            except ValueError as err:
+                raise ValueError(f"{args.config}: [{section}] {key}: {err}") from err
+
         for section in cp.sections():
-            for key, value in cp[section].items():
+            for key in cp[section]:
                 if (section, key) in _CONSENSUS_KEYS:
-                    cons_kwargs[_CONSENSUS_KEYS[section, key]] = int(value)
+                    cons_kwargs[_CONSENSUS_KEYS[section, key]] = number(section, key)
                 elif (section, key) in _SIM_KEYS:
-                    sim_kwargs[_SIM_KEYS[section, key]] = int(value)
+                    sim_kwargs[_SIM_KEYS[section, key]] = number(section, key)
                 elif section != "consensus" or key not in _RULE_KEYS:
                     raise ValueError(f"{args.config}: unknown config key [{section}] {key}")
         if cp.has_section("consensus"):
@@ -158,8 +168,10 @@ def _load_sim(args, seed: int) -> SimConfig:
             kind = _RULE_NAMES[rule_name]
             cons_kwargs["rule"] = ConsensusRule(
                 kind=kind,
-                fraction=sec.getfloat("fraction", 2 / 3 if kind is RuleKind.BFT_QUORUM else 0.51),
-                confirm_depth=sec.getint("confirm_depth", ConsensusRule.confirm_depth),
+                fraction=(number("consensus", "fraction", float) if "fraction" in sec
+                          else 2 / 3 if kind is RuleKind.BFT_QUORUM else 0.51),
+                confirm_depth=(number("consensus", "confirm_depth") if "confirm_depth" in sec
+                               else ConsensusRule.confirm_depth),
             )
     if args.nodes is not None:
         cons_kwargs["n_nodes"] = args.nodes
@@ -199,8 +211,6 @@ def _pick_arch(args):
     type_id = getattr(args, "type_id", None)
     if type_id is None:
         raise SystemExit2("one of --type or --tuple is required")
-    if not 1 <= type_id <= 12:
-        raise SystemExit2(f"--type must be 1..12, got {type_id}")
     return architecture(type_id)
 
 

@@ -73,6 +73,12 @@ class ConsensusRule:
     fraction: float = 2 / 3
     confirm_depth: int = 6
 
+    def __post_init__(self):
+        if not 0 < self.fraction <= 1:
+            raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")
+        if self.confirm_depth < 0:
+            raise ValueError(f"confirm_depth must be >= 0, got {self.confirm_depth}")
+
 
 @dataclass(frozen=True)
 class ConsensusConfig:
@@ -86,10 +92,6 @@ class ConsensusConfig:
     gas_byte_equiv: int = 64
 
     def __post_init__(self):
-        if not (0 < self.rule.fraction <= 1):
-            raise ValueError("fraction must be in (0, 1]")
-        if self.rule.confirm_depth < 0:
-            raise ValueError(f"confirm_depth must be >= 0, got {self.rule.confirm_depth}")
         for name in ("n_nodes", "block_interval", "pool_capacity", "max_txs_per_block",
                      "network_capacity", "gas_byte_equiv"):
             if getattr(self, name) < 1:

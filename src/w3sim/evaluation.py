@@ -98,11 +98,6 @@ def actor_seed(seed: int, name: str) -> bytes:
     return f"actor/{seed}/{name}".encode()
 
 
-def _mint_size(step: Step) -> int:
-    """Bytes of the data blob each op of a mint step carries."""
-    return step.param("data_size", 768)
-
-
 def _token_id(rep: int) -> bytes:
     """The id of the token that repetition rep mints, lists and sells."""
     return rep.to_bytes(32, "big")
@@ -270,7 +265,7 @@ class _ScenarioRun:
             access.connect_wallet(wallet, "nft-market")
             return
         if kind is StepKind.MINT_NFT:
-            size = _mint_size(step)
+            size = step.param("data_size")
             for rep in range(self.script.repetitions):
                 data = self.data_rng.randbytes(size)
                 op = access.UserOp(NFT_ID, "mint", args=(_token_id(rep),), data=data)
@@ -287,7 +282,7 @@ class _ScenarioRun:
             return
         if kind in (StepKind.LIST_NFT, StepKind.BUY_NFT):
             method = "list" if kind is StepKind.LIST_NFT else "buy"
-            price = step.param("price", 100).to_bytes(16, "big")
+            price = step.param("price").to_bytes(16, "big")
             for rep in range(self.script.repetitions):
                 self._submit(wallet, access.UserOp(MARKET_ID, method, args=(_token_id(rep), price)), rep)
             self._settle_wave()
@@ -340,7 +335,7 @@ def _run_shape(arch: ArchitectureType, script: ScenarioScript,
     off-chain route when it inlines none, and the hybrid one otherwise.
     """
     plan = storage_plan_for(arch, sim)
-    sizes = [_mint_size(step) for step in script.steps if step.kind is StepKind.MINT_NFT]
+    sizes = [step.param("data_size") for step in script.steps if step.kind is StepKind.MINT_NFT]
     inlined = {plan.inlines(size) for size in sizes if size}
     route = (Route.HYBRID if len(inlined) == 2 else
              Route.OFF_CHAIN if inlined == {False} else Route.ON_CHAIN)
@@ -771,8 +766,10 @@ def run_sweep(script: ScenarioScript | None = None, faults: FaultPlan | None = N
     """Reports on all twelve types; the types of one run shape share their runs.
 
     seed, when given, replaces sim's seed. jobs > 1 spreads the shapes over
-    that many worker processes.
+    that many worker processes, but no more than there are shapes.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     script = script or nft_sale_script()
     faults = faults if faults is not None else DEFAULT_FAULTS
     base = (sim or SimConfig()) if seed is None else replace(sim or SimConfig(), seed=seed)
@@ -780,9 +777,11 @@ def run_sweep(script: ScenarioScript | None = None, faults: FaultPlan | None = N
     for arch in ALL_TYPES:
         shapes.setdefault(_run_shape(arch, script, base), []).append(arch)
     work = partial(_reports, script=script, faults=faults, base=base)
-    if jobs > 1:
+    # A process pool starts all its workers at once, so it gets no more than it can use.
+    workers = min(jobs, len(shapes))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # a serial sweep never loads it
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(work, shapes.values()))
     else:
         batches = map(work, shapes.values())  # lazily: one shape's runs are held at a time

@@ -8,7 +8,7 @@ buyer reads the confirmed state back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .access import AgentBehavior
@@ -25,17 +25,40 @@ class StepKind(Enum):
     RETRIEVE_STATE = "retrieve_state"
 
 
+# The parameters each step takes besides actor, as (default, low, bits): a value is
+# at least low and, if bits is set, below 2**bits. A price is 16 bytes on-chain.
+_STEP_PARAMS: dict[StepKind, dict[str, tuple[int, int, int | None]]] = {
+    StepKind.MINT_NFT: {"data_size": (768, 0, None)},
+    StepKind.LIST_NFT: {"price": (100, 0, 128)},
+    StepKind.BUY_NFT: {"price": (100, 0, 128)},
+}
+_OP_KINDS = (StepKind.MINT_NFT, StepKind.LIST_NFT, StepKind.BUY_NFT, StepKind.RETRIEVE_STATE)
+
+
 @dataclass(frozen=True)
 class Step:
     kind: StepKind
     actor: str
     params: tuple[tuple[str, int], ...] = ()
 
-    def param(self, key: str, default: int = 0) -> int:
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
+    def __post_init__(self):
+        ranges = _STEP_PARAMS.get(self.kind, {})
+        for i, (key, value) in enumerate(self.params):
+            if key not in ranges:
+                raise ValueError(f"{self.kind.value} takes no parameter {key!r}")
+            if key in dict(self.params[:i]):
+                raise ValueError(f"{key} given twice")
+            _, low, bits = ranges[key]
+            if value < low or (bits is not None and value >> bits):
+                bound = f">= {low}" if bits is None else f"in [{low}, 2**{bits})"
+                raise ValueError(f"{key} must be {bound}, got {value}")
+
+    def param(self, key: str) -> int:
+        return dict(self.params).get(key, _STEP_PARAMS[self.kind][key][0])
+
+
+class ScriptError(ValueError):
+    """A broken rule over a script's steps as a whole."""
 
 
 @dataclass(frozen=True)
@@ -44,13 +67,19 @@ class ScenarioScript:
     repetitions: int = 1
 
     def __post_init__(self):
+        if self.repetitions < 1:
+            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
         kinds = [s.kind for s in self.steps]
+        if not any(kind in _OP_KINDS for kind in kinds):
+            raise ScriptError(f"steps must include one of {', '.join(k.value for k in _OP_KINDS)}, "
+                              f"got {[k.value for k in kinds]}")
         if StepKind.BUY_NFT in kinds and StepKind.LIST_NFT in kinds:
             if kinds.index(StepKind.BUY_NFT) < kinds.index(StepKind.LIST_NFT):
-                raise ValueError("a token cannot be bought before it is listed")
+                raise ScriptError("a token cannot be bought before it is listed")
 
 
-def nft_sale_script(data_size: int = 768, price: int = 100, repetitions: int = 30,
+def nft_sale_script(data_size: int = _STEP_PARAMS[StepKind.MINT_NFT]["data_size"][0],
+                    price: int = _STEP_PARAMS[StepKind.LIST_NFT]["price"][0], repetitions: int = 30,
                     seller: str = "alice", buyer: str = "bob") -> ScenarioScript:
     """The default two-actor sale workload."""
     return ScenarioScript(
@@ -68,69 +97,49 @@ def nft_sale_script(data_size: int = 768, price: int = 100, repetitions: int = 3
     )
 
 
-# The parameters each step takes besides actor: each value is an int of
-# at least low and, if bits is set, below 2**bits. A price is 16 bytes
-# on-chain.
-_STEP_PARAMS: dict[str, dict[str, tuple[int, int | None]]] = {
-    "repeat": {"count": (1, None)},
-    StepKind.MINT_NFT.value: {"data_size": (0, None)},
-    StepKind.LIST_NFT.value: {"price": (0, 128)},
-    StepKind.BUY_NFT.value: {"price": (0, 128)},
-}
-
-
-def _params(lineno: int, name: str, kv: dict[str, str]) -> dict[str, int]:
-    """The values of kv, each checked to be a parameter that step name takes, in range."""
-    ranges = _STEP_PARAMS.get(name, {})
-    values = {}
-    for key, value in kv.items():
-        if key not in ranges:
-            raise ValueError(f"line {lineno}: {name} takes no parameter {key!r}")
-        low, bits = ranges[key]
-        try:
-            n = int(value)
-        except ValueError as err:
-            raise ValueError(f"line {lineno}: {key} must be an integer, got {value!r}") from err
-        if n < low or (bits is not None and n >> bits):
-            bound = f">= {low}" if bits is None else f"in [{low}, 2**{bits})"
-            raise ValueError(f"line {lineno}: {key} must be {bound}, got {n}")
-        values[key] = n
-    return values
-
-
 def parse_scenario(text: str) -> ScenarioScript:
     """The script in text; a malformed line raises ValueError naming the line.
 
-    A step takes actor and the parameters _STEP_PARAMS lists for it, each
-    at most once and in range; at most one repeat line sets the count.
+    Step and ScenarioScript check the values; a rule over the steps as a
+    whole is reported at the last line.
     """
     steps: list[Step] = []
-    repetitions = None
+    repetitions, repeat_line, lineno = 1, None, 1
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
-        name, kv = tokens[0].lower(), {}
+        name, actors, params = tokens[0].lower(), [], []
         for token in tokens[1:]:
-            if "=" not in token:
+            key, eq, value = token.partition("=")
+            if not eq:
                 raise ValueError(f"line {lineno}: expected arg=value, got {token!r}")
-            key, value = token.split("=", 1)
-            if key in kv:
-                raise ValueError(f"line {lineno}: {key} given twice")
-            kv[key] = value
+            if key == "actor" and name != "repeat":
+                actors.append(value)
+                continue
+            try:
+                params.append((key, int(value)))
+            except ValueError as err:
+                raise ValueError(f"line {lineno}: {key} must be an integer, got {value!r}") from err
+        if len(actors) > 1:
+            raise ValueError(f"line {lineno}: actor given twice")
         if name == "repeat":
-            if repetitions is not None:
+            if repeat_line is not None:
                 raise ValueError(f"line {lineno}: a second repeat line")
-            repetitions = _params(lineno, name, kv).get("count", 1)
+            if [key for key, _ in params] not in ([], ["count"]):
+                raise ValueError(f"line {lineno}: repeat takes one count, got {params}")
+            repetitions, repeat_line = dict(params).get("count", 1), lineno
             continue
-        try:
-            kind = StepKind(name)
+        try:  # an unknown name is no StepKind
+            steps.append(Step(StepKind(name), actors[0] if actors else "alice",
+                              tuple(sorted(params))))
         except ValueError as err:
-            raise ValueError(f"line {lineno}: unknown step {name!r}") from err
-        actor = kv.pop("actor", "alice")
-        steps.append(Step(kind, actor, tuple(sorted(_params(lineno, name, kv).items()))))
-    return ScenarioScript(steps=tuple(steps), repetitions=1 if repetitions is None else repetitions)
+            raise ValueError(f"line {lineno}: {err}") from err
+    try:
+        return ScenarioScript(steps=tuple(steps), repetitions=repetitions)
+    except ValueError as err:
+        raise ValueError(f"line {lineno if isinstance(err, ScriptError) else repeat_line}: "
+                         f"{err}") from err
 
 
 def scenario_text(script: ScenarioScript) -> str:
@@ -154,9 +163,12 @@ class FaultPlan:
     tamper_target: str = "auto"
 
     def __post_init__(self):
-        for p in (self.maintainer_crash_prob, self.storage_crash_prob):
-            if not (0.0 <= p <= 1.0):
-                raise ValueError("probabilities must be in [0, 1]")
+        for name in ("maintainer_crash_prob", "storage_crash_prob"):
+            p = getattr(self, name)
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {p}")
+        if self.byzantine_maintainers < 0:
+            raise ValueError(f"byzantine_maintainers must be >= 0, got {self.byzantine_maintainers}")
         if self.tamper_target not in TAMPER_TARGETS:
             raise ValueError(f"tamper_target must be one of {TAMPER_TARGETS}, "
                              f"got {self.tamper_target!r}")
@@ -184,7 +196,12 @@ _FAULT_KEYS = {
 
 
 def parse_faults(text: str) -> FaultPlan:
-    kv: dict[str, object] = {}
+    """The plan in text; a bad line raises ValueError naming the line.
+
+    Each line builds the plan anew with its one setting changed, so
+    FaultPlan's checks fail on the line that sets the bad value.
+    """
+    plan = FaultPlan()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -195,8 +212,15 @@ def parse_faults(text: str) -> FaultPlan:
         key = key.lower()
         if key not in _FAULT_KEYS:
             raise ValueError(f"line {lineno}: unknown fault setting {key!r}")
-        kv[key] = _FAULT_KEYS[key](value)
-    return FaultPlan(**kv)
+        try:
+            value = _FAULT_KEYS[key](value)
+        except ValueError as err:
+            raise ValueError(f"line {lineno}: {key}: {err}") from err
+        try:
+            plan = replace(plan, **{key: value})
+        except ValueError as err:
+            raise ValueError(f"line {lineno}: {err}") from err
+    return plan
 
 
 def faults_text(plan: FaultPlan) -> str:

@@ -52,12 +52,6 @@ class StoragePlan:
     inline_threshold: int = DEFAULT_INLINE_THRESHOLD
     inline_cap: int = INLINE_CAP_BYTES
 
-    def __post_init__(self):
-        if self.replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        if self.inline_threshold <= 0:
-            raise ValueError("inline_threshold must be positive")
-
     def inlines(self, size: int) -> bool:
         """True if a blob of size bytes goes inline on-chain, False if off-chain."""
         if self.route is Route.HYBRID:

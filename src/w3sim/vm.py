@@ -372,20 +372,14 @@ class DelegationPolicy:
     region iff digest(key)[0] < 256*(1 - offchain_fraction). A malicious
     executor tampers one delegated write per call: landing in the checked
     region raises CommitmentMismatch, outside it the wrong value is applied
-    silently and reported to violation_sink.
+    silently and reported to violation_sink. SimConfig checks
+    offchain_fraction, and FaultPlan the executor's settings.
     """
 
     offchain_fraction: float = 0.5
     executor_behavior: ExecutorBehavior = ExecutorBehavior.HONEST
     tamper_target: str = "auto"
     run_seed: int = 0
-
-    def __post_init__(self):
-        if not (0.0 <= self.offchain_fraction <= 1.0):
-            raise ValueError("offchain_fraction must be in [0, 1]")
-        if self.tamper_target not in TAMPER_TARGETS:
-            raise ValueError(f"tamper_target must be one of {TAMPER_TARGETS}, "
-                             f"got {self.tamper_target!r}")
 
     def is_checked(self, key: bytes) -> bool:
         bound = int(256 * (1.0 - self.offchain_fraction))

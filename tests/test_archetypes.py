@@ -81,6 +81,37 @@ class TestComposition:
         with pytest.raises(ValueError, match="batch_size"):
             SimConfig(batch_size=batch_size)
 
+    # SimConfig checks each setting when it is built, so a bad one fails
+    # before any storage plan, delegation policy or run is made from it.
+    BAD_SETTINGS = [
+        (dict(replicas=0), "replicas must be >= 1, got 0"),
+        (dict(replicas=11), "replicas must be <= storage nodes (10), got 11"),
+        (dict(storage_nodes=0), "storage_nodes must be >= 1, got 0"),
+        (dict(storage_nodes=0, replicas=0), "storage_nodes must be >= 1, got 0"),
+        (dict(inline_threshold=0), "inline_threshold must be >= 1, got 0"),
+        (dict(inline_cap=-1), "inline_cap must be >= 0, got -1"),
+        (dict(offchain_fraction=1.5), "offchain_fraction must be in [0, 1], got 1.5"),
+        (dict(offchain_fraction=-0.1), "offchain_fraction must be in [0, 1], got -0.1"),
+    ]
+
+    @pytest.mark.parametrize("settings, message", BAD_SETTINGS,
+                             ids=[str(settings) for settings, _ in BAD_SETTINGS])
+    def test_out_of_range_setting_is_rejected(self, settings, message):
+        with pytest.raises(ValueError) as err:
+            SimConfig(**settings)
+        assert str(err.value) == message
+
+    def test_edge_settings_are_allowed(self):
+        SimConfig(storage_nodes=1, replicas=1, inline_threshold=1, inline_cap=0,
+                  offchain_fraction=0.0)
+        SimConfig(offchain_fraction=1.0)
+
+    def test_more_byzantine_maintainers_than_maintainers_is_rejected(self):
+        sim = SimConfig(consensus=ConsensusConfig(n_nodes=4))
+        compose(architecture(1), sim, faults=FaultPlan(byzantine_maintainers=4))
+        with pytest.raises(ValueError, match=r"byzantine_maintainers must be <= n_nodes \(4\), got 5"):
+            compose(architecture(1), sim, faults=FaultPlan(byzantine_maintainers=5))
+
     def test_type1_minimal_stack(self):
         topo = self.compose_type(1)
         assert topo.agent is None
@@ -224,12 +255,6 @@ class TestHybridExecution:
         for tx in random_workload(actors, 100, seed=34):
             vm.execute(state, tx, delegation=policy, violation_sink=violations.append)
         assert len(violations) == len(set(violations))  # one per tx, tx ids unique
-
-    def test_fraction_bounds(self):
-        with pytest.raises(ValueError):
-            DelegationPolicy(offchain_fraction=1.5)
-        with pytest.raises(ValueError):
-            DelegationPolicy(tamper_target="chekced")
 
     def test_topology_counts_violations(self):
         wallets = make_actors(2, tag=b"topo-mal")

@@ -257,9 +257,9 @@ class TestUsageErrors:
         assert err.value.code == 2
 
     def test_type_out_of_range(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            cli.main(["simulate", "--type", "13"])
-        assert err.value.code == 2
+        code, _, err = run_cli(["simulate", "--type", "13"], capsys)
+        assert code == 2
+        assert "architecture type id must be 1..12, got 13" in err
 
     def test_demo_type_out_of_range(self, capsys):
         assert cli.main(["demo", "--type", "99"]) == 2
@@ -286,7 +286,7 @@ BAD_SCENARIO_LINES = [
      "line 5: data_size must be >= 0, got -5"),
     ("list_nft actor=alice price=100", "list_nft actor=alice price=-1",
      "line 6: price must be in [0, 2**128), got -1"),
-    ("repeat count=4", "repeat count=0", "line 9: count must be >= 1, got 0"),
+    ("repeat count=4", "repeat count=0", "line 9: repetitions must be >= 1, got 0"),
     ("repeat count=4", "repeat count=4\nrepeat count=5", "line 10: a second repeat line"),
 ]
 
@@ -303,6 +303,44 @@ def test_bad_scenario_file_exits_2(tmp_path, capsys, command, line, bad, message
     assert code == 2
     assert message in err
     assert not out.exists()
+
+
+BAD_FAULT_PLANS = [
+    ("byzantine_maintainers = -2\n", "line 1: byzantine_maintainers must be >= 0, got -2"),
+    ("byzantine_maintainers = 9\n", "byzantine_maintainers must be <= n_nodes (7), got 9"),
+    ("maintainer_crash_prob = lots\n",
+     "line 1: maintainer_crash_prob: could not convert string to float: 'lots'"),
+]
+
+
+@pytest.mark.parametrize("command", ["simulate", "matrix"])
+@pytest.mark.parametrize("text, message", BAD_FAULT_PLANS,
+                         ids=[text.strip() for text, _ in BAD_FAULT_PLANS])
+def test_bad_fault_plan_exits_2(tmp_path, capsys, scenario_file, command, text, message):
+    path = tmp_path / "bad.faults"
+    path.write_text(text)
+    out = tmp_path / "out"
+    argv = [command, "--scenario", scenario_file, "--faults", str(path), "--out", str(out)]
+    code, _, err = run_cli(argv + (["--type", "1"] if command == "simulate" else []), capsys)
+    assert code == 2
+    assert message in err
+    assert not out.exists()
+
+
+def test_zero_jobs_exits_2(tmp_path, capsys, scenario_file):
+    out = tmp_path / "out"
+    code, _, err = run_cli(["sweep", "--scenario", scenario_file, "--jobs", "0",
+                            "--out", str(out)], capsys)
+    assert code == 2
+    assert "jobs must be >= 1, got 0" in err
+    assert not out.exists()
+
+
+def test_non_integer_seed_variable_exits_2(monkeypatch, capsys, scenario_file):
+    monkeypatch.setenv("W3SIM_SEED", "forty-two")
+    code, _, err = run_cli(["simulate", "--type", "1", "--scenario", scenario_file], capsys)
+    assert code == 2
+    assert "W3SIM_SEED must be an integer, got 'forty-two'" in err
 
 
 class TestConfigFile:
@@ -352,7 +390,12 @@ class TestConfigFile:
                     ("[network]\nmax_txs_per_block = 0\n", "must be >= 1"),
                     ("[consensus]\nblock_interval = 0\n", "must be >= 1"),
                     ("[network]\nnodes = 0\n", "must be >= 1"),
-                    ("[storage]\nreplicas = 11\n", "replicas must be <= storage nodes (10)")]
+                    ("[storage]\nreplicas = 11\n", "replicas must be <= storage nodes (10)"),
+                    ("[storage]\ninline_cap = -1\n", "inline_cap must be >= 0, got -1"),
+                    ("[storage]\nnodes = 0\n", "storage_nodes must be >= 1, got 0"),
+                    ("[network]\nnodes = seven\n", "[network] nodes: invalid literal for int()"),
+                    ("[consensus]\nfraction = most\n",
+                     "[consensus] fraction: could not convert string to float: 'most'")]
 
     @pytest.mark.parametrize("text, message", OUT_OF_RANGE,
                              ids=[text for text, _ in OUT_OF_RANGE])

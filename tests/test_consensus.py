@@ -87,9 +87,14 @@ class TestConfigRanges:
             ConsensusConfig(msg_delay=delay)
 
     def test_negative_confirm_depth_is_rejected(self):
-        rule = ConsensusRule(kind=RuleKind.MAJORITY_CHAIN, fraction=0.51, confirm_depth=-1)
-        with pytest.raises(ValueError, match="confirm_depth"):
-            ConsensusConfig(rule=rule)
+        with pytest.raises(ValueError, match="confirm_depth must be >= 0, got -1"):
+            ConsensusRule(kind=RuleKind.MAJORITY_CHAIN, fraction=0.51, confirm_depth=-1)
+
+    @pytest.mark.parametrize("fraction", [0, -0.5, 1.5])
+    def test_fraction_outside_zero_one_is_rejected(self, fraction):
+        with pytest.raises(ValueError, match=f"fraction must be in \\(0, 1\\], got {fraction}"):
+            ConsensusRule(fraction=fraction)
+        ConsensusRule(fraction=1)
 
     def test_zero_confirm_depth_confirms_the_tip(self):
         rule = ConsensusRule(kind=RuleKind.MAJORITY_CHAIN, fraction=0.51, confirm_depth=0)

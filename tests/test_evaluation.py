@@ -11,7 +11,7 @@ from collections import Counter
 from enum import Enum
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from test_golden import FAULT_WIRING_PLANS
 
 from w3sim import evaluation as ev
@@ -329,6 +329,36 @@ class TestSweepAndCompare:
         par = run_sweep(FAST, DEFAULT_FAULTS, seed=23, jobs=4)
         for tid in range(1, 13):
             assert report_json(seq[tid]) == report_json(par[tid])
+
+    def test_jobs_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="jobs must be >= 1, got 0"):
+            run_sweep(FAST, NO_FAULTS, jobs=0)
+
+    def test_workers_never_outnumber_the_run_shapes(self, monkeypatch):
+        # A process pool forks all its workers when it starts, so the pool
+        # is faked: it records its size and maps in this process.
+        import concurrent.futures
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        script = nft_sale_script(repetitions=2)
+        shapes = {ev._run_shape(arch, script, SimConfig()) for arch in ev.ALL_TYPES}
+        pooled = run_sweep(script, NO_FAULTS, jobs=500)
+        assert sizes == [len(shapes)] and len(shapes) <= 12
+        assert pooled == run_sweep(script, NO_FAULTS, jobs=1)
 
     def test_emission_formats(self, sweep):
         matrix = compare(sweep, sweep[1])
@@ -719,6 +749,37 @@ class TestFaultFreeAvailability:
         assert stats.ops_succeeded == stats.ops_attempted == 4 * reps
 
 
+OP_KINDS = (StepKind.MINT_NFT, StepKind.LIST_NFT, StepKind.BUY_NFT, StepKind.RETRIEVE_STATE)
+# Each step parameter, and values outside its range.
+OUT_OF_RANGE_PARAMS = [
+    (StepKind.MINT_NFT, "data_size", st.integers(max_value=-1)),
+    (StepKind.LIST_NFT, "price", st.integers(max_value=-1) | st.integers(min_value=2**128)),
+    (StepKind.BUY_NFT, "price", st.integers(max_value=-1) | st.integers(min_value=2**128)),
+]
+IN_RANGE_PARAMS = {
+    StepKind.MINT_NFT: ("data_size", st.integers(0, 10**6)),
+    StepKind.LIST_NFT: ("price", st.integers(0, 2**128 - 1)),
+    StepKind.BUY_NFT: ("price", st.integers(0, 2**128 - 1)),
+}
+
+
+@st.composite
+def scripts(draw):
+    """Valid scripts: some op step, no buy before the first list, each parameter in range."""
+    kinds = draw(st.lists(st.sampled_from(StepKind), min_size=1, max_size=8))
+    assume(any(kind in OP_KINDS for kind in kinds))
+    assume(not (StepKind.BUY_NFT in kinds and StepKind.LIST_NFT in kinds
+                and kinds.index(StepKind.BUY_NFT) < kinds.index(StepKind.LIST_NFT)))
+    steps = []
+    for kind in kinds:
+        params = ()
+        if kind in IN_RANGE_PARAMS and draw(st.booleans()):
+            key, values = IN_RANGE_PARAMS[kind]
+            params = ((key, draw(values)),)
+        steps.append(Step(kind, draw(st.sampled_from(["alice", "bob", "carol"])), params))
+    return ScenarioScript(steps=tuple(steps), repetitions=draw(st.integers(1, 10**6)))
+
+
 class TestScenarioFiles:
     def test_script_roundtrip(self):
         script = nft_sale_script(data_size=512, price=77, repetitions=9)
@@ -729,24 +790,75 @@ class TestScenarioFiles:
         with pytest.raises(ValueError):
             parse_scenario("transmogrify actor=alice")
 
+    # Each bad line, and the same values built in code where code can hold
+    # them: Step and ScenarioScript raise the message, and parse_scenario
+    # adds the line. The other cases are file syntax only.
     BAD_LINES = [
-        ("mint_nft size=100", "line 2: mint_nft takes no parameter 'size'"),
-        ("list_nft prize=5", "line 2: list_nft takes no parameter 'prize'"),
-        ("retrieve_state actor=bob count=3", "line 2: retrieve_state takes no parameter 'count'"),
-        ("mint_nft data_size=-5", "line 2: data_size must be >= 0, got -5"),
-        ("list_nft price=-1", "line 2: price must be in [0, 2**128), got -1"),
-        (f"buy_nft price={2**128}", "line 2: price must be in [0, 2**128)"),
-        ("mint_nft data_size=big", "line 2: data_size must be an integer"),
-        ("mint_nft data_size=1 data_size=2", "line 2: data_size given twice"),
-        ("repeat count=0", "line 2: count must be >= 1, got 0"),
-        ("repeat count=3\nrepeat count=4", "line 3: a second repeat line"),
+        ("mint_nft size=100", "line 2: mint_nft takes no parameter 'size'",
+         [lambda: Step(StepKind.MINT_NFT, "alice", (("size", 100),))]),
+        ("list_nft prize=5", "line 2: list_nft takes no parameter 'prize'",
+         [lambda: Step(StepKind.LIST_NFT, "alice", (("prize", 5),))]),
+        ("retrieve_state actor=bob count=3", "line 2: retrieve_state takes no parameter 'count'",
+         [lambda: Step(StepKind.RETRIEVE_STATE, "bob", (("count", 3),))]),
+        ("mint_nft data_size=-5", "line 2: data_size must be >= 0, got -5",
+         [lambda: Step(StepKind.MINT_NFT, "alice", (("data_size", -5),)),
+          lambda: nft_sale_script(data_size=-5)]),
+        ("list_nft price=-1", "line 2: price must be in [0, 2**128), got -1",
+         [lambda: Step(StepKind.LIST_NFT, "alice", (("price", -1),)),
+          lambda: nft_sale_script(price=-1)]),
+        (f"buy_nft price={2**128}", "line 2: price must be in [0, 2**128)",
+         [lambda: Step(StepKind.BUY_NFT, "alice", (("price", 2**128),)),
+          lambda: nft_sale_script(price=2**128)]),
+        ("mint_nft data_size=big", "line 2: data_size must be an integer", []),
+        ("mint_nft data_size=1 data_size=2", "line 2: data_size given twice",
+         [lambda: Step(StepKind.MINT_NFT, "alice", (("data_size", 1), ("data_size", 2)))]),
+        ("repeat count=0", "line 2: repetitions must be >= 1, got 0",
+         [lambda: ScenarioScript(steps=(Step(StepKind.CONNECT_WALLET, "alice"),), repetitions=0),
+          lambda: nft_sale_script(repetitions=0)]),
+        ("repeat count=3\nrepeat count=4", "line 3: a second repeat line", []),
+        ("create_identity actor=bob", "line 2: steps must include one of mint_nft, list_nft, "
+         "buy_nft, retrieve_state, got ['connect_wallet', 'create_identity']",
+         [lambda: ScenarioScript(steps=(Step(StepKind.CONNECT_WALLET, "alice"),
+                                        Step(StepKind.CREATE_IDENTITY, "bob")))]),
     ]
+    BUILT_LINES = [(message.split(": ", 1)[1], build)
+                   for _, message, builds in BAD_LINES for build in builds]
 
-    @pytest.mark.parametrize("line, message", BAD_LINES, ids=[line for line, _ in BAD_LINES])
+    @pytest.mark.parametrize("line, message", [case[:2] for case in BAD_LINES],
+                             ids=[line for line, _, _ in BAD_LINES])
     def test_parse_rejects_a_bad_line_by_number(self, line, message):
         with pytest.raises(ValueError) as err:
             parse_scenario(f"connect_wallet actor=alice\n{line}\n")
         assert message in str(err.value)
+
+    @pytest.mark.parametrize("message, build", BUILT_LINES,
+                             ids=[f"{i}: {message}" for i, (message, _) in enumerate(BUILT_LINES)])
+    def test_building_a_bad_line_in_code_fails_alike(self, message, build):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert message in str(err.value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(script=scripts())
+    def test_valid_scripts_roundtrip(self, script):
+        assert parse_scenario(scenario_text(script)) == script
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_out_of_range_values_fail_alike_in_code_and_in_a_file(self, data):
+        kind, key, bad = data.draw(st.sampled_from(OUT_OF_RANGE_PARAMS))
+        value = data.draw(bad)
+        with pytest.raises(ValueError) as built:
+            Step(kind, "alice", ((key, value),))
+        with pytest.raises(ValueError) as parsed:
+            parse_scenario(f"{kind.value} actor=alice {key}={value}\n")
+        assert str(parsed.value) == f"line 1: {built.value}"
+        count = data.draw(st.integers(max_value=0))
+        with pytest.raises(ValueError) as built:
+            ScenarioScript(steps=(Step(StepKind.RETRIEVE_STATE, "alice"),), repetitions=count)
+        with pytest.raises(ValueError) as parsed:
+            parse_scenario(f"retrieve_state actor=alice\nrepeat count={count}\n")
+        assert str(parsed.value) == f"line 2: {built.value}"
 
     def test_parse_takes_the_largest_price(self):
         script = parse_scenario(f"list_nft price={2**128 - 1}\nrepeat count=1\n")
@@ -761,9 +873,26 @@ class TestScenarioFiles:
         plan = FaultPlan(storage_crash_prob=0.25, byzantine_maintainers=2)
         assert parse_faults(faults_text(plan)) == plan
 
-    def test_fault_probability_bounds(self):
-        with pytest.raises(ValueError):
-            FaultPlan(storage_crash_prob=1.5)
+    @pytest.mark.parametrize("settings, message", [
+        (dict(storage_crash_prob=1.5), "storage_crash_prob must be in [0, 1], got 1.5"),
+        (dict(maintainer_crash_prob=-0.1), "maintainer_crash_prob must be in [0, 1], got -0.1"),
+        (dict(byzantine_maintainers=-1), "byzantine_maintainers must be >= 0, got -1"),
+    ], ids=["storage", "maintainer", "byzantine"])
+    def test_fault_plan_ranges(self, settings, message):
+        with pytest.raises(ValueError) as err:
+            FaultPlan(**settings)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        ("storage_crash_prob = 0.6\nmaintainer_crash_prob = lots\n",
+         "line 2: maintainer_crash_prob: could not convert string to float: 'lots'"),
+        ("\nbyzantine_maintainers = -2\n", "line 2: byzantine_maintainers must be >= 0, got -2"),
+        ("byz_mode = loud\n", "line 1: byz_mode: 'loud' is not a valid ByzantineMode"),
+    ], ids=["not-a-float", "negative", "unknown-mode"])
+    def test_faults_name_the_bad_line(self, text, message):
+        with pytest.raises(ValueError) as err:
+            parse_faults(text)
+        assert str(err.value) == message
 
     def test_faults_reject_unknown_key(self):
         # A misspelled key must not quietly leave its fault switched off.

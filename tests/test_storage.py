@@ -9,7 +9,6 @@ from w3sim.archetypes import (
     ComputeMode,
     SimConfig,
     StorageMode,
-    architecture,
     storage_plan_for,
     type_from_tuple,
 )
@@ -84,12 +83,6 @@ class TestPut:
         ref = fabric.put(b"replicated")
         assert len(fabric.store.placement[ref.cid.digest]) == 3
 
-    def test_plan_validation(self):
-        with pytest.raises(ValueError):
-            StoragePlan(route=Route.OFF_CHAIN, replicas=0)
-        with pytest.raises(ValueError):
-            StoragePlan(route=Route.HYBRID, inline_threshold=0)
-
     def test_mode_mapping(self):
         sim = SimConfig(replicas=4, inline_threshold=128, inline_cap=512)
         for mode, route in ((StorageMode.ON_CHAIN, Route.ON_CHAIN),
@@ -98,11 +91,6 @@ class TestPut:
             arch = type_from_tuple(AccessMode.BROWSER, ComputeMode.ON_CHAIN, mode)
             assert storage_plan_for(arch, sim) == StoragePlan(
                 route=route, replicas=4, inline_threshold=128, inline_cap=512)
-
-    def test_bad_setting_fails_for_every_storage_mode(self):
-        for type_id in (1, 2, 3):
-            with pytest.raises(ValueError):
-                storage_plan_for(architecture(type_id), SimConfig(replicas=0))
 
 
 class TestInlines:
