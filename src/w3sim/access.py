@@ -238,9 +238,6 @@ class RetrievedState:
     tx_id: bytes
     tick: int
 
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.entries)
-
 
 def retrieve_state(chain: ChainNetwork, addr: identity.Address,
                    contract_id: bytes) -> RetrievedState:

@@ -14,7 +14,7 @@ from enum import Enum
 from random import Random
 
 from . import access, consensus, storage, vm
-from .consensus import ConsensusConfig
+from .consensus import ConsensusConfig, check_int
 from .scenario import NO_FAULTS, FaultPlan
 
 FT_ID = b"\x01" * 20
@@ -113,14 +113,13 @@ class SimConfig:
     offchain_fraction: float = 0.5
 
     def __post_init__(self):
+        check_int("seed", self.seed)
         for name in ("storage_nodes", "replicas", "inline_threshold", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            check_int(name, getattr(self, name), 1)
         if self.replicas > self.storage_nodes:
             raise ValueError(f"replicas must be <= storage nodes ({self.storage_nodes}), got {self.replicas}")
-        if self.inline_cap < 0:
-            raise ValueError(f"inline_cap must be >= 0, got {self.inline_cap}")
-        if not 0.0 <= self.offchain_fraction <= 1.0:
+        check_int("inline_cap", self.inline_cap, 0)
+        if isinstance(self.offchain_fraction, bool) or not 0.0 <= self.offchain_fraction <= 1.0:
             raise ValueError(f"offchain_fraction must be in [0, 1], got {self.offchain_fraction}")
 
 
@@ -155,9 +154,7 @@ def compose(arch: ArchitectureType, sim_config: SimConfig, *,
     wallets' keys with it.
     """
     n_nodes = sim_config.consensus.n_nodes
-    if faults.byzantine_maintainers > n_nodes:
-        raise ValueError(f"byzantine_maintainers must be <= n_nodes ({n_nodes}), "
-                         f"got {faults.byzantine_maintainers}")
+    faults.check_fits(n_nodes)
     state = vm.ContractState()
 
     deploy = vm.deploy_contract

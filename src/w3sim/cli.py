@@ -15,7 +15,7 @@ import configparser
 import os
 import sys
 
-from . import access, evaluation, identity, scenario, vm
+from . import access, evaluation, identity, vm
 from .archetypes import FT_ID, NFT_ID, SimConfig, architecture, parse_tuple
 from .consensus import ConsensusConfig, ConsensusRule, RuleKind, chain_ndjson
 from .evaluation import (
@@ -26,9 +26,9 @@ from .evaluation import (
     report_json,
     run_sweep,
 )
-from .scenario import DEFAULT_FAULTS, nft_sale_script, parse_faults, parse_scenario
+from .scenario import NO_FAULTS, nft_sale_script, parse_faults, parse_scenario
 
-DEFAULT_SEED = 42
+DEFAULT_SEED = SimConfig.seed
 
 PHASE_BANNERS = (
     "[Π1] identity creation",
@@ -102,14 +102,14 @@ def _load_script(args):
     if args.scenario:
         with open(args.scenario, encoding="utf-8") as fh:
             return parse_scenario(fh.read())
-    return nft_sale_script()
+    return None
 
 
 def _load_faults(args):
     if args.faults:
         with open(args.faults, encoding="utf-8") as fh:
             return parse_faults(fh.read())
-    return DEFAULT_FAULTS
+    return None
 
 
 # Config-file (section, key) -> ConsensusConfig or SimConfig field. A key
@@ -137,8 +137,8 @@ _RULE_NAMES = {
 }
 
 
-def _load_sim(args, seed: int) -> SimConfig:
-    sim_kwargs: dict = {"seed": seed}
+def _load_sim(args) -> SimConfig:
+    sim_kwargs: dict = {}
     cons_kwargs: dict = {}
     if getattr(args, "config", None):
         cp = configparser.ConfigParser()
@@ -219,17 +219,14 @@ class SystemExit2(Exception):
 
 
 def cmd_simulate(args) -> int:
-    seed = _resolve_seed(args)
     arch = _pick_arch(args)
-    sim = _load_sim(args, seed)
-    script = _load_script(args)
+    script, faults, sim = evaluation._inputs(_load_script(args), _load_faults(args),
+                                             _resolve_seed(args), _load_sim(args))
     # The report's fault-free main run, kept so the dumps show its chain;
     # it keeps block bodies and the event log only when a dump needs them.
-    main = evaluation._ScenarioRun(arch, script, sim, scenario.NO_FAULTS,
+    main = evaluation._ScenarioRun(arch, script, sim, NO_FAULTS,
                                    keep_history=bool(args.dump_chain or args.dump_events))
-    stats, faults = main.run(), _load_faults(args)
-    report = evaluation._report(arch, script, faults, sim, stats,
-                                evaluation._faulted_run(arch, script, sim, faults, stats))
+    report, = evaluation._reports([arch], script, faults, sim, main=main.run())
     content = report_json(report) if args.format == "json" else _report_markdown(report)
     _write(args.out, f"report_type{arch.type_id}.{'json' if args.format == 'json' else 'md'}", content)
     chain = main.topology.chain
@@ -241,24 +238,23 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _sweep_outputs(args, seed):
-    sim = _load_sim(args, seed)
-    reports = run_sweep(_load_script(args), _load_faults(args), sim=sim,
-                        jobs=getattr(args, "jobs", 1))
+def _sweep_outputs(args):
+    """The sweep's reports, its matrix, and the matrix's file name and text in --format."""
+    reports = run_sweep(_load_script(args), _load_faults(args), seed=_resolve_seed(args),
+                        sim=_load_sim(args), jobs=args.jobs)
     matrix = compare(reports, reports[1])
-    return reports, matrix
+    if args.format == "json":
+        return reports, matrix, "matrix.json", matrix_json(matrix)
+    return reports, matrix, "matrix.md", matrix_markdown(matrix)
 
 
 def cmd_sweep(args) -> int:
-    seed = _resolve_seed(args)
-    reports, matrix = _sweep_outputs(args, seed)
+    reports, _, name, content = _sweep_outputs(args)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     for type_id, report in sorted(reports.items()):
         with open(os.path.join(out, f"report_type{type_id}.json"), "w", encoding="utf-8") as fh:
             fh.write(report_json(report))
-    content = matrix_json(matrix) if args.format == "json" else matrix_markdown(matrix)
-    name = "matrix.json" if args.format == "json" else "matrix.md"
     with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
         fh.write(content)
     print(f"wrote {len(reports)} reports and {name} to {out}")
@@ -266,12 +262,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    seed = _resolve_seed(args)
-    reports, matrix = _sweep_outputs(args, seed)
+    _, matrix, name, content = _sweep_outputs(args)
     mismatches = diff_against_reference(matrix)
-    content = matrix_json(matrix) if args.format == "json" else matrix_markdown(matrix)
     if args.out:
-        _write(args.out, "matrix.json" if args.format == "json" else "matrix.md", content)
+        _write(args.out, name, content)
     else:
         sys.stdout.write(content)
     if mismatches:
@@ -284,12 +278,12 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    seed = _resolve_seed(args)
     arch = architecture(args.type_id)
-    run = evaluation._ScenarioRun(arch, nft_sale_script(repetitions=1), _load_sim(args, seed),
-                                  scenario.NO_FAULTS, keep_history=True)
+    script, _, sim = evaluation._inputs(nft_sale_script(repetitions=1), NO_FAULTS,
+                                        _resolve_seed(args), _load_sim(args))
+    run = evaluation._ScenarioRun(arch, script, sim, NO_FAULTS, keep_history=True)
     stats = run.run()
-    print(f"Demo: NFT sale on Type{arch.type_id} ({arch.tuple_label}), seed {seed}")
+    print(f"Demo: NFT sale on Type{arch.type_id} ({arch.tuple_label}), seed {sim.seed}")
     if stats.infeasible_reason or stats.ops_succeeded != stats.ops_attempted:
         print(f"demo FAILED: {stats.ops_succeeded} of {stats.ops_attempted} ops succeeded"
               + (f" ({stats.infeasible_reason})" if stats.infeasible_reason else ""))

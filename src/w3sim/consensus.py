@@ -67,6 +67,14 @@ class ByzantineMode(Enum):
     WITHHOLD_TXS = "withhold"
 
 
+def check_int(name: str, value, low: int | None = None) -> None:
+    """Raise ValueError unless value is an int, not a bool, and at least low if low is set."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 @dataclass(frozen=True)
 class ConsensusRule:
     kind: RuleKind = RuleKind.BFT_QUORUM
@@ -74,10 +82,9 @@ class ConsensusRule:
     confirm_depth: int = 6
 
     def __post_init__(self):
-        if not 0 < self.fraction <= 1:
+        if isinstance(self.fraction, bool) or not 0 < self.fraction <= 1:
             raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")
-        if self.confirm_depth < 0:
-            raise ValueError(f"confirm_depth must be >= 0, got {self.confirm_depth}")
+        check_int("confirm_depth", self.confirm_depth, 0)
 
 
 @dataclass(frozen=True)
@@ -94,9 +101,10 @@ class ConsensusConfig:
     def __post_init__(self):
         for name in ("n_nodes", "block_interval", "pool_capacity", "max_txs_per_block",
                      "network_capacity", "gas_byte_equiv"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            check_int(name, getattr(self, name), 1)
         lo, hi = self.msg_delay
+        for i, end in enumerate(self.msg_delay):
+            check_int(f"msg_delay[{i}]", end)
         if not 0 <= lo <= hi:
             raise ValueError(f"msg_delay must satisfy 0 <= lo <= hi, got {self.msg_delay}")
 
@@ -503,17 +511,6 @@ class ChainNetwork:
         blocks = self.confirmed_blocks
         return all(block.height == i for i, block in enumerate(blocks)) and all(
             child.parent_hash == parent.block_hash for parent, child in zip(blocks, blocks[1:]))
-
-    def check_liveness(self, tx_id: bytes, deadline_ticks: int) -> bool:
-        """Advance rounds until the deadline; true iff tx confirmed by then."""
-        if deadline_ticks <= 0:
-            return False
-        guard = 0
-        while self.now < deadline_ticks and tx_id not in self.confirmed_tick and guard < 100_000:
-            self.run_round()
-            guard += 1
-        tick = self.confirmed_tick.get(tx_id)
-        return tick is not None and tick <= deadline_ticks
 
     @property
     def stall_rounds(self) -> int:

@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import gc
 import json
-from dataclasses import dataclass, fields, is_dataclass, replace
-from enum import Enum
+from dataclasses import dataclass, replace
 from functools import partial
 from random import Random
 
@@ -59,6 +58,7 @@ from .scenario import (
     ScenarioScript,
     Step,
     StepKind,
+    _config_items,
     nft_sale_script,
 )
 from .storage import InlineTooLarge, LinkedRef, Route, StorageError
@@ -366,27 +366,34 @@ def _reaching_faults(arch: ArchitectureType, script: ScenarioScript, sim: SimCon
     return replace(faults, **cut)
 
 
-def _faulted_run(arch: ArchitectureType, script: ScenarioScript, base: SimConfig,
-                 faults: FaultPlan, main: RunStats) -> RunStats | None:
-    """The faulted run that goes with main, made only when it can differ from main.
+def _inputs(script: ScenarioScript | None, faults: FaultPlan | None, seed: int | None,
+            sim: SimConfig | None) -> tuple[ScenarioScript, FaultPlan, SimConfig]:
+    """(script, faults, base) with the defaults filled in and seed, if given, as base's seed.
 
-    None when main is infeasible, which makes the report infeasible
-    whatever the faults do. main itself when no fault of the plan reaches
-    arch's run: main did not stall, so that run would not either. Else a
-    run under the plan as given, whose stall rule is the faulted one.
+    Each input checked itself when it was built; the plan is checked
+    against base's chain here, so every entry point fails before any run.
     """
-    if main.infeasible_reason:
-        return None
-    if _reaching_faults(arch, script, base, faults) == NO_FAULTS:
-        return main
-    return run_raw(arch, script, base, faults)
+    base = (sim or SimConfig()) if seed is None else replace(sim or SimConfig(), seed=seed)
+    faults = DEFAULT_FAULTS if faults is None else faults
+    faults.check_fits(base.consensus.n_nodes)
+    return script or nft_sale_script(), faults, base
 
 
 def _reports(archs: list[ArchitectureType], script: ScenarioScript, faults: FaultPlan,
-             base: SimConfig) -> list[MetricReport]:
-    """The reports on archs, which share one run shape, from their one main and faulted run."""
-    main = run_raw(archs[0], script, base, NO_FAULTS)
-    faulted = _faulted_run(archs[0], script, base, faults, main)
+             base: SimConfig, main: RunStats | None = None) -> list[MetricReport]:
+    """The reports on archs, which share one run shape, from their one main and faulted run.
+
+    main, the fault-free run under base, is made here unless it is given.
+    The faulted run is None when main is infeasible, which makes the
+    reports infeasible whatever the faults do; main itself when no fault
+    of the plan reaches the shape, since main did not stall; else a run
+    under the plan as given, whose stall rule is the faulted one.
+    """
+    if main is None:
+        main = run_raw(archs[0], script, base, NO_FAULTS)
+    faulted = (None if main.infeasible_reason else
+               main if _reaching_faults(archs[0], script, base, faults) == NO_FAULTS else
+               run_raw(archs[0], script, base, faults))
     return [_report(arch, script, faults, base, main, faulted) for arch in archs]
 
 
@@ -429,18 +436,6 @@ class MetricReport:
         return out
 
 
-def _config_items(prefix: str, config) -> list[tuple[str, object]]:
-    """(dotted field path, value) for every leaf setting of a config dataclass."""
-    items = []
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if is_dataclass(value):
-            items += _config_items(f"{prefix}{f.name}.", value)
-        else:
-            items.append((prefix + f.name, value.value if isinstance(value, Enum) else value))
-    return items
-
-
 def _config_snapshot(sim: SimConfig, script: ScenarioScript, faults: FaultPlan) -> tuple:
     items = _config_items("", sim) + _config_items("faults.", faults)
     items.append(("repetitions", script.repetitions))
@@ -451,10 +446,7 @@ def run_scenario(arch: ArchitectureType, script: ScenarioScript | None = None,
                  faults: FaultPlan | None = None, seed: int | None = None,
                  sim: SimConfig | None = None) -> MetricReport:
     """Measure one architecture under sim, with seed, if given, as its seed; deterministic."""
-    script = script or nft_sale_script()
-    faults = faults if faults is not None else DEFAULT_FAULTS
-    base = (sim or SimConfig()) if seed is None else replace(sim or SimConfig(), seed=seed)
-    return _reports([arch], script, faults, base)[0]
+    return _reports([arch], *_inputs(script, faults, seed, sim))[0]
 
 
 def _ticks_at(main: RunStats, consensus: ConsensusConfig, n_nodes: int) -> int:
@@ -770,9 +762,7 @@ def run_sweep(script: ScenarioScript | None = None, faults: FaultPlan | None = N
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    script = script or nft_sale_script()
-    faults = faults if faults is not None else DEFAULT_FAULTS
-    base = (sim or SimConfig()) if seed is None else replace(sim or SimConfig(), seed=seed)
+    script, faults, base = _inputs(script, faults, seed, sim)
     shapes: dict[tuple, list[ArchitectureType]] = {}
     for arch in ALL_TYPES:
         shapes.setdefault(_run_shape(arch, script, base), []).append(arch)

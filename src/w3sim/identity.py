@@ -15,8 +15,6 @@ import hashlib
 from dataclasses import dataclass
 from enum import Enum
 
-SECURITY_BITS = 256
-SEED_BYTES = SECURITY_BITS // 8
 ADDRESS_BYTES = 20
 
 BASE58_ALPHABET = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"

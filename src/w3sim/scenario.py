@@ -8,11 +8,11 @@ buyer reads the confirmed state back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 
 from .access import AgentBehavior
-from .consensus import ByzantineMode
+from .consensus import ByzantineMode, check_int
 from .vm import TAMPER_TARGETS, ExecutorBehavior
 
 
@@ -48,6 +48,7 @@ class Step:
                 raise ValueError(f"{self.kind.value} takes no parameter {key!r}")
             if key in dict(self.params[:i]):
                 raise ValueError(f"{key} given twice")
+            check_int(key, value)
             _, low, bits = ranges[key]
             if value < low or (bits is not None and value >> bits):
                 bound = f">= {low}" if bits is None else f"in [{low}, 2**{bits})"
@@ -67,8 +68,7 @@ class ScenarioScript:
     repetitions: int = 1
 
     def __post_init__(self):
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
+        check_int("repetitions", self.repetitions, 1)
         kinds = [s.kind for s in self.steps]
         if not any(kind in _OP_KINDS for kind in kinds):
             raise ScriptError(f"steps must include one of {', '.join(k.value for k in _OP_KINDS)}, "
@@ -165,13 +165,18 @@ class FaultPlan:
     def __post_init__(self):
         for name in ("maintainer_crash_prob", "storage_crash_prob"):
             p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
+            if isinstance(p, bool) or not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
-        if self.byzantine_maintainers < 0:
-            raise ValueError(f"byzantine_maintainers must be >= 0, got {self.byzantine_maintainers}")
+        check_int("byzantine_maintainers", self.byzantine_maintainers, 0)
         if self.tamper_target not in TAMPER_TARGETS:
             raise ValueError(f"tamper_target must be one of {TAMPER_TARGETS}, "
                              f"got {self.tamper_target!r}")
+
+    def check_fits(self, n_nodes: int) -> None:
+        """Raise ValueError if the plan names more byzantine maintainers than n_nodes."""
+        if self.byzantine_maintainers > n_nodes:
+            raise ValueError(f"byzantine_maintainers must be <= n_nodes ({n_nodes}), "
+                             f"got {self.byzantine_maintainers}")
 
 
 NO_FAULTS = FaultPlan()
@@ -182,17 +187,9 @@ DEFAULT_FAULTS = FaultPlan(storage_crash_prob=0.6,
                            executor_behavior=ExecutorBehavior.MALICIOUS)
 
 
-# Fault-plan file keys and how each value is read; an absent key keeps
-# the FaultPlan default.
-_FAULT_KEYS = {
-    "maintainer_crash_prob": float,
-    "byzantine_maintainers": int,
-    "byz_mode": ByzantineMode,
-    "agent_behavior": AgentBehavior,
-    "storage_crash_prob": float,
-    "executor_behavior": ExecutorBehavior,
-    "tamper_target": str,
-}
+# Fault-plan file keys, one per FaultPlan field, and how each value is
+# read: by the type of the field's default. An absent key keeps the default.
+_FAULT_KEYS = {f.name: type(f.default) for f in fields(FaultPlan)}
 
 
 def parse_faults(text: str) -> FaultPlan:
@@ -223,13 +220,17 @@ def parse_faults(text: str) -> FaultPlan:
     return plan
 
 
+def _config_items(prefix: str, config) -> list[tuple[str, object]]:
+    """(dotted field path, value) for every leaf setting of a config dataclass."""
+    items = []
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            items += _config_items(f"{prefix}{f.name}.", value)
+        else:
+            items.append((prefix + f.name, value.value if isinstance(value, Enum) else value))
+    return items
+
+
 def faults_text(plan: FaultPlan) -> str:
-    return (
-        f"maintainer_crash_prob = {plan.maintainer_crash_prob}\n"
-        f"byzantine_maintainers = {plan.byzantine_maintainers}\n"
-        f"byz_mode = {plan.byz_mode.value}\n"
-        f"agent_behavior = {plan.agent_behavior.value}\n"
-        f"storage_crash_prob = {plan.storage_crash_prob}\n"
-        f"executor_behavior = {plan.executor_behavior.value}\n"
-        f"tamper_target = {plan.tamper_target}\n"
-    )
+    return "".join(f"{key} = {value}\n" for key, value in _config_items("", plan))

@@ -26,6 +26,7 @@ from w3sim.scenario import DEFAULT_FAULTS, NO_FAULTS, nft_sale_script
 from w3sim.storage import AllReplicasDown, OffChainStore, Route, StorageFabric, StoragePlan, VerifyResult
 from w3sim.vm import DelegationPolicy, ExecutorBehavior
 
+from test_consensus import confirmed_by
 from test_identity import base58_oracle
 
 
@@ -340,7 +341,7 @@ def test_criterion_6_agent_batching():
                             withheld.chain, withheld.fabric)
     would_be = access.flush(withheld.agent, withheld.chain)  # raises nothing
     assert would_be
-    assert not withheld.chain.check_liveness(would_be[0], 5_000)
+    assert not confirmed_by(withheld.chain, would_be[0], 5_000)
     print("\nACCEPTANCE 6 PASS: 25 ops @ batch 10 → exactly 3 txs; Type7 ops/tx "
           f"{r7.ops_per_tx:.0f} > Type1 {r1.ops_per_tx:.0f}; withholding caught only by liveness")
 

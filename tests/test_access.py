@@ -19,6 +19,8 @@ from w3sim.access import (
 from w3sim.archetypes import FT_ID, NFT_ID, SimConfig, architecture, compose
 from w3sim.vm import query_state
 
+from test_consensus import confirmed_by
+
 
 def build_topology(type_id=1, n_users=2, seed=7, **sim_kwargs):
     wallets = [WalletClient.create(b"acc-user-%d-%d" % (seed, i)) for i in range(n_users)]
@@ -155,7 +157,7 @@ class TestAgentBatching:
         tx_ids = flush(agent, topo.chain)  # no error raised
         assert tx_ids and agent.batch_buffer == []
         assert len(topo.chain.pool) == 0
-        assert not topo.chain.check_liveness(tx_ids[0], 2_000)
+        assert not confirmed_by(topo.chain, tx_ids[0], 2_000)
 
     def test_agent_is_onchain_sender_for_all_routed_txs(self):
         topo, wallets = build_topology(type_id=7, batch_size=4)
@@ -205,7 +207,7 @@ class TestRetrieval:
         got = retrieve_state(topo.chain, w1.address, FT_ID)
         assert got.tx_id == tx_id
         balance_key = (b"bal:" + w1.address.payload).hex()
-        assert got.as_dict()[balance_key] == (100_000 - 25).to_bytes(16, "big").hex()
+        assert dict(got.entries)[balance_key] == (100_000 - 25).to_bytes(16, "big").hex()
 
     def test_stable_until_superseded(self):
         topo, (w1, w2) = build_topology()
@@ -236,8 +238,8 @@ class TestRetrieval:
         payload = w1.address.payload
         balance = query_state(chain.state, FT_ID, "balanceOf", (payload,))
         supply = query_state(chain.state, FT_ID, "totalSupply")
-        assert got.as_dict() == {(b"bal:" + payload).hex(): balance.to_bytes(16, "big").hex(),
-                                 b"sup:".hex(): supply.to_bytes(16, "big").hex()}
+        assert dict(got.entries) == {(b"bal:" + payload).hex(): balance.to_bytes(16, "big").hex(),
+                                     b"sup:".hex(): supply.to_bytes(16, "big").hex()}
         assert balance == 100_000 - 3
 
 

@@ -4,8 +4,10 @@ import os
 import pytest
 
 from w3sim import access, cli, evaluation, vm
-from w3sim.archetypes import SimConfig
+from w3sim.archetypes import SimConfig, architecture
 from w3sim.consensus import ConsensusConfig, RuleKind, chain_ndjson
+from w3sim.evaluation import report_json, run_scenario, run_sweep
+from w3sim.scenario import DEFAULT_FAULTS, FaultPlan, faults_text, parse_scenario
 
 
 def run_cli(argv, capsys):
@@ -313,10 +315,11 @@ BAD_FAULT_PLANS = [
 ]
 
 
-@pytest.mark.parametrize("command", ["simulate", "matrix"])
+@pytest.mark.parametrize("command", ["simulate", "matrix", "sweep"])
 @pytest.mark.parametrize("text, message", BAD_FAULT_PLANS,
                          ids=[text.strip() for text, _ in BAD_FAULT_PLANS])
-def test_bad_fault_plan_exits_2(tmp_path, capsys, scenario_file, command, text, message):
+def test_bad_fault_plan_exits_2(tmp_path, capsys, scenario_file, scenario_runs, command, text,
+                                message):
     path = tmp_path / "bad.faults"
     path.write_text(text)
     out = tmp_path / "out"
@@ -325,6 +328,37 @@ def test_bad_fault_plan_exits_2(tmp_path, capsys, scenario_file, command, text, 
     assert code == 2
     assert message in err
     assert not out.exists()
+    assert scenario_runs == []  # every input is checked before the first run
+
+
+ONE_PATH_PLANS = {"default": DEFAULT_FAULTS, "maintainer-crash": FaultPlan(maintainer_crash_prob=0.1)}
+
+
+@pytest.fixture(scope="module")
+def swept():
+    """run_sweep's reports under each plan of ONE_PATH_PLANS."""
+    return {plan: run_sweep(parse_scenario(SMALL_SCENARIO), faults, seed=42)
+            for plan, faults in ONE_PATH_PLANS.items()}
+
+
+@pytest.mark.parametrize("plan", ONE_PATH_PLANS)
+@pytest.mark.parametrize("type_id", range(1, 13))
+def test_every_entry_point_gives_the_same_report(tmp_path, capsys, scenario_file, swept, type_id,
+                                                 plan):
+    # simulate, with or without a dump, run_scenario and run_sweep all end in
+    # evaluation._reports, so one report comes out as the same bytes.
+    faults = ONE_PATH_PLANS[plan]
+    path = tmp_path / "plan.faults"
+    path.write_text(faults_text(faults))
+    argv = ["simulate", "--type", str(type_id), "--seed", "42", "--scenario", scenario_file,
+            "--faults", str(path)]
+    code, plain, _ = run_cli(argv, capsys)
+    assert code == 0
+    code, dumped, _ = run_cli(argv + ["--dump-chain", str(tmp_path / "chain.ndjson")], capsys)
+    assert code == 0
+    single = report_json(run_scenario(architecture(type_id), parse_scenario(SMALL_SCENARIO),
+                                      faults, seed=42))
+    assert plain == dumped == single == report_json(swept[plan][type_id])
 
 
 def test_zero_jobs_exits_2(tmp_path, capsys, scenario_file):
@@ -366,17 +400,17 @@ class TestConfigFile:
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         args = cli._build_parser().parse_args(
             ["simulate", "--type", "1", "--config", os.path.join(root, "scenarios", "sim.cfg")])
-        assert cli._load_sim(args, 9) == SimConfig(consensus=ConsensusConfig(n_nodes=7), seed=9)
+        assert cli._load_sim(args) == SimConfig(consensus=ConsensusConfig(n_nodes=7))
 
     def test_nodes_flag_beats_config_file_beats_default(self):
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         shipped = os.path.join(root, "scenarios", "sim.cfg")
         parse = cli._build_parser().parse_args
         flagged = parse(["simulate", "--type", "1", "--nodes", "4", "--config", shipped])
-        assert cli._load_sim(flagged, 9).consensus.n_nodes == 4
+        assert cli._load_sim(flagged).consensus.n_nodes == 4
         from_file = parse(["simulate", "--type", "1", "--config", shipped])
-        assert cli._load_sim(from_file, 9).consensus.n_nodes == 7
-        assert cli._load_sim(parse(["simulate", "--type", "1"]), 9).consensus.n_nodes == 7
+        assert cli._load_sim(from_file).consensus.n_nodes == 7
+        assert cli._load_sim(parse(["simulate", "--type", "1"])).consensus.n_nodes == 7
 
     def test_misspelled_config_key_exits_2(self, tmp_path, scenario_file, capsys):
         config = tmp_path / "sim.cfg"
@@ -433,7 +467,7 @@ class TestConfigFile:
                            ("majoritychain", RuleKind.MAJORITY_CHAIN)):
             config.write_text(f"[consensus]\nrule = {name}\n")
             args = cli._build_parser().parse_args(["simulate", "--type", "1", "--config", str(config)])
-            assert cli._load_sim(args, 1).consensus.rule.kind is kind
+            assert cli._load_sim(args).consensus.rule.kind is kind
         config.write_text("[consensus]\nrule = btf\n")
         code, _, err = run_cli(["simulate", "--type", "1", "--scenario", scenario_file,
                                 "--config", str(config)], capsys)

@@ -72,6 +72,13 @@ def transfer_tx(kp, addr, nonce, sim_time=0):
     return txcraft.build_transaction(kp.secret_key, metadata, payload)
 
 
+def confirmed_by(net, tx_id, deadline_ticks) -> bool:
+    """Run rounds until tx_id confirms or the clock reaches deadline_ticks; true iff it confirmed by then."""
+    while net.now < deadline_ticks and tx_id not in net.confirmed_tick:
+        net.run_round()
+    return net.confirmed_tick.get(tx_id, deadline_ticks + 1) <= deadline_ticks
+
+
 class TestConfigRanges:
     @pytest.mark.parametrize("field", ["n_nodes", "block_interval", "pool_capacity",
                                        "max_txs_per_block", "network_capacity",
@@ -168,7 +175,7 @@ class TestBftQuorum:
         net, kp, addr = make_network(n=4, byzantine=1)
         tx = transfer_tx(kp, addr, 0)
         net.submit(tx)
-        assert net.check_liveness(tx.tx_id, 10_000)
+        assert confirmed_by(net, tx.tx_id, 10_000)
 
     def test_n4_two_silent_never_confirms(self):
         net, kp, addr = make_network(n=4, byzantine=2, keep_history=True)
@@ -196,7 +203,7 @@ class TestBftQuorum:
         net, kp, addr = make_network(n=4, byzantine=1, byz_mode=ByzantineMode.WITHHOLD_TXS)
         tx = transfer_tx(kp, addr, 0)
         net.submit(tx)
-        assert net.check_liveness(tx.tx_id, 10_000)  # honest proposers pick it up
+        assert confirmed_by(net, tx.tx_id, 10_000)  # honest proposers pick it up
 
 
 class TestMajorityChain:
@@ -220,7 +227,7 @@ class TestMajorityChain:
                                          rule=self.mc_rule(), adversarial_share=0.45)
             tx = transfer_tx(kp, addr, 0)
             net.submit(tx)
-            assert net.check_liveness(tx.tx_id, 10_000), seed
+            assert confirmed_by(net, tx.tx_id, 10_000), seed
             heights = [b.height for b in net.confirmed_blocks]
             assert len(heights) == len(set(heights)), seed
 
@@ -352,19 +359,19 @@ class TestProbes:
         net, kp, addr = make_network()
         tx = transfer_tx(kp, addr, 0)
         net.submit(tx)
-        assert not net.check_liveness(tx.tx_id, 0)
+        assert not confirmed_by(net, tx.tx_id, 0)
 
     def test_liveness_false_when_f_at_third(self):
         net, kp, addr = make_network(n=9, byzantine=3, seed=30)
         tx = transfer_tx(kp, addr, 0)
         net.submit(tx)
-        assert not net.check_liveness(tx.tx_id, 2_000)
+        assert not confirmed_by(net, tx.tx_id, 2_000)
 
     def test_liveness_true_generous_deadline(self):
         net, kp, addr = make_network(n=7, seed=31)
         tx = transfer_tx(kp, addr, 0)
         net.submit(tx)
-        assert net.check_liveness(tx.tx_id, 100_000)
+        assert confirmed_by(net, tx.tx_id, 100_000)
 
 
 class TestDeterminismAndOrder:

@@ -472,6 +472,23 @@ class TestSharedRuns:
         run_scenario(architecture(type_id), script, plan, seed=42)
         assert len(calls) == runs
 
+    @pytest.mark.parametrize("entry", [
+        lambda plan, sim: run_scenario(architecture(1), FAST, plan, sim=sim),
+        lambda plan, sim: run_sweep(FAST, plan, sim=sim),
+        lambda plan, sim: run_sweep(FAST, plan, sim=sim, jobs=2),
+    ], ids=["run_scenario", "run_sweep", "run_sweep-jobs-2"])
+    @pytest.mark.parametrize("n_nodes", [4, 7])
+    def test_a_plan_the_chain_cannot_hold_fails_before_any_run(self, monkeypatch, entry, n_nodes):
+        import concurrent.futures
+        calls = self.count_runs(monkeypatch)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda max_workers: pytest.fail("a worker pool started"))
+        sim = SimConfig(consensus=ConsensusConfig(n_nodes=n_nodes))
+        with pytest.raises(ValueError) as err:
+            entry(FaultPlan(byzantine_maintainers=9), sim)
+        assert str(err.value) == f"byzantine_maintainers must be <= n_nodes ({n_nodes}), got 9"
+        assert calls == []
+
     def test_importing_evaluation_loads_no_process_pool(self):
         # Only a parallel sweep imports the pool.
         code = "import sys, w3sim.evaluation; print('concurrent.futures' in sys.modules)"
@@ -780,6 +797,44 @@ def scripts(draw):
     return ScenarioScript(steps=tuple(steps), repetitions=draw(st.integers(1, 10**6)))
 
 
+class TestIntegerSettings:
+    """An integer setting takes an int and nothing else: no float, and no bool."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: nft_sale_script(data_size=1.5), "data_size must be an integer, got 1.5"),
+        (lambda: nft_sale_script(price=True), "price must be an integer, got True"),
+        (lambda: nft_sale_script(repetitions=2.0), "repetitions must be an integer, got 2.0"),
+        (lambda: SimConfig(batch_size=2.5), "batch_size must be an integer, got 2.5"),
+        (lambda: SimConfig(storage_nodes=True), "storage_nodes must be an integer, got True"),
+        (lambda: ConsensusConfig(msg_delay=(0, 2.0)), "msg_delay[1] must be an integer, got 2.0"),
+        (lambda: ConsensusConfig(msg_delay=(False, 2)),
+         "msg_delay[0] must be an integer, got False"),
+    ], ids=["data_size", "price", "repetitions", "batch_size", "storage_nodes", "msg_delay-hi",
+            "msg_delay-lo"])
+    def test_a_non_integer_fails_where_it_is_set(self, build, message):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("config", [SimConfig, ConsensusConfig, ConsensusRule, FaultPlan])
+    def test_every_number_field_rejects_the_wrong_kind(self, config):
+        # Each int field turns down a float and a bool; each probability or
+        # fraction field turns down a bool.
+        checked = 0
+        for f in dataclasses.fields(config):
+            if type(f.default) is int:
+                bad = (f.default + 0.5, True, False)
+            elif type(f.default) is float:
+                bad = (True, False)
+            else:
+                continue
+            for value in bad:
+                with pytest.raises(ValueError, match=f"^{f.name} must be"):
+                    config(**{f.name: value})
+            checked += 1
+        assert checked >= 2
+
+
 class TestScenarioFiles:
     def test_script_roundtrip(self):
         script = nft_sale_script(data_size=512, price=77, repetitions=9)
@@ -869,9 +924,20 @@ class TestScenarioFiles:
         with pytest.raises(ValueError):
             parse_scenario(text)
 
-    def test_faults_roundtrip(self):
-        plan = FaultPlan(storage_crash_prob=0.25, byzantine_maintainers=2)
-        assert parse_faults(faults_text(plan)) == plan
+    @settings(max_examples=100, deadline=None)
+    @given(plan=st.builds(FaultPlan,
+                          maintainer_crash_prob=st.floats(0, 1),
+                          byzantine_maintainers=st.integers(0, 10**6),
+                          byz_mode=st.sampled_from(ByzantineMode),
+                          agent_behavior=st.sampled_from(AgentBehavior),
+                          storage_crash_prob=st.floats(0, 1),
+                          executor_behavior=st.sampled_from(ExecutorBehavior),
+                          tamper_target=st.sampled_from(TAMPER_TARGETS)))
+    def test_faults_roundtrip(self, plan):
+        text = faults_text(plan)
+        assert parse_faults(text) == plan
+        assert [line.split(" = ")[0] for line in text.splitlines()] == [
+            f.name for f in dataclasses.fields(FaultPlan)]
 
     @pytest.mark.parametrize("settings, message", [
         (dict(storage_crash_prob=1.5), "storage_crash_prob must be in [0, 1], got 1.5"),
