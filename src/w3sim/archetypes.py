@@ -14,8 +14,9 @@ from enum import Enum
 from random import Random
 
 from . import access, consensus, storage, vm
-from .consensus import ConsensusConfig, check_int
+from .consensus import ConsensusConfig
 from .scenario import NO_FAULTS, FaultPlan
+from .vm import check_int
 
 FT_ID = b"\x01" * 20
 NFT_ID = b"\x02" * 20

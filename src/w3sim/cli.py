@@ -11,13 +11,13 @@ Exit codes: 0 success, 1 matrix mismatch or failed demo, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import configparser
 import os
 import sys
+from dataclasses import replace
 
 from . import access, evaluation, identity, vm
 from .archetypes import FT_ID, NFT_ID, SimConfig, architecture, parse_tuple
-from .consensus import ConsensusConfig, ConsensusRule, RuleKind, chain_ndjson
+from .consensus import ConsensusConfig, chain_ndjson
 from .evaluation import (
     compare,
     diff_against_reference,
@@ -26,9 +26,7 @@ from .evaluation import (
     report_json,
     run_sweep,
 )
-from .scenario import NO_FAULTS, nft_sale_script, parse_faults, parse_scenario
-
-DEFAULT_SEED = SimConfig.seed
+from .scenario import NO_FAULTS, nft_sale_script, parse_faults, parse_scenario, parse_settings
 
 PHASE_BANNERS = (
     "[Π1] identity creation",
@@ -46,11 +44,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def run_flags(p):
         p.add_argument("--seed", type=int, default=None,
-                       help=f"PRNG seed (default {DEFAULT_SEED}; W3SIM_SEED overrides the default)")
+                       help=f"PRNG seed (overrides the config file's seed, which overrides "
+                            f"W3SIM_SEED, which overrides the default {SimConfig.seed})")
         p.add_argument("--nodes", type=int, default=None,
                        help=f"maintainer count (overrides the config file; "
                             f"default {ConsensusConfig.n_nodes})")
-        p.add_argument("--config", help="flat key-value config file with sections")
+        p.add_argument("--config", help="settings file of `dotted.field = value` lines, "
+                                        "as in a report's config block")
 
     def common(p):
         run_flags(p)
@@ -86,96 +86,39 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("W3SIM_SEED")
-    if env is None:
-        return DEFAULT_SEED
+def _read(path: str | None, parse, *args):
+    """parse(text of the file at path, *args), or None without a path; an error names the file."""
+    if path is None:
+        return None
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     try:
-        return int(env)
+        return parse(text, *args)
     except ValueError as err:
-        raise ValueError(f"W3SIM_SEED must be an integer, got {env!r}") from err
-
-
-def _load_script(args):
-    if args.scenario:
-        with open(args.scenario, encoding="utf-8") as fh:
-            return parse_scenario(fh.read())
-    return None
-
-
-def _load_faults(args):
-    if args.faults:
-        with open(args.faults, encoding="utf-8") as fh:
-            return parse_faults(fh.read())
-    return None
-
-
-# Config-file (section, key) -> ConsensusConfig or SimConfig field. A key
-# left out keeps the field's default; [consensus] rule/fraction/confirm_depth
-# build the rule. --nodes overrides [network] nodes.
-_CONSENSUS_KEYS = {
-    ("consensus", "block_interval"): "block_interval",
-    ("network", "nodes"): "n_nodes",
-    ("network", "max_txs_per_block"): "max_txs_per_block",
-    ("network", "capacity"): "network_capacity",
-}
-_SIM_KEYS = {
-    ("storage", "nodes"): "storage_nodes",
-    ("storage", "replicas"): "replicas",
-    ("storage", "inline_threshold"): "inline_threshold",
-    ("storage", "inline_cap"): "inline_cap",
-    ("access", "batch_size"): "batch_size",
-}
-_RULE_KEYS = ("rule", "fraction", "confirm_depth")
-_RULE_NAMES = {
-    "bft": RuleKind.BFT_QUORUM,
-    "bftquorum": RuleKind.BFT_QUORUM,
-    "majority": RuleKind.MAJORITY_CHAIN,
-    "majoritychain": RuleKind.MAJORITY_CHAIN,
-}
+        raise ValueError(f"{path}: {err}") from err
 
 
 def _load_sim(args) -> SimConfig:
-    sim_kwargs: dict = {}
-    cons_kwargs: dict = {}
-    if getattr(args, "config", None):
-        cp = configparser.ConfigParser()
-        with open(args.config, encoding="utf-8") as fh:
-            cp.read_file(fh)
+    """SimConfig with the seed from W3SIM_SEED, then the --config file's settings, then --nodes.
 
-        def number(section, key, kind=int):
-            try:
-                return kind(cp[section][key])
-            except ValueError as err:
-                raise ValueError(f"{args.config}: [{section}] {key}: {err}") from err
-
-        for section in cp.sections():
-            for key in cp[section]:
-                if (section, key) in _CONSENSUS_KEYS:
-                    cons_kwargs[_CONSENSUS_KEYS[section, key]] = number(section, key)
-                elif (section, key) in _SIM_KEYS:
-                    sim_kwargs[_SIM_KEYS[section, key]] = number(section, key)
-                elif section != "consensus" or key not in _RULE_KEYS:
-                    raise ValueError(f"{args.config}: unknown config key [{section}] {key}")
-        if cp.has_section("consensus"):
-            sec = cp["consensus"]
-            rule_name = sec.get("rule", "bft").lower()
-            if rule_name not in _RULE_NAMES:
-                raise ValueError(f"{args.config}: unknown consensus rule {rule_name!r}, "
-                                 f"expected one of {', '.join(_RULE_NAMES)}")
-            kind = _RULE_NAMES[rule_name]
-            cons_kwargs["rule"] = ConsensusRule(
-                kind=kind,
-                fraction=(number("consensus", "fraction", float) if "fraction" in sec
-                          else 2 / 3 if kind is RuleKind.BFT_QUORUM else 0.51),
-                confirm_depth=(number("consensus", "confirm_depth") if "confirm_depth" in sec
-                               else ConsensusRule.confirm_depth),
-            )
+    --seed is applied later, by evaluation._inputs, so it beats all three.
+    """
+    env = os.environ.get("W3SIM_SEED")
+    try:
+        sim = SimConfig(seed=SimConfig.seed if env is None else int(env))
+    except ValueError as err:
+        raise ValueError(f"W3SIM_SEED must be an integer, got {env!r}") from err
+    if args.config:
+        sim = _read(args.config, parse_settings, sim)
     if args.nodes is not None:
-        cons_kwargs["n_nodes"] = args.nodes
-    return SimConfig(consensus=ConsensusConfig(**cons_kwargs), **sim_kwargs)
+        sim = replace(sim, consensus=replace(sim.consensus, n_nodes=args.nodes))
+    return sim
+
+
+def _run_inputs(args):
+    """(script, faults, sim) from the command's flags and files, all checked before any run."""
+    return evaluation._inputs(_read(args.scenario, parse_scenario),
+                              _read(args.faults, parse_faults), args.seed, _load_sim(args))
 
 
 def _write(path: str | None, default_name: str, content: str, out_dir_ok=True) -> str | None:
@@ -220,8 +163,7 @@ class SystemExit2(Exception):
 
 def cmd_simulate(args) -> int:
     arch = _pick_arch(args)
-    script, faults, sim = evaluation._inputs(_load_script(args), _load_faults(args),
-                                             _resolve_seed(args), _load_sim(args))
+    script, faults, sim = _run_inputs(args)
     # The report's fault-free main run, kept so the dumps show its chain;
     # it keeps block bodies and the event log only when a dump needs them.
     main = evaluation._ScenarioRun(arch, script, sim, NO_FAULTS,
@@ -240,8 +182,8 @@ def cmd_simulate(args) -> int:
 
 def _sweep_outputs(args):
     """The sweep's reports, its matrix, and the matrix's file name and text in --format."""
-    reports = run_sweep(_load_script(args), _load_faults(args), seed=_resolve_seed(args),
-                        sim=_load_sim(args), jobs=args.jobs)
+    script, faults, sim = _run_inputs(args)
+    reports = run_sweep(script, faults, sim=sim, jobs=args.jobs)
     matrix = compare(reports, reports[1])
     if args.format == "json":
         return reports, matrix, "matrix.json", matrix_json(matrix)
@@ -279,8 +221,8 @@ def cmd_matrix(args) -> int:
 
 def cmd_demo(args) -> int:
     arch = architecture(args.type_id)
-    script, _, sim = evaluation._inputs(nft_sale_script(repetitions=1), NO_FAULTS,
-                                        _resolve_seed(args), _load_sim(args))
+    script, _, sim = evaluation._inputs(nft_sale_script(repetitions=1), NO_FAULTS, args.seed,
+                                        _load_sim(args))
     run = evaluation._ScenarioRun(arch, script, sim, NO_FAULTS, keep_history=True)
     stats = run.run()
     print(f"Demo: NFT sale on Type{arch.type_id} ({arch.tuple_label}), seed {sim.seed}")

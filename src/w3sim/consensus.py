@@ -31,6 +31,7 @@ from typing import NamedTuple
 
 from . import identity, vm
 from .txcraft import Transaction, validate_transaction, TxError
+from .vm import check_int
 
 ZERO_HASH = b"\x00" * 32
 
@@ -65,14 +66,6 @@ class ByzantineMode(Enum):
     SILENT = "silent"
     EQUIVOCATE = "equivocate"
     WITHHOLD_TXS = "withhold"
-
-
-def check_int(name: str, value, low: int | None = None) -> None:
-    """Raise ValueError unless value is an int, not a bool, and at least low if low is set."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if low is not None and value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass(frozen=True)

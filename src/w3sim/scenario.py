@@ -12,8 +12,8 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 
 from .access import AgentBehavior
-from .consensus import ByzantineMode, check_int
-from .vm import TAMPER_TARGETS, ExecutorBehavior
+from .consensus import ByzantineMode
+from .vm import TAMPER_TARGETS, ExecutorBehavior, check_int
 
 
 class StepKind(Enum):
@@ -187,37 +187,9 @@ DEFAULT_FAULTS = FaultPlan(storage_crash_prob=0.6,
                            executor_behavior=ExecutorBehavior.MALICIOUS)
 
 
-# Fault-plan file keys, one per FaultPlan field, and how each value is
-# read: by the type of the field's default. An absent key keeps the default.
-_FAULT_KEYS = {f.name: type(f.default) for f in fields(FaultPlan)}
-
-
 def parse_faults(text: str) -> FaultPlan:
-    """The plan in text; a bad line raises ValueError naming the line.
-
-    Each line builds the plan anew with its one setting changed, so
-    FaultPlan's checks fail on the line that sets the bad value.
-    """
-    plan = FaultPlan()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key = value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        key = key.lower()
-        if key not in _FAULT_KEYS:
-            raise ValueError(f"line {lineno}: unknown fault setting {key!r}")
-        try:
-            value = _FAULT_KEYS[key](value)
-        except ValueError as err:
-            raise ValueError(f"line {lineno}: {key}: {err}") from err
-        try:
-            plan = replace(plan, **{key: value})
-        except ValueError as err:
-            raise ValueError(f"line {lineno}: {err}") from err
-    return plan
+    """The plan in text, a settings file over FaultPlan's fields."""
+    return parse_settings(text, NO_FAULTS)
 
 
 def _config_items(prefix: str, config) -> list[tuple[str, object]]:
@@ -232,5 +204,72 @@ def _config_items(prefix: str, config) -> list[tuple[str, object]]:
     return items
 
 
-def faults_text(plan: FaultPlan) -> str:
-    return "".join(f"{key} = {value}\n" for key, value in _config_items("", plan))
+def settings_text(config) -> str:
+    """One `key = value` line per leaf setting of a config dataclass, which parse_settings reads."""
+    return "".join(f"{key} = {value}\n" for key, value in _config_items("", config))
+
+
+def _parse_value(current, text: str):
+    """text read as a value of current's type: int, float, str, an Enum by its value, or a tuple."""
+    if isinstance(current, tuple):
+        parts = text.strip("()").split(",")
+        if len(parts) != len(current):
+            raise ValueError(f"expected {len(current)} comma-separated values, got {text!r}")
+        return tuple(_parse_value(item, part.strip()) for item, part in zip(current, parts))
+    return type(current)(text)
+
+
+def _with(config, names: list[str], value):
+    """config with the setting at the field path names set to value."""
+    name, *rest = names
+    if rest:
+        value = _with(getattr(config, name), rest, value)
+    return replace(config, **{name: value})
+
+
+def parse_settings(text: str, default):
+    """default with the settings of text; a bad line raises ValueError naming the line.
+
+    Each line is `key = value`, keyed by a leaf setting's dotted field path
+    as _config_items writes it; a key given twice is an error. A value is
+    read by the type of the setting's value in default, and set with
+    replace, so the types' own checks fail on the line with the bad value.
+    A check between two settings (replicas and storage_nodes) sees the
+    file's value of both, whichever line comes first.
+    """
+    leaves = {key for key, _ in _config_items("", default)}
+    todo: dict[str, tuple[int, object]] = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"line {lineno}: expected key = value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        key = key.lower()
+        if key not in leaves:
+            raise ValueError(f"line {lineno}: unknown setting {key!r}")
+        if key in todo:
+            raise ValueError(f"line {lineno}: {key} given twice")
+        current = default
+        for name in key.split("."):
+            current = getattr(current, name)
+        try:
+            todo[key] = lineno, _parse_value(current, value)
+        except ValueError as err:
+            raise ValueError(f"line {lineno}: {key}: {err}") from err
+    # Set what can be set until nothing more can: a line that fails only
+    # against a setting of a later line passes once that line is set.
+    config = default
+    while todo:
+        failed = {}
+        for key, (lineno, value) in todo.items():
+            try:
+                config = _with(config, key.split("."), value)
+            except ValueError as err:
+                failed[key] = lineno, err
+        if len(failed) == len(todo):
+            lineno, err = next(iter(failed.values()))  # the first bad line
+            raise ValueError(f"line {lineno}: {err}") from err
+        todo = {key: todo[key] for key in failed}
+    return config

@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import random
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import NamedTuple
 
@@ -50,6 +50,14 @@ VERIFIER_ID = b"\x04" * 20
 _CORE_PREFIXES = (b"bal:", b"sup:", b"own:", b"agt:", b"seq:", b"com:")
 
 
+def check_int(name: str, value, low: int | None = None) -> None:
+    """Raise ValueError unless value is an int, not a bool, and at least low if low is set."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 class ContractKind(Enum):
     FUNGIBLE_TOKEN = "FungibleToken"
     NON_FUNGIBLE_TOKEN = "NonFungibleToken"
@@ -64,6 +72,10 @@ class GasSchedule:
     per_storage_read: int = 200
     per_event: int = 375
     per_inline_byte: int = 16
+
+    def __post_init__(self):
+        for f in fields(self):
+            check_int(f.name, getattr(self, f.name), 0)
 
 
 DEFAULT_GAS_SCHEDULE = GasSchedule()

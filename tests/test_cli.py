@@ -5,9 +5,9 @@ import pytest
 
 from w3sim import access, cli, evaluation, vm
 from w3sim.archetypes import SimConfig, architecture
-from w3sim.consensus import ConsensusConfig, RuleKind, chain_ndjson
+from w3sim.consensus import ConsensusConfig, ConsensusRule, RuleKind, chain_ndjson
 from w3sim.evaluation import report_json, run_scenario, run_sweep
-from w3sim.scenario import DEFAULT_FAULTS, FaultPlan, faults_text, parse_scenario
+from w3sim.scenario import DEFAULT_FAULTS, FaultPlan, parse_scenario, settings_text
 
 
 def run_cli(argv, capsys):
@@ -165,7 +165,7 @@ class TestMatrix:
         # A majority-chain rule that asks for more than the whole network
         # confirms nothing; every report is infeasible, so no row is measured.
         config = tmp_path / "sim.cfg"
-        config.write_text("[consensus]\nrule = majority\nfraction = 1.0\n")
+        config.write_text("consensus.rule.kind = MajorityChain\nconsensus.rule.fraction = 1.0\n")
         code, out, _ = run_cli(["matrix", "--seed", "42", "--scenario", scenario_file,
                                 "--config", str(config)], capsys)
         assert code == 1
@@ -218,7 +218,7 @@ class TestDemo:
 
     def test_infeasible_sale_fails_the_demo(self, tmp_path, capsys):
         config = tmp_path / "sim.cfg"
-        config.write_text("[storage]\ninline_cap = 100\n")  # the 768-byte mint cannot go inline
+        config.write_text("inline_cap = 100\n")  # the 768-byte mint cannot go inline
         code, out, _ = run_cli(["demo", "--type", "1", "--config", str(config)], capsys)
         assert code == 1
         assert "demo FAILED" in out and "InlineTooLarge" in out
@@ -349,7 +349,7 @@ def test_every_entry_point_gives_the_same_report(tmp_path, capsys, scenario_file
     # evaluation._reports, so one report comes out as the same bytes.
     faults = ONE_PATH_PLANS[plan]
     path = tmp_path / "plan.faults"
-    path.write_text(faults_text(faults))
+    path.write_text(settings_text(faults))
     argv = ["simulate", "--type", str(type_id), "--seed", "42", "--scenario", scenario_file,
             "--faults", str(path)]
     code, plain, _ = run_cli(argv, capsys)
@@ -377,16 +377,22 @@ def test_non_integer_seed_variable_exits_2(monkeypatch, capsys, scenario_file):
     assert "W3SIM_SEED must be an integer, got 'forty-two'" in err
 
 
+SHIPPED_CONFIG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                              "scenarios", "sim.cfg")
+
+
+def load_sim(argv):
+    return cli._load_sim(cli._build_parser().parse_args(["simulate", "--type", "1", *argv]))
+
+
 class TestConfigFile:
     def test_consensus_config_from_file(self, tmp_path, scenario_file, capsys):
         config = tmp_path / "sim.cfg"
         config.write_text(
-            "[consensus]\n"
-            "rule = bft\n"
-            "fraction = 0.6667\n"
-            "block_interval = 2\n"
-            "[network]\n"
-            "nodes = 5\n"
+            "consensus.rule.kind = BftQuorum\n"
+            "consensus.rule.fraction = 0.6667\n"
+            "consensus.block_interval = 2\n"
+            "consensus.n_nodes = 5\n"
         )
         out = tmp_path / "r.json"
         code, _, _ = run_cli(["simulate", "--type", "1", "--seed", "6",
@@ -396,40 +402,61 @@ class TestConfigFile:
         record = json.loads(out.read_text())
         assert record["nodes"] == 5
 
-    def test_shipped_config_is_the_default_sim_config(self):
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        args = cli._build_parser().parse_args(
-            ["simulate", "--type", "1", "--config", os.path.join(root, "scenarios", "sim.cfg")])
-        assert cli._load_sim(args) == SimConfig(consensus=ConsensusConfig(n_nodes=7))
+    def test_shipped_config_is_the_default_sim_config(self, monkeypatch):
+        monkeypatch.delenv("W3SIM_SEED", raising=False)
+        assert load_sim(["--config", SHIPPED_CONFIG]) == SimConfig()
+        # It names every setting, the seed line commented out so W3SIM_SEED applies.
+        with open(SHIPPED_CONFIG, encoding="utf-8") as fh:
+            assert fh.read().endswith(settings_text(SimConfig()).replace("seed", "# seed", 1))
+        monkeypatch.setenv("W3SIM_SEED", "777")
+        assert load_sim(["--config", SHIPPED_CONFIG]).seed == 777
 
-    def test_nodes_flag_beats_config_file_beats_default(self):
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        shipped = os.path.join(root, "scenarios", "sim.cfg")
-        parse = cli._build_parser().parse_args
-        flagged = parse(["simulate", "--type", "1", "--nodes", "4", "--config", shipped])
-        assert cli._load_sim(flagged).consensus.n_nodes == 4
-        from_file = parse(["simulate", "--type", "1", "--config", shipped])
-        assert cli._load_sim(from_file).consensus.n_nodes == 7
-        assert cli._load_sim(parse(["simulate", "--type", "1"])).consensus.n_nodes == 7
+    def test_nodes_flag_beats_config_file_beats_default(self, tmp_path):
+        config = tmp_path / "sim.cfg"
+        config.write_text("consensus.n_nodes = 5\n")
+        assert load_sim(["--nodes", "4", "--config", str(config)]).consensus.n_nodes == 4
+        assert load_sim(["--config", str(config)]).consensus.n_nodes == 5
+        assert load_sim([]).consensus.n_nodes == 7
+
+    @pytest.mark.parametrize("argv, env, seed", [
+        ([], None, 42),
+        ([], "777", 777),
+        (["--config", "{seed_file}"], "777", 9),
+        (["--seed", "5", "--config", "{seed_file}"], "777", 5),
+    ], ids=["default", "env", "file-beats-env", "flag-beats-file"])
+    def test_seed_precedence(self, tmp_path, monkeypatch, argv, env, seed):
+        seed_file = tmp_path / "seed.cfg"
+        seed_file.write_text("seed = 9\n")
+        if env is None:
+            monkeypatch.delenv("W3SIM_SEED", raising=False)
+        else:
+            monkeypatch.setenv("W3SIM_SEED", env)
+        args = cli._build_parser().parse_args(
+            ["simulate", "--type", "1", *(a.format(seed_file=seed_file) for a in argv)])
+        _, _, sim = cli._run_inputs(args)
+        assert sim.seed == seed
 
     def test_misspelled_config_key_exits_2(self, tmp_path, scenario_file, capsys):
         config = tmp_path / "sim.cfg"
-        config.write_text("[network]\nmax_tx_per_block = 4\n")
+        config.write_text("consensus.max_tx_per_block = 4\n")
         code, _, err = run_cli(["simulate", "--type", "1", "--scenario", scenario_file,
                                 "--config", str(config)], capsys)
         assert code == 2
-        assert "max_tx_per_block" in err
+        assert "consensus.max_tx_per_block" in err
 
-    OUT_OF_RANGE = [("[network]\ncapacity = 0\n", "must be >= 1"),
-                    ("[network]\nmax_txs_per_block = 0\n", "must be >= 1"),
-                    ("[consensus]\nblock_interval = 0\n", "must be >= 1"),
-                    ("[network]\nnodes = 0\n", "must be >= 1"),
-                    ("[storage]\nreplicas = 11\n", "replicas must be <= storage nodes (10)"),
-                    ("[storage]\ninline_cap = -1\n", "inline_cap must be >= 0, got -1"),
-                    ("[storage]\nnodes = 0\n", "storage_nodes must be >= 1, got 0"),
-                    ("[network]\nnodes = seven\n", "[network] nodes: invalid literal for int()"),
-                    ("[consensus]\nfraction = most\n",
-                     "[consensus] fraction: could not convert string to float: 'most'")]
+    OUT_OF_RANGE = [("consensus.network_capacity = 0\n", "must be >= 1"),
+                    ("consensus.max_txs_per_block = 0\n", "must be >= 1"),
+                    ("consensus.block_interval = 0\n", "must be >= 1"),
+                    ("consensus.n_nodes = 0\n", "must be >= 1"),
+                    ("replicas = 11\n", "replicas must be <= storage nodes (10)"),
+                    ("inline_cap = -1\n", "inline_cap must be >= 0, got -1"),
+                    ("storage_nodes = 0\n", "storage_nodes must be >= 1, got 0"),
+                    ("consensus.n_nodes = seven\n",
+                     "line 1: consensus.n_nodes: invalid literal for int()"),
+                    ("consensus.rule.fraction = most\n",
+                     "line 1: consensus.rule.fraction: could not convert string to float: 'most'"),
+                    ("gas_schedule.per_inline_byte = 1.5\n",
+                     "line 1: gas_schedule.per_inline_byte: invalid literal for int()")]
 
     @pytest.mark.parametrize("text, message", OUT_OF_RANGE,
                              ids=[text for text, _ in OUT_OF_RANGE])
@@ -445,9 +472,10 @@ class TestConfigFile:
         assert not out.exists()
 
     @pytest.mark.parametrize("text, message", [
-        ("[access]\nbatch_size = -1\n", "batch_size must be >= 1"),
-        ("[access]\nbatch_size = 0\n", "batch_size must be >= 1"),
-        ("[consensus]\nrule = majority\nconfirm_depth = -1\n", "confirm_depth must be >= 0"),
+        ("batch_size = -1\n", "batch_size must be >= 1"),
+        ("batch_size = 0\n", "batch_size must be >= 1"),
+        ("consensus.rule.kind = MajorityChain\nconsensus.rule.confirm_depth = -1\n",
+         "confirm_depth must be >= 0"),
     ], ids=["batch_size=-1", "batch_size=0", "confirm_depth=-1"])
     def test_bad_agent_or_rule_setting_exits_2(self, tmp_path, scenario_file, capsys,
                                               text, message):
@@ -461,15 +489,30 @@ class TestConfigFile:
         assert not out.exists()
 
     def test_consensus_rule_names(self, tmp_path, scenario_file, capsys):
+        # A rule kind is named by its RuleKind value, and the file gives the
+        # same rule as code: the majority chain's fraction is 2/3 in both.
         config = tmp_path / "sim.cfg"
-        for name, kind in (("bft", RuleKind.BFT_QUORUM), ("BftQuorum", RuleKind.BFT_QUORUM),
-                           ("majority", RuleKind.MAJORITY_CHAIN),
-                           ("majoritychain", RuleKind.MAJORITY_CHAIN)):
-            config.write_text(f"[consensus]\nrule = {name}\n")
-            args = cli._build_parser().parse_args(["simulate", "--type", "1", "--config", str(config)])
-            assert cli._load_sim(args).consensus.rule.kind is kind
-        config.write_text("[consensus]\nrule = btf\n")
-        code, _, err = run_cli(["simulate", "--type", "1", "--scenario", scenario_file,
-                                "--config", str(config)], capsys)
-        assert code == 2
-        assert "btf" in err
+        for kind in RuleKind:
+            config.write_text(f"consensus.rule.kind = {kind.value}\n")
+            assert load_sim(["--config", str(config)]) == SimConfig(
+                consensus=ConsensusConfig(rule=ConsensusRule(kind)))
+        for name in ("btf", "majority"):
+            config.write_text(f"consensus.rule.kind = {name}\n")
+            code, _, err = run_cli(["simulate", "--type", "1", "--scenario", scenario_file,
+                                    "--config", str(config)], capsys)
+            assert code == 2
+            assert f"line 1: consensus.rule.kind: '{name}' is not a valid RuleKind" in err
+
+
+@pytest.mark.parametrize("flag, text, message", [
+    ("--scenario", "transmogrify actor=alice\n", "line 1: 'transmogrify' is not a valid StepKind"),
+    ("--faults", "byz_mode = loud\n", "line 1: byz_mode: 'loud' is not a valid ByzantineMode"),
+    ("--config", "gas_schedule.per_inline_byte = 1.5\n",
+     "line 1: gas_schedule.per_inline_byte: invalid literal for int() with base 10: '1.5'"),
+])
+def test_an_input_file_error_names_the_file(tmp_path, capsys, flag, text, message):
+    path = tmp_path / "bad.input"
+    path.write_text(text)
+    code, _, err = run_cli(["simulate", "--type", "1", flag, str(path)], capsys)
+    assert code == 2
+    assert f"error: {path}: {message}" in err

@@ -52,8 +52,9 @@ from w3sim.scenario import (
     nft_sale_script,
     parse_faults,
     parse_scenario,
+    parse_settings,
     scenario_text,
-    faults_text,
+    settings_text,
 )
 from w3sim.storage import LinkedRef
 from w3sim.txcraft import Transaction
@@ -816,7 +817,8 @@ class TestIntegerSettings:
             build()
         assert str(err.value) == message
 
-    @pytest.mark.parametrize("config", [SimConfig, ConsensusConfig, ConsensusRule, FaultPlan])
+    @pytest.mark.parametrize("config", [SimConfig, ConsensusConfig, ConsensusRule, FaultPlan,
+                                        GasSchedule])
     def test_every_number_field_rejects_the_wrong_kind(self, config):
         # Each int field turns down a float and a bool; each probability or
         # fraction field turns down a bool.
@@ -833,6 +835,42 @@ class TestIntegerSettings:
                     config(**{f.name: value})
             checked += 1
         assert checked >= 2
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(GasSchedule)])
+    def test_every_gas_cost_rejects_a_negative_value(self, name):
+        with pytest.raises(ValueError) as err:
+            GasSchedule(**{name: -1})
+        assert str(err.value) == f"{name} must be >= 0, got -1"
+
+
+def leaf_paths(config, prefix=""):
+    """The dotted path of every leaf field of a config dataclass, in field order."""
+    paths = []
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        paths += (leaf_paths(value, f"{prefix}{f.name}.") if dataclasses.is_dataclass(value)
+                  else [prefix + f.name])
+    return paths
+
+
+@st.composite
+def sim_configs(draw):
+    """SimConfigs over every setting: both rule kinds, msg_delay and the gas schedule."""
+    counts = ("n_nodes", "block_interval", "pool_capacity", "max_txs_per_block",
+              "network_capacity", "gas_byte_equiv")
+    consensus = draw(st.builds(
+        ConsensusConfig,
+        rule=st.builds(ConsensusRule, kind=st.sampled_from(RuleKind),
+                       fraction=st.floats(0, 1, exclude_min=True), confirm_depth=st.integers(0, 99)),
+        msg_delay=st.tuples(st.integers(0, 9), st.integers(0, 9)).map(lambda d: tuple(sorted(d))),
+        **{name: st.integers(1, 10**6) for name in counts}))
+    gas = draw(st.builds(GasSchedule, **{f.name: st.integers(0, 10**6)
+                                          for f in dataclasses.fields(GasSchedule)}))
+    storage_nodes = draw(st.integers(1, 30))  # on both sides of the default replicas, 3
+    return SimConfig(seed=draw(st.integers()), consensus=consensus, gas_schedule=gas,
+                     storage_nodes=storage_nodes, replicas=draw(st.integers(1, storage_nodes)),
+                     inline_threshold=draw(st.integers(1, 4096)), inline_cap=draw(st.integers(0, 4096)),
+                     batch_size=draw(st.integers(1, 99)), offchain_fraction=draw(st.floats(0, 1)))
 
 
 class TestScenarioFiles:
@@ -934,10 +972,45 @@ class TestScenarioFiles:
                           executor_behavior=st.sampled_from(ExecutorBehavior),
                           tamper_target=st.sampled_from(TAMPER_TARGETS)))
     def test_faults_roundtrip(self, plan):
-        text = faults_text(plan)
+        text = settings_text(plan)
         assert parse_faults(text) == plan
         assert [line.split(" = ")[0] for line in text.splitlines()] == [
             f.name for f in dataclasses.fields(FaultPlan)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(sim=sim_configs(), data=st.data())
+    def test_sim_config_roundtrip(self, sim, data):
+        text = settings_text(sim)
+        assert parse_settings(text, SimConfig()) == sim
+        assert [line.split(" = ")[0] for line in text.splitlines()] == leaf_paths(SimConfig)
+        # A check between two settings sees both, whatever the order of the
+        # lines: a report's config block lists them sorted.
+        lines = data.draw(st.permutations(text.splitlines(keepends=True)))
+        assert parse_settings("".join(lines), SimConfig()) == sim
+
+    def test_a_report_config_block_is_a_settings_file(self):
+        for seed in (7, 42):
+            for report in run_sweep(FAST, DEFAULT_FAULTS, seed=seed).values():
+                lines = {key: f"{key} = {value}\n" for key, value in report.config}
+                assert lines.pop("repetitions") == f"repetitions = {FAST.repetitions}\n"
+                faults = "".join(lines.pop(key)[len("faults."):] for key in list(lines)
+                                 if key.startswith("faults."))
+                assert parse_settings("".join(lines.values()), SimConfig()) == SimConfig(seed=seed)
+                assert parse_faults(faults) == DEFAULT_FAULTS
+
+    @pytest.mark.parametrize("text, message", [
+        ("seed = 1\nseed = 2\n", "line 2: seed given twice"),
+        ("consensus = 3\n", "line 1: unknown setting 'consensus'"),
+        ("consensus.msg_delay = (1, 2, 3)\n",
+         "line 1: consensus.msg_delay: expected 2 comma-separated values, got '(1, 2, 3)'"),
+        ("consensus.msg_delay = (3, 1)\n", "line 1: msg_delay must satisfy 0 <= lo <= hi, got (3, 1)"),
+        ("replicas = 12\nstorage_nodes = 11\n",
+         "line 1: replicas must be <= storage nodes (11), got 12"),
+    ], ids=["twice", "group", "msg_delay-length", "msg_delay-order", "replicas"])
+    def test_settings_name_the_bad_line(self, text, message):
+        with pytest.raises(ValueError) as err:
+            parse_settings(text, SimConfig())
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("settings, message", [
         (dict(storage_crash_prob=1.5), "storage_crash_prob must be in [0, 1], got 1.5"),
