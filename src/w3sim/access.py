@@ -1,5 +1,9 @@
-"""Client-side entry points: browser-wallet submission, agent batching,
-and confirmed-state retrieval.
+"""Client-side entry points: data preparation, browser-wallet submission,
+agent batching, and confirmed-state retrieval.
+
+prepare_data is the one route from an op's data to the chain: it stores
+the data by the storage plan and returns the tagged on-chain record
+(0x00 + data inline, 0x01 + cid linked) that either submission carries.
 
 A wallet must connect before it can submit. An agent is a custodial
 intermediary: registered users hand it operations, it bundles up to
@@ -94,14 +98,14 @@ def contract_address(contract_id: bytes) -> identity.Address:
 
 
 def submit_direct(client: WalletClient, chain: ChainNetwork, op: UserOp,
-                  fabric: storage.StorageFabric | None = None,
                   schedule: vm.GasSchedule = vm.DEFAULT_GAS_SCHEDULE,
-                  inline: bytes | None = None) -> bytes:
-    """Build, sign and submit one transaction for one request; returns tx id."""
+                  inline: bytes = b"") -> bytes:
+    """Build, sign and submit one transaction for one request; returns tx id.
+
+    inline is the op's on-chain data record, as prepare_data returns it.
+    """
     if client.session is None:
         raise NotConnected("connect the wallet before submitting")
-    if inline is None:
-        inline, _ = prepare_data(op, fabric)
     metadata = txcraft.TxMetadata(
         sender=client.address,
         receiver=contract_address(op.contract_id) if op.contract_id else client.address,
@@ -116,20 +120,11 @@ def submit_direct(client: WalletClient, chain: ChainNetwork, op: UserOp,
     return tx.tx_id
 
 
-def prepare_data(op: UserOp, fabric: storage.StorageFabric | None):
-    """Route op.data through the storage plan; returns (inline bytes, ref).
-
-    Inline payloads are tagged 0x00 + data, linked ones 0x01 + cid, so the
-    on-chain record is self-describing.
-    """
+def prepare_data(op: UserOp, fabric: storage.StorageFabric):
+    """Route op.data through the storage plan; returns (on-chain record, linked ref or None)."""
     if not op.data:
         return b"", None
-    if fabric is None:
-        return op.data, None
-    ref = fabric.put(op.data)
-    if isinstance(ref, storage.InlineRef):
-        return b"\x00" + ref.data, ref
-    return b"\x01" + ref.cid.digest, ref
+    return fabric.put(op.data)
 
 
 class AgentBehavior(Enum):
@@ -173,19 +168,17 @@ class Agent:
 
 
 def submit_via_agent(agent: Agent, user_payload: bytes, op: UserOp,
-                     chain: ChainNetwork, fabric: storage.StorageFabric | None = None,
+                     chain: ChainNetwork,
                      schedule: vm.GasSchedule = vm.DEFAULT_GAS_SCHEDULE,
-                     inline: bytes | None = None) -> BundleTicket:
+                     inline: bytes = b"") -> BundleTicket:
     """Buffer a registered user's operation; flushes when the buffer fills.
 
-    Data hits the storage fabric now (the user uploads before handing the
-    reference to the agent), so the buffered entry is submission-ready.
+    The user has already stored the op's data and hands the agent its
+    on-chain record, inline, so the buffered entry is submission-ready.
     The automatic flush prices its bundles with `schedule`.
     """
     if user_payload not in agent.registered_users:
         raise UnregisteredUser(user_payload.hex())
-    if inline is None:
-        inline, _ = prepare_data(op, fabric)
     seq = agent._seqs.get(user_payload, 0)
     agent._seqs[user_payload] = seq + 1
     ticket = BundleTicket(origin=user_payload, seq=seq)
@@ -200,8 +193,8 @@ def flush(agent: Agent, chain: ChainNetwork,
     """Emit one transaction per batch_size slice of the buffer.
 
     A withholding agent clears its buffer and returns the would-be tx ids
-    without ever submitting; no protocol error surfaces, only a liveness
-    probe can tell.
+    without ever submitting; no protocol error surfaces, only the missing
+    confirmations tell.
     """
     tx_ids: list[bytes] = []
     buffered, agent.batch_buffer = agent.batch_buffer, []

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from random import Random
 
 from . import access, consensus, storage, vm
 from .consensus import ConsensusConfig
@@ -210,10 +209,8 @@ def compose(arch: ArchitectureType, sim_config: SimConfig, *,
         storage_plan_for(arch, sim_config),
         store=storage.OffChainStore(sim_config.storage_nodes),
         is_confirmed=lambda tx_id: tx_id in chain.confirmed_tick,
+        crash_prob=faults.storage_crash_prob, seed=sim_config.seed,
     )
-    if faults.storage_crash_prob > 0:
-        fabric.fault_prob = faults.storage_crash_prob
-        fabric.fault_rng = Random(sim_config.seed ^ 0x5707A6E)
 
     return SimulationTopology(chain=chain, fabric=fabric, agent=agent)
 

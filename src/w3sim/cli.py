@@ -206,10 +206,7 @@ def cmd_sweep(args) -> int:
 def cmd_matrix(args) -> int:
     _, matrix, name, content = _sweep_outputs(args)
     mismatches = diff_against_reference(matrix)
-    if args.out:
-        _write(args.out, name, content)
-    else:
-        sys.stdout.write(content)
+    _write(args.out, name, content)
     if mismatches:
         print(f"{len(mismatches)} mismatch(es) against the reference evaluation:")
         for m in mismatches:
@@ -250,7 +247,7 @@ def cmd_demo(args) -> int:
     print(PHASE_BANNERS[1])
     ref = run.refs.get(0)
     if ref is not None:
-        print(f"  raw data stored off-chain, cid {ref.cid.digest.hex()[:16]}…")
+        print(f"  raw data stored off-chain, cid {ref.cid.hex()[:16]}…")
         print("  cid hooked on-chain inside the mint transaction")
     else:
         # The token's dat: cell holds the 0x00 tag and the inline bytes.

@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -219,9 +218,8 @@ class ChainNetwork:
         self.crash_rng = Random(seed ^ 0xC7A54)
         self.keys: dict[bytes, identity.KeyPair] = {}  # address payload -> key pair
         self.now = 0
-        self.round_count = 0
         self.rounds: list[RoundRecord] = []  # one record per round, in order
-        self.pool: OrderedDict[bytes, Transaction] = OrderedDict()
+        self.pool: dict[bytes, Transaction] = {}  # in arrival order
         self.seen_tx: set[bytes] = set()
         self.next_nonce: dict[bytes, int] = {}
         self.nodes: list[MaintainerNode] = []
@@ -231,10 +229,8 @@ class ChainNetwork:
             behavior = behaviors[i] if behaviors else NodeBehavior.HONEST
             self.nodes.append(MaintainerNode(i, kp, addr, behavior, byz_mode))
         genesis = make_block(0, ZERO_HASH, (), self.state.state_root, -1)
-        self.genesis = genesis
         self.confirmed_blocks: list[Block | BlockHeader] = [genesis]
         self.confirmations: list[Confirmation] | None = [] if keep_history else None
-        self.txs_confirmed = 0
         self.confirmed_tick: dict[bytes, int] = {}
         self.discards: list[tuple[bytes, str]] = []
         self.touch_index: dict[tuple[bytes, bytes], tuple[bytes, tuple[bytes, ...], int]] = {}
@@ -267,8 +263,11 @@ class ChainNetwork:
 
     # -- round machinery ----------------------------------------------------
 
+    @property
+    def txs_confirmed(self) -> int:
+        return len(self.confirmed_tick)
+
     def run_round(self) -> list[Confirmation]:
-        self.round_count += 1
         if self.config.rule.kind is RuleKind.BFT_QUORUM:
             return self._run_bft_round()
         return self._run_majority_round()
@@ -357,7 +356,6 @@ class ChainNetwork:
             self.confirmed_tick[tx.tx_id] = self.now
             self._unconfirmed -= 1
             self._index_touches(tx, receipt)
-        self.txs_confirmed += len(confs)
         if self.keep_history:
             self.confirmations.extend(confs)
         return confs
@@ -399,7 +397,8 @@ class ChainNetwork:
         return votes
 
     def _run_bft_round(self) -> list[Confirmation]:
-        proposer = self.nodes[self.round_count % self.config.n_nodes]
+        # Rotates from node 1: this round is round len(self.rounds) + 1.
+        proposer = self.nodes[(len(self.rounds) + 1) % self.config.n_nodes]
         offline = {node.node_id for node in self.nodes if self._offline(node)}
         height = len(self.confirmed_blocks)
         parent = self.confirmed_blocks[-1].block_hash
@@ -468,7 +467,7 @@ class ChainNetwork:
         else:
             branch = self._honest_branch
             txs = self._pack_block(branch[self._mc_confirmed_upto + 1:])
-            proposer = self.round_count % self.config.n_nodes
+            proposer = (len(self.rounds) + 1) % self.config.n_nodes
             for tx in txs:
                 self.pool.pop(tx.tx_id, None)
         tip = branch[-1]

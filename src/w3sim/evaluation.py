@@ -149,7 +149,7 @@ class _ScenarioRun:
     # -- step helpers -----------------------------------------------------
 
     def _submit(self, wallet: access.WalletClient, op: access.UserOp, rep: int,
-                inline: bytes | None = None, upload: LinkedRef | None = None):
+                inline: bytes = b"", upload: LinkedRef | None = None):
         topo = self.topology
         self.stats.ops_attempted += 1
         if not self.wave_stalled and not self._has_slot():
@@ -159,12 +159,11 @@ class _ScenarioRun:
         try:
             if topo.agent is not None:
                 ticket = access.submit_via_agent(topo.agent, wallet.address.payload, op,
-                                                 topo.chain, topo.fabric,
-                                                 self.sim.gas_schedule, inline=inline)
+                                                 topo.chain, self.sim.gas_schedule, inline=inline)
                 key = (ticket.origin, ticket.seq)
             else:
-                key = access.submit_direct(wallet, topo.chain, op, topo.fabric,
-                                           self.sim.gas_schedule, inline=inline)
+                key = access.submit_direct(wallet, topo.chain, op, self.sim.gas_schedule,
+                                           inline=inline)
         except access.AccessError:
             return  # op failed before reaching the chain
         self.pending[key] = rep
@@ -213,7 +212,7 @@ class _ScenarioRun:
                     self.ok_reps.add(rep)
                 if key in self.uploads:  # the mint that carried it succeeded, in its wave or later
                     rep, ref = self.uploads.pop(key)
-                    self.refs[rep] = self.topology.fabric.bind_hook(ref, c.tx.tx_id)
+                    self.refs[rep] = LinkedRef(ref.cid, c.tx.tx_id)
 
     def _settle_wave(self) -> set[int]:
         """Drain the chain; returns the repetitions whose op of this wave succeeded.
@@ -276,8 +275,7 @@ class _ScenarioRun:
                 except StorageError:
                     self.stats.ops_attempted += 1
                     continue
-                self._submit(wallet, op, rep, inline=inline,
-                             upload=ref if isinstance(ref, LinkedRef) else None)
+                self._submit(wallet, op, rep, inline=inline, upload=ref)
             self._settle_wave()
             return
         if kind in (StepKind.LIST_NFT, StepKind.BUY_NFT):

@@ -1,14 +1,18 @@
 """Content storage in three routes: inline on-chain, replicated off-chain
 with an on-chain hook, and a size-thresholded hybrid of the two.
 
+put() turns a blob into its on-chain record, tagged 0x00 + data when the
+plan inlines it and 0x01 + cid when it goes off-chain, plus a LinkedRef
+for an off-chain blob. A cid is the blob's 32-byte digest.
+
 Off-chain nodes are liveness flags over one copy of each blob; integrity
-of a linked blob is a digest check against the content id recorded by a
+of a linked blob is a digest check against the cid recorded by a
 confirmed hook transaction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from random import Random
 
@@ -60,30 +64,11 @@ class StoragePlan:
 
 
 @dataclass(frozen=True, slots=True)
-class ContentId:
-    digest: bytes
-
-    @classmethod
-    def of(cls, data: bytes) -> "ContentId":
-        return cls(identity.digest(data))
-
-    def __str__(self) -> str:
-        return self.digest.hex()
-
-
-@dataclass(frozen=True, slots=True)
-class InlineRef:
-    data: bytes
-    hook_tx: bytes | None = None
-
-
-@dataclass(frozen=True, slots=True)
 class LinkedRef:
-    cid: ContentId
+    """An off-chain blob's cid and, once known, the tx that hooked it on-chain."""
+
+    cid: bytes
     hook_tx: bytes | None = None
-
-
-StorageRef = InlineRef | LinkedRef
 
 
 class VerifyResult(Enum):
@@ -117,31 +102,32 @@ class OffChainStore:
         """Resample per-access availability under a fault plan."""
         self.alive = [not (crash_prob > 0 and rng.random() < crash_prob) for _ in self.alive]
 
-    def write(self, data: bytes, replicas: int) -> ContentId:
+    def write(self, data: bytes, replicas: int) -> bytes:
+        """Store data on replicas live nodes; returns its cid."""
         live = [node_id for node_id, up in enumerate(self.alive) if up]
         if len(live) < replicas:
             raise InsufficientStorageNodes(f"{len(live)} live nodes < {replicas} replicas")
-        cid = ContentId.of(data)
+        cid = identity.digest(data)
         # Deterministic placement: rotate by content digest for spread.
-        start = int.from_bytes(cid.digest[:4], "big") % len(live)
+        start = int.from_bytes(cid[:4], "big") % len(live)
         chosen = tuple([live[(start + i) % len(live)] for i in range(replicas)])
-        self.blobs[cid.digest] = data
-        self.placement[cid.digest] = self._replica_sets.setdefault(chosen, chosen)
+        self.blobs[cid] = data
+        self.placement[cid] = self._replica_sets.setdefault(chosen, chosen)
         return cid
 
-    def read(self, cid: ContentId) -> bytes:
-        placed = self.placement.get(cid.digest)
+    def read(self, cid: bytes) -> bytes:
+        placed = self.placement.get(cid)
         if placed is None:
-            raise NotFound(cid.digest.hex())
+            raise NotFound(cid.hex())
         for node_id in placed:
             if self.alive[node_id]:
-                return self.blobs[cid.digest]
-        raise AllReplicasDown(cid.digest.hex())
+                return self.blobs[cid]
+        raise AllReplicasDown(cid.hex())
 
-    def tamper(self, cid: ContentId, mutate) -> None:
+    def tamper(self, cid: bytes, mutate) -> None:
         """Apply mutate() to the one copy of cid, which every replica holds (test/fault hook)."""
-        if cid.digest in self.blobs:
-            self.blobs[cid.digest] = mutate(self.blobs[cid.digest])
+        if cid in self.blobs:
+            self.blobs[cid] = mutate(self.blobs[cid])
 
 
 class StorageFabric:
@@ -149,47 +135,42 @@ class StorageFabric:
 
     is_confirmed(tx_id) tells the fabric whether a hook transaction has
     reached consensus; linked refs only verify once their hook confirms.
+    Each off-chain access first resamples which storage nodes are up, each
+    crashing with crash_prob, from the fabric's own seeded stream.
     """
 
-    def __init__(self, plan: StoragePlan, store: OffChainStore | None = None, is_confirmed=None):
+    def __init__(self, plan: StoragePlan, store: OffChainStore | None = None, is_confirmed=None,
+                 crash_prob: float = 0.0, seed: int = 0):
         self.plan = plan
         self.store = store if store is not None else OffChainStore()
         self.is_confirmed = is_confirmed or (lambda tx_id: True)
         self.offchain_bytes = 0
-        self.fault_prob = 0.0
-        self.fault_rng: Random | None = None
+        self.crash_prob = crash_prob
+        self.crash_rng = Random(seed ^ 0x5707A6E)
 
     def _sample_faults(self):
-        if self.fault_prob > 0 and self.fault_rng is not None:
-            self.store.sample_crashes(self.fault_rng, self.fault_prob)
+        if self.crash_prob > 0:
+            self.store.sample_crashes(self.crash_rng, self.crash_prob)
 
-    def put(self, data: bytes) -> StorageRef:
+    def put(self, data: bytes) -> tuple[bytes, LinkedRef | None]:
+        """Route data by the plan; returns its on-chain record and, if linked, its ref."""
         plan = self.plan
         if plan.inlines(len(data)):
             if len(data) > plan.inline_cap:
                 raise InlineTooLarge(f"{len(data)} bytes exceeds inline cap {plan.inline_cap}")
-            return InlineRef(data=data)
+            return b"\x00" + data, None
         if not data:
             raise StorageError("off-chain put requires non-empty data")
         self._sample_faults()  # storage nodes crash only where a write reaches them
         cid = self.store.write(data, plan.replicas)
         self.offchain_bytes += len(data) * plan.replicas
-        return LinkedRef(cid=cid)
+        return b"\x01" + cid, LinkedRef(cid)
 
-    def bind_hook(self, ref: StorageRef, tx_id: bytes) -> StorageRef:
-        """Attach the on-chain hook transaction that carries this ref."""
-        return replace(ref, hook_tx=tx_id)
-
-    def get(self, ref: StorageRef) -> bytes:
-        if isinstance(ref, InlineRef):
-            return ref.data
+    def get(self, ref: LinkedRef) -> bytes:
         self._sample_faults()
         return self.store.read(ref.cid)
 
-    def verify_integrity(self, ref: StorageRef, data: bytes) -> VerifyResult:
+    def verify_integrity(self, ref: LinkedRef, data: bytes) -> VerifyResult:
         if ref.hook_tx is None or not self.is_confirmed(ref.hook_tx):
             return VerifyResult.UNCONFIRMED
-        if isinstance(ref, InlineRef):
-            return VerifyResult.VERIFIED if data == ref.data else VerifyResult.MISMATCH
-        return VerifyResult.VERIFIED if ContentId.of(data) == ref.cid else VerifyResult.MISMATCH
-
+        return VerifyResult.VERIFIED if identity.digest(data) == ref.cid else VerifyResult.MISMATCH

@@ -23,7 +23,8 @@ from w3sim.archetypes import (
 from w3sim.consensus import ByzantineMode, ChainNetwork, ConsensusConfig, ConsensusRule, NodeBehavior, RuleKind
 from w3sim.evaluation import compare, diff_against_reference, report_json, run_scenario, run_sweep
 from w3sim.scenario import DEFAULT_FAULTS, NO_FAULTS, nft_sale_script
-from w3sim.storage import AllReplicasDown, OffChainStore, Route, StorageFabric, StoragePlan, VerifyResult
+from w3sim.storage import (AllReplicasDown, LinkedRef, OffChainStore, Route, StorageFabric,
+                           StoragePlan, VerifyResult)
 from w3sim.vm import DelegationPolicy, ExecutorBehavior
 
 from test_consensus import confirmed_by
@@ -90,10 +91,11 @@ def _drive_definition1(type_id: int, target_txs: int) -> tuple[int, int]:
             op = access.UserOp(NFT_ID, "mint",
                                args=(token_counter.to_bytes(32, "big"),),
                                data=rng.randbytes(32))
+        inline, _ = access.prepare_data(op, topo.fabric)
         if topo.agent is not None:
-            access.submit_via_agent(topo.agent, w.address.payload, op, chain, topo.fabric)
+            access.submit_via_agent(topo.agent, w.address.payload, op, chain, inline=inline)
         else:
-            access.submit_direct(w, chain, op, topo.fabric)
+            access.submit_direct(w, chain, op, inline=inline)
 
     while len(chain.confirmations) < target_txs:
         for _ in range(48):
@@ -101,7 +103,7 @@ def _drive_definition1(type_id: int, target_txs: int) -> tuple[int, int]:
         if topo.agent is not None:
             access.flush(topo.agent, chain)
         guard = 0
-        while (chain.pool or chain._unconfirmed > 0) and guard < 500:
+        while not chain.quiescent and guard < 500:
             chain.run_round()
             check_all_keys()
             guard += 1
@@ -237,19 +239,19 @@ def test_criterion_4_nft_running_example(capsys):
     mint_op = access.UserOp(NFT_ID, "mint", args=(token,), data=data)
     inline, ref = access.prepare_data(mint_op, fabric)
     assert inline[0] == 1  # linked: the mint carries the cid hook
-    mint_tx = access.submit_direct(alice, chain, mint_op, fabric, inline=inline)
+    mint_tx = access.submit_direct(alice, chain, mint_op, inline=inline)
     chain.run_until_drained()
-    ref = fabric.bind_hook(ref, mint_tx)
+    ref = LinkedRef(ref.cid, mint_tx)
     assert vm.query_state(chain.state, NFT_ID, "ownerOf", (token,)) == alice.address.payload
 
     price = 1_234
     access.submit_direct(alice, chain, access.UserOp(
-        MARKET_ID, "list", args=(token, _amount(price))), fabric)
+        MARKET_ID, "list", args=(token, _amount(price))))
     chain.run_until_drained()
 
     supply_before = vm.query_state(chain.state, FT_ID, "totalSupply")
     buy_tx = access.submit_direct(bob, chain, access.UserOp(
-        MARKET_ID, "buy", args=(token, _amount(price))), fabric)
+        MARKET_ID, "buy", args=(token, _amount(price))))
     chain.run_until_drained()
 
     buy_receipt = next(c.receipt for c in chain.confirmations if c.tx.tx_id == buy_tx)
@@ -280,7 +282,8 @@ def test_criterion_5_storage_replication():
     plan = StoragePlan(route=Route.OFF_CHAIN, replicas=3)
     fabric = StorageFabric(plan, OffChainStore(3), is_confirmed=lambda _tx: True)
     data = b"replicated content"
-    ref = fabric.bind_hook(fabric.put(data), b"\x01" * 32)
+    _, ref = fabric.put(data)
+    ref = LinkedRef(ref.cid, b"\x01" * 32)
     for down in itertools.combinations(range(3), 2):
         for i in range(3):
             fabric.store.set_alive(i, i not in down)
@@ -320,7 +323,7 @@ def test_criterion_6_agent_batching():
         access.submit_via_agent(topo.agent, w1.address.payload,
                                 access.UserOp(FT_ID, "transfer",
                                               args=(w2.address.payload, _amount(1))),
-                                topo.chain, topo.fabric)
+                                topo.chain)
     access.flush(topo.agent, topo.chain)
     topo.chain.run_until_drained()
     assert len(topo.chain.confirmations) == 3
@@ -338,7 +341,7 @@ def test_criterion_6_agent_batching():
     access.submit_via_agent(withheld.agent, w1.address.payload,
                             access.UserOp(FT_ID, "transfer",
                                           args=(w2.address.payload, _amount(1))),
-                            withheld.chain, withheld.fabric)
+                            withheld.chain)
     would_be = access.flush(withheld.agent, withheld.chain)  # raises nothing
     assert would_be
     assert not confirmed_by(withheld.chain, would_be[0], 5_000)

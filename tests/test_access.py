@@ -42,13 +42,13 @@ class TestWalletSessions:
     def test_connect_then_submit(self):
         topo, (w1, w2) = build_topology()
         connect_wallet(w1, "svc")
-        tx_id = submit_direct(w1, topo.chain, transfer_op(w2.address.payload), topo.fabric)
+        tx_id = submit_direct(w1, topo.chain, transfer_op(w2.address.payload))
         assert tx_id in topo.chain.pool
 
     def test_submit_without_connect(self):
         topo, (w1, w2) = build_topology()
         with pytest.raises(NotConnected):
-            submit_direct(w1, topo.chain, transfer_op(w2.address.payload), topo.fabric)
+            submit_direct(w1, topo.chain, transfer_op(w2.address.payload))
 
     def test_connect_idempotent(self):
         topo, (w1, _) = build_topology()
@@ -61,7 +61,7 @@ class TestDirectSubmission:
     def test_one_tx_per_request(self):
         topo, (w1, w2) = build_topology()
         connect_wallet(w1, "svc")
-        ids = [submit_direct(w1, topo.chain, transfer_op(w2.address.payload, i + 1), topo.fabric)
+        ids = [submit_direct(w1, topo.chain, transfer_op(w2.address.payload, i + 1))
                for i in range(7)]
         assert len(set(ids)) == 7
         topo.chain.run_until_drained()
@@ -90,13 +90,13 @@ class TestDirectSubmission:
         connect_wallet(w1, "svc")
         op = UserOp(NFT_ID, "mint", args=((1).to_bytes(32, "big"),), data=b"x" * 4096)
         with pytest.raises(storage.InlineTooLarge):
-            submit_direct(w1, topo.chain, op, topo.fabric)
+            prepare_data(op, topo.fabric)  # before any transaction is built
 
     def test_one_receiver_address_per_contract(self):
         topo, (w1, w2) = build_topology()
         connect_wallet(w1, "svc")
         for _ in range(2):
-            submit_direct(w1, topo.chain, transfer_op(w2.address.payload), topo.fabric)
+            submit_direct(w1, topo.chain, transfer_op(w2.address.payload))
         first, second = (tx.metadata.receiver for tx in topo.chain.pool.values())
         assert first is second is contract_address(FT_ID)
         assert first == identity.Address(identity.AddressScheme.BASE16_ETH, FT_ID,
@@ -106,7 +106,7 @@ class TestDirectSubmission:
         topo, (w1, w2) = build_topology()
         connect_wallet(w1, "svc")
         for _ in range(2):
-            submit_direct(w1, topo.chain, transfer_op(w2.address.payload), topo.fabric)
+            submit_direct(w1, topo.chain, transfer_op(w2.address.payload))
         first, second = (tx.metadata.gas_limit for tx in topo.chain.pool.values())
         assert first == 81_000 and first is second
 
@@ -118,7 +118,7 @@ class TestAgentBatching:
         w1, w2 = wallets
         for i in range(10):
             submit_via_agent(agent, w1.address.payload,
-                             transfer_op(w2.address.payload, i + 1), topo.chain, topo.fabric)
+                             transfer_op(w2.address.payload, i + 1), topo.chain)
         # Buffer filled: auto-flush happened, exactly one bundle on-chain.
         assert len(topo.chain.pool) == 1
         topo.chain.run_until_drained()
@@ -132,7 +132,7 @@ class TestAgentBatching:
         w1, w2 = wallets
         for i in range(25):
             submit_via_agent(agent, w1.address.payload,
-                             transfer_op(w2.address.payload, 1), topo.chain, topo.fabric)
+                             transfer_op(w2.address.payload, 1), topo.chain)
         flush(agent, topo.chain)
         topo.chain.run_until_drained()
         assert len(topo.chain.confirmations) == 3
@@ -144,7 +144,7 @@ class TestAgentBatching:
         stranger = WalletClient.create(b"acc-stranger")
         with pytest.raises(UnregisteredUser):
             submit_via_agent(topo.agent, stranger.address.payload,
-                             transfer_op(wallets[0].address.payload), topo.chain, topo.fabric)
+                             transfer_op(wallets[0].address.payload), topo.chain)
 
     def test_withholding_detected_only_by_liveness(self):
         topo, wallets = build_topology(type_id=7, batch_size=10)
@@ -153,7 +153,7 @@ class TestAgentBatching:
         w1, w2 = wallets
         for i in range(3):
             submit_via_agent(agent, w1.address.payload,
-                             transfer_op(w2.address.payload, 1), topo.chain, topo.fabric)
+                             transfer_op(w2.address.payload, 1), topo.chain)
         tx_ids = flush(agent, topo.chain)  # no error raised
         assert tx_ids and agent.batch_buffer == []
         assert len(topo.chain.pool) == 0
@@ -167,7 +167,7 @@ class TestAgentBatching:
             sender = (w1, w2)[i % 2]
             dst = (w2, w1)[i % 2]
             submit_via_agent(agent, sender.address.payload,
-                             transfer_op(dst.address.payload, 1), topo.chain, topo.fabric)
+                             transfer_op(dst.address.payload, 1), topo.chain)
         flush(agent, topo.chain)
         topo.chain.run_until_drained()
         assert topo.chain.confirmations
@@ -183,7 +183,7 @@ class TestAgentBatching:
         submitted = []
         for i in range(17):
             op = transfer_op(w2.address.payload, i + 1)
-            submit_via_agent(agent, w1.address.payload, op, topo.chain, topo.fabric)
+            submit_via_agent(agent, w1.address.payload, op, topo.chain)
             submitted.append(i + 1)
         flush(agent, topo.chain)
         topo.chain.run_until_drained()
@@ -202,7 +202,7 @@ class TestRetrieval:
     def test_returns_confirming_tx_and_values(self):
         topo, (w1, w2) = build_topology()
         connect_wallet(w1, "svc")
-        tx_id = submit_direct(w1, topo.chain, transfer_op(w2.address.payload, 25), topo.fabric)
+        tx_id = submit_direct(w1, topo.chain, transfer_op(w2.address.payload, 25))
         topo.chain.run_until_drained()
         got = retrieve_state(topo.chain, w1.address, FT_ID)
         assert got.tx_id == tx_id
@@ -212,13 +212,13 @@ class TestRetrieval:
     def test_stable_until_superseded(self):
         topo, (w1, w2) = build_topology()
         connect_wallet(w1, "svc")
-        submit_direct(w1, topo.chain, transfer_op(w2.address.payload, 5), topo.fabric)
+        submit_direct(w1, topo.chain, transfer_op(w2.address.payload, 5))
         topo.chain.run_until_drained()
         snapshot = retrieve_state(topo.chain, w1.address, FT_ID)
         for _ in range(5):
             topo.chain.run_round()  # empty rounds; nothing supersedes
         assert retrieve_state(topo.chain, w1.address, FT_ID) == snapshot
-        tx2 = submit_direct(w1, topo.chain, transfer_op(w2.address.payload, 7), topo.fabric)
+        tx2 = submit_direct(w1, topo.chain, transfer_op(w2.address.payload, 7))
         topo.chain.run_until_drained()
         superseded = retrieve_state(topo.chain, w1.address, FT_ID)
         assert superseded.tx_id == tx2
@@ -230,7 +230,7 @@ class TestRetrieval:
         topo, (w1, w2) = build_topology()
         chain = topo.chain
         connect_wallet(w1, "svc")
-        tx_id = submit_direct(w1, chain, transfer_op(w2.address.payload, 3), topo.fabric)
+        tx_id = submit_direct(w1, chain, transfer_op(w2.address.payload, 3))
         chain.run_until_drained()
         assert chain.check_persistence()
         got = retrieve_state(chain, w1.address, FT_ID)
@@ -251,8 +251,8 @@ class TestIntegrityAgainstConfirmation:
         data = b"Z" * 400
         op = UserOp(NFT_ID, "mint", args=((1).to_bytes(32, "big"),), data=data)
         inline, ref = prepare_data(op, topo.fabric)
-        tx_id = submit_direct(w1, topo.chain, op, topo.fabric, inline=inline)
-        ref = topo.fabric.bind_hook(ref, tx_id)
+        tx_id = submit_direct(w1, topo.chain, op, inline=inline)
+        ref = storage.LinkedRef(ref.cid, tx_id)
         assert topo.fabric.verify_integrity(ref, data) is storage.VerifyResult.UNCONFIRMED
         topo.chain.run_until_drained()
         assert topo.fabric.verify_integrity(ref, data) is storage.VerifyResult.VERIFIED

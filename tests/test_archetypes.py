@@ -135,7 +135,13 @@ class TestComposition:
         for arch in ALL_TYPES:
             topo = compose(arch, SimConfig(seed=6))
             assert topo.chain.config.n_nodes >= 1
-            assert topo.chain.genesis.height == 0
+            assert topo.chain.confirmed_blocks[0].height == 0
+
+    def test_the_fabric_draws_storage_crashes_from_its_own_seeded_stream(self):
+        topo = compose(architecture(3), SimConfig(seed=9), faults=FaultPlan(storage_crash_prob=0.3))
+        assert topo.fabric.crash_prob == 0.3
+        assert topo.fabric.crash_rng.random() == random.Random(9 ^ 0x5707A6E).random()
+        assert self.compose_type(3).fabric.crash_prob == 0.0
 
     def test_funded_balances_define_supply(self):
         a, b = b"\x0a" * 20, b"\x0b" * 20

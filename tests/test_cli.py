@@ -160,6 +160,14 @@ class TestMatrix:
         assert "| Architecture |" in out.read_text()
 
 
+    def test_matrix_without_out_writes_the_same_text_to_stdout(self, tmp_path, scenario_file,
+                                                                capsys):
+        path = tmp_path / "m.md"
+        args = ["matrix", "--seed", "42", "--scenario", scenario_file, "--format", "markdown"]
+        run_cli([*args, "--out", str(path)], capsys)
+        _, out, _ = run_cli(args, capsys)
+        assert out.startswith(path.read_text())
+
     def test_matrix_exits_one_when_the_fault_free_chain_stalls(self, tmp_path, scenario_file,
                                                                 capsys):
         # A majority-chain rule that asks for more than the whole network

@@ -395,6 +395,13 @@ class TestDeterminismAndOrder:
         assert [c.tx.tx_id for c in net.confirmations] == block_order
         assert len(block_order) == 20
 
+    def test_quorum_proposers_rotate_from_node_one(self):
+        net, _, _ = make_network(n=4)
+        for _ in range(6):
+            net.run_round()  # an honest proposer confirms an empty block each round
+        assert [b.proposer for b in net.confirmed_blocks] == [-1, 1, 2, 3, 0, 1, 2]
+        assert len(net.rounds) == 6
+
     def test_proposer_credited(self):
         net = self.run_once()
         credited = sum(net.state.native_balances.values())
@@ -439,11 +446,11 @@ def per_transaction_records():
     tx = transfer_tx(kp, addr, 0)
     receipt = vm.execute(net.state, tx)[1]
     block = make_block(1, ZERO_HASH, (tx,), net.state.state_root, 0)
-    cid = storage.ContentId.of(b"blob")
     header = BlockHeader(1, ZERO_HASH, block.state_root, 0, block.block_hash)
     return [tx.metadata, tx.payload, tx, tx.signature, receipt, block, header,
-            Confirmation(tx, receipt, block.block_hash, 1, 3), cid, storage.InlineRef(b"blob"),
-            storage.LinkedRef(cid, tx.tx_id), access.UserOp(FT, "balanceOf", (addr.payload,)),
+            Confirmation(tx, receipt, block.block_hash, 1, 3),
+            storage.LinkedRef(identity.digest(b"blob"), tx.tx_id),
+            access.UserOp(FT, "balanceOf", (addr.payload,)),
             access.BundleTicket(addr.payload, 4)]
 
 

@@ -631,7 +631,7 @@ class TestMintHooks:
         for rep, ref in run.refs.items():
             assert isinstance(ref, LinkedRef)
             anchored = query_state(state, NFT_ID, "dataOf", (rep.to_bytes(32, "big"),))
-            assert anchored == b"\x01" + ref.cid.digest
+            assert anchored == b"\x01" + ref.cid
         assert stats.ops_succeeded == 3 + 3  # first mints and retrievals; second mints revert
 
     @pytest.mark.parametrize("second_mint", [False, True])
@@ -657,7 +657,7 @@ class TestMintHooks:
         state = run.topology.chain.state
         for rep, ref in run.refs.items():
             anchored = query_state(state, NFT_ID, "dataOf", (rep.to_bytes(32, "big"),))
-            assert anchored == b"\x01" + ref.cid.digest
+            assert anchored == b"\x01" + ref.cid
         if not second_mint:
             assert (stats.ops_attempted, stats.ops_succeeded) == (48, 44)
 

@@ -4,6 +4,8 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from w3sim import identity
+from w3sim.access import UserOp, prepare_data
 from w3sim.archetypes import (
     AccessMode,
     ComputeMode,
@@ -13,9 +15,9 @@ from w3sim.archetypes import (
     type_from_tuple,
 )
 from w3sim.storage import (
+    DEFAULT_INLINE_THRESHOLD,
+    INLINE_CAP_BYTES,
     AllReplicasDown,
-    ContentId,
-    InlineRef,
     InlineTooLarge,
     InsufficientStorageNodes,
     LinkedRef,
@@ -34,11 +36,16 @@ def fabric_for(route, n_nodes=3, confirmed=True, **plan_kwargs):
     return StorageFabric(plan, OffChainStore(n_nodes), is_confirmed=lambda _tx: confirmed)
 
 
+def hooked(fabric, data, hook_tx):
+    """Put data off-chain and hook its ref to hook_tx."""
+    _, ref = fabric.put(data)
+    return LinkedRef(ref.cid, hook_tx)
+
+
 class TestPut:
     def test_onchain_inline(self):
         fabric = fabric_for(Route.ON_CHAIN)
-        ref = fabric.put(b"x" * 1000)
-        assert isinstance(ref, InlineRef)
+        assert fabric.put(b"x" * 1000) == (b"\x00" + b"x" * 1000, None)
 
     def test_onchain_too_large(self):
         fabric = fabric_for(Route.ON_CHAIN)
@@ -47,20 +54,20 @@ class TestPut:
 
     def test_hybrid_threshold(self):
         fabric = fabric_for(Route.HYBRID)
-        assert isinstance(fabric.put(b"x" * 200), InlineRef)
-        assert isinstance(fabric.put(b"x" * 300), LinkedRef)
+        assert fabric.put(b"x" * 200) == (b"\x00" + b"x" * 200, None)
+        assert fabric.put(b"x" * 300)[1] == LinkedRef(identity.digest(b"x" * 300))
 
     def test_hybrid_links_a_blob_between_the_cap_and_a_larger_threshold(self):
         fabric = fabric_for(Route.HYBRID, n_nodes=5, inline_threshold=2000)
-        assert isinstance(fabric.put(b"x" * 1024), InlineRef)
-        assert isinstance(fabric.put(b"x" * 1500), LinkedRef)
+        assert fabric.put(b"x" * 1024) == (b"\x00" + b"x" * 1024, None)
+        assert fabric.put(b"x" * 1500)[1] == LinkedRef(identity.digest(b"x" * 1500))
 
     def test_only_an_offchain_write_draws_storage_crashes(self, monkeypatch):
         draws = []
         monkeypatch.setattr(OffChainStore, "sample_crashes",
                             lambda store, rng, crash_prob: draws.append(crash_prob))
-        fabric = fabric_for(Route.HYBRID, n_nodes=5)
-        fabric.fault_prob, fabric.fault_rng = 0.6, random.Random(1)
+        fabric = StorageFabric(StoragePlan(route=Route.HYBRID), OffChainStore(5),
+                               crash_prob=0.6, seed=1)
         fabric.put(b"x" * 256)  # inline: no storage node is touched
         assert draws == []
         fabric.put(b"x" * 257)
@@ -80,8 +87,8 @@ class TestPut:
     def test_default_replica_count_is_three(self):
         assert StoragePlan(route=Route.OFF_CHAIN).replicas == 3
         fabric = fabric_for(Route.OFF_CHAIN, n_nodes=5)
-        ref = fabric.put(b"replicated")
-        assert len(fabric.store.placement[ref.cid.digest]) == 3
+        _, ref = fabric.put(b"replicated")
+        assert len(fabric.store.placement[ref.cid]) == 3
 
     def test_mode_mapping(self):
         sim = SimConfig(replicas=4, inline_threshold=128, inline_cap=512)
@@ -91,6 +98,44 @@ class TestPut:
             arch = type_from_tuple(AccessMode.BROWSER, ComputeMode.ON_CHAIN, mode)
             assert storage_plan_for(arch, sim) == StoragePlan(
                 route=route, replicas=4, inline_threshold=128, inline_cap=512)
+
+
+# Both sides of each routing boundary under the default plan.
+RECORD_SIZES = (0, 1, DEFAULT_INLINE_THRESHOLD - 1, DEFAULT_INLINE_THRESHOLD,
+                DEFAULT_INLINE_THRESHOLD + 1, INLINE_CAP_BYTES - 1, INLINE_CAP_BYTES,
+                INLINE_CAP_BYTES + 1)
+
+
+def at_record_sizes(test):
+    for size in RECORD_SIZES:
+        test = example(size=size)(test)
+    return test
+
+
+class TestRecordFormat:
+    @pytest.mark.parametrize("route", list(Route))
+    @settings(max_examples=40, deadline=None)
+    @given(size=st.integers(0, 2 * INLINE_CAP_BYTES))
+    @at_record_sizes
+    def test_one_tagged_record_per_op(self, route, size):
+        fabric = fabric_for(route, n_nodes=5)
+        plan = fabric.plan
+        data = random.Random(size).randbytes(size)
+        op = UserOp(b"\x02" * 20, "mint", data=data)
+        if data and plan.inlines(size) and size > plan.inline_cap:
+            assert route is Route.ON_CHAIN  # the only route with nowhere else to put it
+            with pytest.raises(InlineTooLarge):
+                prepare_data(op, fabric)
+            return
+        record, ref = prepare_data(op, fabric)
+        if not data:
+            assert (record, ref) == (b"", None)
+        elif plan.inlines(size):
+            assert (record, ref) == (b"\x00" + data, None)
+        else:
+            cid = identity.digest(data)
+            assert (record, ref) == (b"\x01" + cid, LinkedRef(cid))
+            assert fabric.get(ref) == data
 
 
 class TestInlines:
@@ -114,14 +159,9 @@ class TestInlines:
 
 
 class TestGet:
-    def test_inline_identity(self):
-        fabric = fabric_for(Route.ON_CHAIN)
-        ref = fabric.put(b"inline bytes")
-        assert fabric.get(ref) == b"inline bytes"
-
     def test_any_two_failures_survive(self):
         fabric = fabric_for(Route.OFF_CHAIN, n_nodes=3)
-        ref = fabric.put(b"three copies")
+        _, ref = fabric.put(b"three copies")
         for down in itertools.combinations(range(3), 2):
             for i in range(3):
                 fabric.store.set_alive(i, i not in down)
@@ -129,7 +169,7 @@ class TestGet:
 
     def test_all_replicas_down(self):
         fabric = fabric_for(Route.OFF_CHAIN, n_nodes=3)
-        ref = fabric.put(b"gone")
+        _, ref = fabric.put(b"gone")
         for i in range(3):
             fabric.store.set_alive(i, False)
         with pytest.raises(AllReplicasDown):
@@ -138,19 +178,19 @@ class TestGet:
     def test_unknown_cid(self):
         fabric = fabric_for(Route.OFF_CHAIN)
         with pytest.raises(NotFound):
-            fabric.get(LinkedRef(cid=ContentId.of(b"never stored")))
+            fabric.get(LinkedRef(cid=identity.digest(b"never stored")))
 
 
 class TestIntegrity:
     def test_roundtrip_verified(self):
         fabric = fabric_for(Route.OFF_CHAIN)
-        ref = fabric.bind_hook(fabric.put(b"content"), b"\x01" * 32)
+        ref = hooked(fabric, b"content", b"\x01" * 32)
         assert fabric.verify_integrity(ref, fabric.get(ref)) is VerifyResult.VERIFIED
         assert bool(fabric.verify_integrity(ref, fabric.get(ref)))
 
     def test_flipped_byte_mismatch(self):
         fabric = fabric_for(Route.OFF_CHAIN)
-        ref = fabric.bind_hook(fabric.put(b"content"), b"\x01" * 32)
+        ref = hooked(fabric, b"content", b"\x01" * 32)
         fabric.store.tamper(ref.cid, lambda b: bytes([b[0] ^ 1]) + b[1:])
         got = fabric.get(ref)
         assert fabric.verify_integrity(ref, got) is VerifyResult.MISMATCH
@@ -158,27 +198,21 @@ class TestIntegrity:
 
     def test_unconfirmed_hook_not_true(self):
         fabric = fabric_for(Route.OFF_CHAIN, confirmed=False)
-        ref = fabric.bind_hook(fabric.put(b"content"), b"\x01" * 32)
+        ref = hooked(fabric, b"content", b"\x01" * 32)
         result = fabric.verify_integrity(ref, b"content")
         assert result is VerifyResult.UNCONFIRMED
         assert not result
 
     def test_missing_hook_not_true(self):
         fabric = fabric_for(Route.OFF_CHAIN)
-        ref = fabric.put(b"content")  # never bound
+        _, ref = fabric.put(b"content")  # never hooked
         assert fabric.verify_integrity(ref, b"content") is VerifyResult.UNCONFIRMED
-
-    def test_inline_integrity_is_byte_equality(self):
-        fabric = fabric_for(Route.ON_CHAIN)
-        ref = fabric.bind_hook(fabric.put(b"abc"), b"\x02" * 32)
-        assert fabric.verify_integrity(ref, b"abc") is VerifyResult.VERIFIED
-        assert fabric.verify_integrity(ref, b"abd") is VerifyResult.MISMATCH
 
     def test_tamper_detection_complete_1000_mutations(self):
         rng = random.Random(6)
         fabric = fabric_for(Route.OFF_CHAIN)
         data = rng.randbytes(512)
-        ref = fabric.bind_hook(fabric.put(data), b"\x03" * 32)
+        ref = hooked(fabric, data, b"\x03" * 32)
         for _ in range(1_000):
             mutated = bytearray(data)
             for _ in range(rng.randrange(1, 4)):
@@ -190,8 +224,6 @@ class TestIntegrity:
 
 class TestAllRoutesRoundtrip:
     @pytest.mark.parametrize("route,size", [
-        (Route.ON_CHAIN, 300),
-        (Route.HYBRID, 100),   # below threshold: inline
         (Route.HYBRID, 700),   # above threshold: linked
         (Route.OFF_CHAIN, 300),
     ])
@@ -199,7 +231,7 @@ class TestAllRoutesRoundtrip:
         fabric = fabric_for(route, n_nodes=5)
         data = bytes(range(256))[:200] * 4
         data = data[:size]
-        ref = fabric.bind_hook(fabric.put(data), b"\x09" * 32)
+        ref = hooked(fabric, data, b"\x09" * 32)
         assert fabric.get(ref) == data
         assert fabric.verify_integrity(ref, fabric.get(ref)) is VerifyResult.VERIFIED
 
@@ -210,7 +242,7 @@ class TestAvailabilityMonotonicity:
         for replicas in (1, 2, 3, 4):
             rng = random.Random(42)
             fabric = fabric_for(Route.OFF_CHAIN, n_nodes=8, replicas=replicas)
-            ref = fabric.bind_hook(fabric.put(b"monotone"), b"\x04" * 32)
+            ref = hooked(fabric, b"monotone", b"\x04" * 32)
             ok = 0
             for _ in range(1_000):
                 for node_id in range(8):
@@ -226,13 +258,15 @@ class TestAvailabilityMonotonicity:
 
 class TestContentId:
     def test_digest_identity(self):
-        assert ContentId.of(b"a") == ContentId.of(b"a")
-        assert ContentId.of(b"a") != ContentId.of(b"b")
+        store = OffChainStore(3)
+        assert store.write(b"a", 1) == store.write(b"a", 2) == identity.digest(b"a")
+        assert store.write(b"a", 1) != store.write(b"b", 1)
 
     def test_corpus_injective(self):
         rng = random.Random(8)
         blobs = {rng.randbytes(rng.randrange(1, 64)) for _ in range(2_000)}
-        cids = {ContentId.of(b).digest for b in blobs}
+        store = OffChainStore(3)
+        cids = {store.write(b, 1) for b in blobs}
         assert len(cids) == len(blobs)
 
 
@@ -255,32 +289,32 @@ class ReplicaStore:
         live = [node_id for node_id, up in enumerate(self.alive) if up]
         if len(live) < replicas:
             raise InsufficientStorageNodes()
-        cid = ContentId.of(data)
-        start = int.from_bytes(cid.digest[:4], "big") % len(live)
+        cid = identity.digest(data)
+        start = int.from_bytes(cid[:4], "big") % len(live)
         chosen = tuple(live[(start + i) % len(live)] for i in range(replicas))
         for node_id in chosen:
-            self.node_blobs[node_id][cid.digest] = data
-        self.placement[cid.digest] = chosen
+            self.node_blobs[node_id][cid] = data
+        self.placement[cid] = chosen
         return cid
 
     def read(self, cid):
-        if cid.digest not in self.placement:
+        if cid not in self.placement:
             raise NotFound()
-        for node_id in self.placement[cid.digest]:
-            if self.alive[node_id] and cid.digest in self.node_blobs[node_id]:
-                return self.node_blobs[node_id][cid.digest]
+        for node_id in self.placement[cid]:
+            if self.alive[node_id] and cid in self.node_blobs[node_id]:
+                return self.node_blobs[node_id][cid]
         raise AllReplicasDown()
 
     def tamper(self, cid, mutate):
-        for node_id in self.placement.get(cid.digest, ()):
+        for node_id in self.placement.get(cid, ()):
             blobs = self.node_blobs[node_id]
-            if cid.digest in blobs:
-                blobs[cid.digest] = mutate(blobs[cid.digest])
+            if cid in blobs:
+                blobs[cid] = mutate(blobs[cid])
 
 
 STORE_NODES = 5
 BLOBS = (b"alpha", b"beta", b"gamma" * 40)
-NEVER_STORED = ContentId.of(b"never stored")
+NEVER_STORED = identity.digest(b"never stored")
 
 
 def flip_first_byte(blob: bytes) -> bytes:
@@ -329,10 +363,10 @@ class TestOneCopyStore:
                 store.sample_crashes(random.Random(seed), crash_prob)
                 model.sample_crashes(random.Random(seed), crash_prob)
             elif op == "read":
-                cid = NEVER_STORED if args[0] is None else ContentId.of(args[0])
+                cid = NEVER_STORED if args[0] is None else identity.digest(args[0])
                 assert outcome(lambda: store.read(cid)) == outcome(lambda: model.read(cid))
             else:
-                cid = ContentId.of(args[0])
+                cid = identity.digest(args[0])
                 store.tamper(cid, flip_first_byte)
                 model.tamper(cid, flip_first_byte)
             assert store.alive == model.alive
