@@ -120,10 +120,10 @@ def submit_direct(client: WalletClient, chain: ChainNetwork, op: UserOp,
     return tx.tx_id
 
 
-def prepare_data(op: UserOp, fabric: storage.StorageFabric):
-    """Route op.data through the storage plan; returns (on-chain record, linked ref or None)."""
+def prepare_data(op: UserOp, fabric: storage.StorageFabric) -> bytes:
+    """Route op.data through the storage plan; returns its on-chain record, empty without data."""
     if not op.data:
-        return b"", None
+        return b""
     return fabric.put(op.data)
 
 

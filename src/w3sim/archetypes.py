@@ -208,7 +208,6 @@ def compose(arch: ArchitectureType, sim_config: SimConfig, *,
     fabric = storage.StorageFabric(
         storage_plan_for(arch, sim_config),
         store=storage.OffChainStore(sim_config.storage_nodes),
-        is_confirmed=lambda tx_id: tx_id in chain.confirmed_tick,
         crash_prob=faults.storage_crash_prob, seed=sim_config.seed,
     )
 

@@ -121,6 +121,20 @@ def _run_inputs(args):
                               _read(args.faults, parse_faults), args.seed, _load_sim(args))
 
 
+def _check_out(path: str | None, out_dir_ok=True) -> None:
+    """Fail unless _write(path, ..., out_dir_ok) can write there; called before any run."""
+    if path is None:
+        return
+    dir_named = path.endswith(os.sep) or os.path.isdir(path)
+    if not path or dir_named and not out_dir_ok:
+        raise ValueError(f"cannot write a file at {path!r}")
+    folder = os.path.dirname(os.path.join(path, "_") if dir_named else path) or "."
+    while not os.path.exists(folder):  # _write makes the missing directories
+        folder = os.path.dirname(folder) or "."
+    if not os.path.isdir(folder) or not os.access(folder, os.W_OK | os.X_OK):
+        raise ValueError(f"{path}: {folder} is not a writable directory")
+
+
 def _write(path: str | None, default_name: str, content: str, out_dir_ok=True) -> str | None:
     if path is None:
         sys.stdout.write(content)
@@ -163,6 +177,9 @@ class SystemExit2(Exception):
 
 def cmd_simulate(args) -> int:
     arch = _pick_arch(args)
+    _check_out(args.out)
+    _check_out(args.dump_chain, out_dir_ok=False)
+    _check_out(args.dump_events, out_dir_ok=False)
     script, faults, sim = _run_inputs(args)
     # The report's fault-free main run, kept so the dumps show its chain;
     # it keeps block bodies and the event log only when a dump needs them.
@@ -180,8 +197,9 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _sweep_outputs(args):
-    """The sweep's reports, its matrix, and the matrix's file name and text in --format."""
+def _sweep_outputs(args, out: str | None):
+    """The sweep's reports, its matrix, and the matrix's name and text; out is checked first."""
+    _check_out(out)
     script, faults, sim = _run_inputs(args)
     reports = run_sweep(script, faults, sim=sim, jobs=args.jobs)
     matrix = compare(reports, reports[1])
@@ -191,20 +209,18 @@ def _sweep_outputs(args):
 
 
 def cmd_sweep(args) -> int:
-    reports, _, name, content = _sweep_outputs(args)
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
+    out = "." if args.out is None else args.out
+    folder = os.path.join(out, "")  # names a directory, which _write makes if missing
+    reports, _, name, content = _sweep_outputs(args, folder)
     for type_id, report in sorted(reports.items()):
-        with open(os.path.join(out, f"report_type{type_id}.json"), "w", encoding="utf-8") as fh:
-            fh.write(report_json(report))
-    with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
-        fh.write(content)
+        _write(folder, f"report_type{type_id}.json", report_json(report))
+    _write(folder, name, content)
     print(f"wrote {len(reports)} reports and {name} to {out}")
     return 0
 
 
 def cmd_matrix(args) -> int:
-    _, matrix, name, content = _sweep_outputs(args)
+    _, matrix, name, content = _sweep_outputs(args, args.out)
     mismatches = diff_against_reference(matrix)
     _write(args.out, name, content)
     if mismatches:
@@ -227,7 +243,7 @@ def cmd_demo(args) -> int:
         print(f"demo FAILED: {stats.ops_succeeded} of {stats.ops_attempted} ops succeeded"
               + (f" ({stats.infeasible_reason})" if stats.infeasible_reason else ""))
         return 1
-    chain, agent = run.topology.chain, run.topology.agent
+    chain, agent, fabric = run.topology.chain, run.topology.agent, run.topology.fabric
     alice, bob = run.wallets["alice"], run.wallets["bob"]
     signers = {alice.address.payload: "Alice", bob.address.payload: "Bob"}
     if agent is not None:
@@ -244,15 +260,17 @@ def cmd_demo(args) -> int:
     if agent is not None:
         print(f"  agent {agent.address.text} registered for both users")
 
+    # Storage reads the data back from the token's record, checking a linked blob's cid.
+    record = vm.query_state(chain.state, NFT_ID, "dataOf", (minted.field("token_id"),))
+    data = fabric.read(record)
+    linked = not fabric.plan.inlines(len(data))
+
     print(PHASE_BANNERS[1])
-    ref = run.refs.get(0)
-    if ref is not None:
-        print(f"  raw data stored off-chain, cid {ref.cid.hex()[:16]}…")
+    if linked:
+        print(f"  raw data stored off-chain, cid {record[1:].hex()[:16]}…")
         print("  cid hooked on-chain inside the mint transaction")
     else:
-        # The token's dat: cell holds the 0x00 tag and the inline bytes.
-        data = vm.query_state(chain.state, NFT_ID, "dataOf", (minted.field("token_id"),))
-        print(f"  raw data ({len(data) - 1} bytes) carried inline in the mint transaction")
+        print(f"  raw data ({len(data)} bytes) carried inline in the mint transaction")
     for label, conf in (("mint", mint), ("list", listing), ("buy", sale)):
         print(f"  {label} tx {conf.tx.tx_id.hex()[:16]}… signed by {signers[conf.tx.metadata.sender.payload]}")
 
@@ -272,7 +290,7 @@ def cmd_demo(args) -> int:
     ok_sale = retrieved.tx_id == sale.tx.tx_id
     ok_supply = supply == alice_bal + bob_bal
     print(f"  retrieval for Bob returns confirming tx {retrieved.tx_id.hex()[:12]}… (buy: {ok_sale})")
-    if ref is not None:
+    if linked:
         print("  off-chain raw data verified against its cid by the retrieval")
     print(f"  NFT owner is Bob: {owner == bob.address.payload}; supply conserved ({supply}): {ok_supply}")
     print(f"  balances: Alice {alice_bal}, Bob {bob_bal}")

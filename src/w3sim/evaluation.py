@@ -61,7 +61,7 @@ from .scenario import (
     _config_items,
     nft_sale_script,
 )
-from .storage import InlineTooLarge, LinkedRef, Route, StorageError
+from .storage import InlineTooLarge, Route, StorageError
 
 SCALE_GRID = (4, 10)  # maintainer counts the scalability slope spans
 DEAD_BAND = 0.05  # relative dead-band for measured-sign computation
@@ -135,11 +135,6 @@ class _ScenarioRun:
         for wallet in self.wallets.values():
             self.topology.chain.register_key(wallet.keypair)
         self.data_rng = Random(sim.seed ^ 0xDA7A)
-        # Each repetition's linked data ref, hooked to the mint that anchored it
-        # (inline data lives in the token's dat: cell). By the key its mint op
-        # went out under, each upload whose mint has not succeeded yet.
-        self.refs: dict[int, LinkedRef] = {}
-        self.uploads: dict[object, tuple[int, LinkedRef]] = {}
         # The wave's unconfirmed ops, by tx id or agent (origin, seq), to
         # their repetition; _absorb moves each confirmed one to ok_reps.
         self.pending: dict[object, int] = {}
@@ -149,7 +144,7 @@ class _ScenarioRun:
     # -- step helpers -----------------------------------------------------
 
     def _submit(self, wallet: access.WalletClient, op: access.UserOp, rep: int,
-                inline: bytes = b"", upload: LinkedRef | None = None):
+                inline: bytes = b""):
         topo = self.topology
         self.stats.ops_attempted += 1
         if not self.wave_stalled and not self._has_slot():
@@ -167,8 +162,6 @@ class _ScenarioRun:
         except access.AccessError:
             return  # op failed before reaching the chain
         self.pending[key] = rep
-        if upload is not None:
-            self.uploads[key] = (rep, upload)
 
     def _has_slot(self) -> bool:
         """True if the pool can take the transaction that the next op goes out in.
@@ -198,7 +191,7 @@ class _ScenarioRun:
             self.wave_stalled = True
 
     def _absorb(self, confirmations) -> None:
-        """Settle the pending ops a round confirmed and hook the uploads its mints carried."""
+        """Settle the pending ops a round confirmed."""
         for c in confirmations:
             if not c.receipt.success:
                 continue  # a reverted tx failed, and its receipt has no events
@@ -210,9 +203,6 @@ class _ScenarioRun:
                 rep = self.pending.pop(key, None)
                 if rep is not None:
                     self.ok_reps.add(rep)
-                if key in self.uploads:  # the mint that carried it succeeded, in its wave or later
-                    rep, ref = self.uploads.pop(key)
-                    self.refs[rep] = LinkedRef(ref.cid, c.tx.tx_id)
 
     def _settle_wave(self) -> set[int]:
         """Drain the chain; returns the repetitions whose op of this wave succeeded.
@@ -222,8 +212,6 @@ class _ScenarioRun:
         if not self.wave_stalled:
             self._drain()
         ok_reps, self.ok_reps, self.pending = self.ok_reps, set(), {}
-        if not self.uploads:
-            self.uploads = {}  # a dict keeps its table once emptied; drop the mint wave's
         self.wave_stalled = False
         self.stats.ops_succeeded += len(ok_reps)
         self.stats.onchain_ops += len(ok_reps)
@@ -269,13 +257,13 @@ class _ScenarioRun:
                 data = self.data_rng.randbytes(size)
                 op = access.UserOp(NFT_ID, "mint", args=(_token_id(rep),), data=data)
                 try:
-                    inline, ref = access.prepare_data(op, self.topology.fabric)
+                    inline = access.prepare_data(op, self.topology.fabric)
                 except InlineTooLarge as err:  # only the on-chain route has nowhere else to put it
                     raise ScenarioInfeasible(f"InlineTooLarge: {err}") from err
                 except StorageError:
                     self.stats.ops_attempted += 1
                     continue
-                self._submit(wallet, op, rep, inline=inline, upload=ref)
+                self._submit(wallet, op, rep, inline=inline)
             self._settle_wave()
             return
         if kind in (StepKind.LIST_NFT, StepKind.BUY_NFT):
@@ -300,21 +288,14 @@ class _ScenarioRun:
         raise ValueError(f"unhandled step kind {kind}")
 
     def _retrieve_ok(self, wallet: access.WalletClient, rep: int) -> bool:
-        """True if the wallet owns rep's token and, for linked data, reads back its verified blob."""
-        topo = self.topology
+        """True if the wallet owns rep's token and storage serves the data its record names."""
+        state, token = self.topology.chain.state, (_token_id(rep),)
         try:
-            owner = vm.query_state(topo.chain.state, NFT_ID, "ownerOf", (_token_id(rep),))
-        except vm.QueryError:
-            return False
-        if owner != wallet.address.payload:
-            return False
-        ref = self.refs.get(rep)
-        if ref is not None:
-            try:
-                blob = topo.fabric.get(ref)
-            except StorageError:
+            if vm.query_state(state, NFT_ID, "ownerOf", token) != wallet.address.payload:
                 return False
-            return bool(topo.fabric.verify_integrity(ref, blob))
+            self.topology.fabric.read(vm.query_state(state, NFT_ID, "dataOf", token))
+        except (vm.QueryError, StorageError):
+            return False
         return True
 
 

@@ -2,12 +2,12 @@
 with an on-chain hook, and a size-thresholded hybrid of the two.
 
 put() turns a blob into its on-chain record, tagged 0x00 + data when the
-plan inlines it and 0x01 + cid when it goes off-chain, plus a LinkedRef
-for an off-chain blob. A cid is the blob's 32-byte digest.
+plan inlines it and 0x01 + cid when it goes off-chain; a cid is the
+blob's 32-byte digest. read() turns a record, as the chain holds it, back
+into the blob: the one place that parses the tag.
 
 Off-chain nodes are liveness flags over one copy of each blob; integrity
-of a linked blob is a digest check against the cid recorded by a
-confirmed hook transaction.
+of a linked blob is a digest check against the cid in its record.
 """
 
 from __future__ import annotations
@@ -43,6 +43,10 @@ class NotFound(StorageError):
     pass
 
 
+class DigestMismatch(StorageError):
+    pass
+
+
 class Route(Enum):
     ON_CHAIN = "OnChain"
     OFF_CHAIN = "OffChain"
@@ -61,23 +65,6 @@ class StoragePlan:
         if self.route is Route.HYBRID:
             return size <= min(self.inline_threshold, self.inline_cap)
         return self.route is Route.ON_CHAIN
-
-
-@dataclass(frozen=True, slots=True)
-class LinkedRef:
-    """An off-chain blob's cid and, once known, the tx that hooked it on-chain."""
-
-    cid: bytes
-    hook_tx: bytes | None = None
-
-
-class VerifyResult(Enum):
-    VERIFIED = "Verified"
-    MISMATCH = "Mismatch"
-    UNCONFIRMED = "Unconfirmed"
-
-    def __bool__(self) -> bool:
-        return self is VerifyResult.VERIFIED
 
 
 class OffChainStore:
@@ -131,19 +118,16 @@ class OffChainStore:
 
 
 class StorageFabric:
-    """Route-aware put/get/verify facade over one off-chain store.
+    """Route-aware put/read facade over one off-chain store.
 
-    is_confirmed(tx_id) tells the fabric whether a hook transaction has
-    reached consensus; linked refs only verify once their hook confirms.
     Each off-chain access first resamples which storage nodes are up, each
     crashing with crash_prob, from the fabric's own seeded stream.
     """
 
-    def __init__(self, plan: StoragePlan, store: OffChainStore | None = None, is_confirmed=None,
+    def __init__(self, plan: StoragePlan, store: OffChainStore | None = None,
                  crash_prob: float = 0.0, seed: int = 0):
         self.plan = plan
         self.store = store if store is not None else OffChainStore()
-        self.is_confirmed = is_confirmed or (lambda tx_id: True)
         self.offchain_bytes = 0
         self.crash_prob = crash_prob
         self.crash_rng = Random(seed ^ 0x5707A6E)
@@ -152,25 +136,40 @@ class StorageFabric:
         if self.crash_prob > 0:
             self.store.sample_crashes(self.crash_rng, self.crash_prob)
 
-    def put(self, data: bytes) -> tuple[bytes, LinkedRef | None]:
-        """Route data by the plan; returns its on-chain record and, if linked, its ref."""
+    def put(self, data: bytes) -> bytes:
+        """Route data by the plan; returns its on-chain record."""
         plan = self.plan
         if plan.inlines(len(data)):
             if len(data) > plan.inline_cap:
                 raise InlineTooLarge(f"{len(data)} bytes exceeds inline cap {plan.inline_cap}")
-            return b"\x00" + data, None
+            return b"\x00" + data
         if not data:
             raise StorageError("off-chain put requires non-empty data")
         self._sample_faults()  # storage nodes crash only where a write reaches them
         cid = self.store.write(data, plan.replicas)
         self.offchain_bytes += len(data) * plan.replicas
-        return b"\x01" + cid, LinkedRef(cid)
+        return b"\x01" + cid
 
-    def get(self, ref: LinkedRef) -> bytes:
+    def get(self, cid: bytes) -> bytes:
         self._sample_faults()
-        return self.store.read(ref.cid)
+        return self.store.read(cid)
 
-    def verify_integrity(self, ref: LinkedRef, data: bytes) -> VerifyResult:
-        if ref.hook_tx is None or not self.is_confirmed(ref.hook_tx):
-            return VerifyResult.UNCONFIRMED
-        return VerifyResult.VERIFIED if identity.digest(data) == ref.cid else VerifyResult.MISMATCH
+    def verify_integrity(self, cid: bytes, data: bytes) -> bool:
+        return identity.digest(data) == cid
+
+    def read(self, record: bytes) -> bytes:
+        """The data behind an on-chain record; StorageError if the record cannot serve it.
+
+        An empty record holds no data and an inline one holds its data. A
+        linked record's blob is fetched, which draws storage crashes, and
+        checked against the record's cid. Any other tag or length fails.
+        """
+        tag, body = record[:1], record[1:]
+        if tag in (b"", b"\x00"):
+            return body
+        if tag != b"\x01" or len(body) != 32:  # a cid is a 32-byte digest
+            raise StorageError(f"malformed {len(record)}-byte record, tag {tag.hex()}")
+        blob = self.get(body)
+        if not self.verify_integrity(body, blob):
+            raise DigestMismatch(body.hex())
+        return blob

@@ -23,8 +23,7 @@ from w3sim.archetypes import (
 from w3sim.consensus import ByzantineMode, ChainNetwork, ConsensusConfig, ConsensusRule, NodeBehavior, RuleKind
 from w3sim.evaluation import compare, diff_against_reference, report_json, run_scenario, run_sweep
 from w3sim.scenario import DEFAULT_FAULTS, NO_FAULTS, nft_sale_script
-from w3sim.storage import (AllReplicasDown, LinkedRef, OffChainStore, Route, StorageFabric,
-                           StoragePlan, VerifyResult)
+from w3sim.storage import AllReplicasDown, OffChainStore, Route, StorageFabric, StoragePlan
 from w3sim.vm import DelegationPolicy, ExecutorBehavior
 
 from test_consensus import confirmed_by
@@ -91,7 +90,7 @@ def _drive_definition1(type_id: int, target_txs: int) -> tuple[int, int]:
             op = access.UserOp(NFT_ID, "mint",
                                args=(token_counter.to_bytes(32, "big"),),
                                data=rng.randbytes(32))
-        inline, _ = access.prepare_data(op, topo.fabric)
+        inline = access.prepare_data(op, topo.fabric)
         if topo.agent is not None:
             access.submit_via_agent(topo.agent, w.address.payload, op, chain, inline=inline)
         else:
@@ -237,11 +236,10 @@ def test_criterion_4_nft_running_example(capsys):
     data = random.Random(42).randbytes(900)  # above the hybrid threshold
     token = (1).to_bytes(32, "big")
     mint_op = access.UserOp(NFT_ID, "mint", args=(token,), data=data)
-    inline, ref = access.prepare_data(mint_op, fabric)
+    inline = access.prepare_data(mint_op, fabric)
     assert inline[0] == 1  # linked: the mint carries the cid hook
-    mint_tx = access.submit_direct(alice, chain, mint_op, inline=inline)
+    access.submit_direct(alice, chain, mint_op, inline=inline)
     chain.run_until_drained()
-    ref = LinkedRef(ref.cid, mint_tx)
     assert vm.query_state(chain.state, NFT_ID, "ownerOf", (token,)) == alice.address.payload
 
     price = 1_234
@@ -262,7 +260,8 @@ def test_criterion_4_nft_running_example(capsys):
     bob_bal = vm.query_state(chain.state, FT_ID, "balanceOf", (bob.address.payload,))
     assert alice_bal == 5_000 + price and bob_bal == 5_000 - price
     assert vm.query_state(chain.state, FT_ID, "totalSupply") == supply_before == alice_bal + bob_bal
-    assert fabric.verify_integrity(ref, fabric.get(ref)) is VerifyResult.VERIFIED
+    # The buyer learns the cid from the token's record and storage checks the blob against it.
+    assert fabric.read(vm.query_state(chain.state, NFT_ID, "dataOf", (token,))) == data
     assert access.retrieve_state(chain, bob.address, NFT_ID).tx_id == buy_tx
 
     assert cli.main(["demo", "--seed", "42"]) == 0
@@ -280,18 +279,18 @@ def test_criterion_4_nft_running_example(capsys):
 def test_criterion_5_storage_replication():
     import itertools
     plan = StoragePlan(route=Route.OFF_CHAIN, replicas=3)
-    fabric = StorageFabric(plan, OffChainStore(3), is_confirmed=lambda _tx: True)
+    fabric = StorageFabric(plan, OffChainStore(3))
     data = b"replicated content"
-    _, ref = fabric.put(data)
-    ref = LinkedRef(ref.cid, b"\x01" * 32)
+    record = fabric.put(data)
+    cid = record[1:]
     for down in itertools.combinations(range(3), 2):
         for i in range(3):
             fabric.store.set_alive(i, i not in down)
-        assert fabric.get(ref) == data
+        assert fabric.read(record) == data
     for i in range(3):
         fabric.store.set_alive(i, False)
     with pytest.raises(AllReplicasDown):
-        fabric.get(ref)
+        fabric.read(record)
     for i in range(3):
         fabric.store.set_alive(i, True)
 
@@ -300,7 +299,7 @@ def test_criterion_5_storage_replication():
     for _ in range(1_000):
         mutated = bytearray(data)
         mutated[rng.randrange(len(mutated))] ^= rng.randrange(1, 256)
-        if fabric.verify_integrity(ref, bytes(mutated)) is VerifyResult.MISMATCH:
+        if fabric.verify_integrity(cid, bytes(mutated)) is False:
             detected += 1
     assert detected == 1_000
     print("\nACCEPTANCE 5 PASS: replicas=3 serves all 2-node failure subsets, "

@@ -17,7 +17,7 @@ from w3sim.access import (
     submit_via_agent,
 )
 from w3sim.archetypes import FT_ID, NFT_ID, SimConfig, architecture, compose
-from w3sim.vm import query_state
+from w3sim.vm import QueryError, query_state
 
 from test_consensus import confirmed_by
 
@@ -244,15 +244,19 @@ class TestRetrieval:
 
 
 class TestIntegrityAgainstConfirmation:
-    def test_unconfirmed_until_hook_round(self):
+    def test_unreadable_until_the_hook_confirms(self):
         # Type3 routes all data off-chain; the mint transaction is the hook.
+        # Until it confirms the token has no record, so nothing names the blob.
         topo, (w1, _) = build_topology(type_id=3)
         connect_wallet(w1, "svc")
         data = b"Z" * 400
-        op = UserOp(NFT_ID, "mint", args=((1).to_bytes(32, "big"),), data=data)
-        inline, ref = prepare_data(op, topo.fabric)
-        tx_id = submit_direct(w1, topo.chain, op, inline=inline)
-        ref = storage.LinkedRef(ref.cid, tx_id)
-        assert topo.fabric.verify_integrity(ref, data) is storage.VerifyResult.UNCONFIRMED
+        token = (1).to_bytes(32, "big")
+        op = UserOp(NFT_ID, "mint", args=(token,), data=data)
+        record = prepare_data(op, topo.fabric)
+        submit_direct(w1, topo.chain, op, inline=record)
+        with pytest.raises(QueryError):
+            query_state(topo.chain.state, NFT_ID, "dataOf", (token,))
         topo.chain.run_until_drained()
-        assert topo.fabric.verify_integrity(ref, data) is storage.VerifyResult.VERIFIED
+        anchored = query_state(topo.chain.state, NFT_ID, "dataOf", (token,))
+        assert anchored == record == b"\x01" + identity.digest(data)
+        assert topo.fabric.read(anchored) == data

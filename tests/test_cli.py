@@ -339,6 +339,31 @@ def test_bad_fault_plan_exits_2(tmp_path, capsys, scenario_file, scenario_runs, 
     assert scenario_runs == []  # every input is checked before the first run
 
 
+@pytest.mark.parametrize("command, flag, target", [
+    ("simulate", "--out", ""),
+    ("matrix", "--out", ""),
+    ("sweep", "--out", ""),
+    ("simulate", "--out", "file/report.json"),
+    ("matrix", "--out", "file/deeper/"),
+    ("sweep", "--out", "file"),
+    ("simulate", "--dump-chain", ""),
+    ("simulate", "--dump-chain", "."),
+    ("simulate", "--dump-events", "file/events.ndjson"),
+], ids=["simulate-empty", "matrix-empty", "sweep-empty", "simulate-under-a-file",
+        "matrix-under-a-file", "sweep-into-a-file", "dump-chain-empty",
+        "dump-chain-to-a-directory", "dump-events-under-a-file"])
+def test_an_unusable_output_path_exits_2_before_any_run(tmp_path, monkeypatch, capsys,
+                                                        scenario_file, scenario_runs,
+                                                        command, flag, target):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("not a directory")
+    argv = [command, "--scenario", scenario_file, flag, target]
+    code, _, err = run_cli(argv + (["--type", "1"] if command == "simulate" else []), capsys)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert scenario_runs == []
+
+
 ONE_PATH_PLANS = {"default": DEFAULT_FAULTS, "maintainer-crash": FaultPlan(maintainer_crash_prob=0.1)}
 
 

@@ -4,6 +4,7 @@ import gc
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 import weakref
@@ -15,6 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 from test_golden import FAULT_WIRING_PLANS
 
 from w3sim import evaluation as ev
+from w3sim import identity
 from w3sim.access import AgentBehavior
 from w3sim.archetypes import FT_ID, NFT_ID, SimConfig, architecture
 from w3sim.consensus import (
@@ -56,9 +58,10 @@ from w3sim.scenario import (
     scenario_text,
     settings_text,
 )
-from w3sim.storage import LinkedRef
+from w3sim.storage import DigestMismatch
 from w3sim.txcraft import Transaction
-from w3sim.vm import TAMPER_TARGETS, ExecutorBehavior, GasSchedule, Receipt, query_state
+from w3sim.vm import (TAMPER_TARGETS, ExecutorBehavior, GasSchedule, QueryError, Receipt,
+                      query_state)
 
 FAST = nft_sale_script(repetitions=6)
 
@@ -596,51 +599,51 @@ class TestKeyScope:
         assert run.topology.chain.keys == expected
 
 
-class TestMintHooks:
-    def test_every_linked_ref_is_hooked_to_its_confirmed_mint(self):
-        # Two mint steps: the second wave reverts as DuplicateTokenId, so
-        # its fresh refs hook to the first wave's mint txs, the same hooks
-        # a rescan of every confirmation finds.
-        mint = Step(StepKind.MINT_NFT, "alice", (("data_size", 768),))
-        script = ScenarioScript(steps=(Step(StepKind.CONNECT_WALLET, "alice"), mint, mint),
-                                repetitions=6)
-        run = ev._ScenarioRun(architecture(2), script, SimConfig(seed=42), NO_FAULTS,
-                              keep_history=True)
-        run.run()
-        minted = {}
-        for c in run.topology.chain.confirmations:
-            for event in c.receipt.events:
-                if event.name == "Mint":
-                    minted[event.field("token_id")] = c.tx.tx_id
-        linked = {rep: ref for rep, ref in run.refs.items() if isinstance(ref, LinkedRef)}
-        assert len(linked) == 6
-        for rep, ref in linked.items():
-            assert ref.hook_tx == minted[rep.to_bytes(32, "big")]
+def carried_records(run) -> dict[bytes, bytes]:
+    """Each minted token's id to the data record that its confirmed mint tx carried.
 
-    def test_a_reverted_second_mint_keeps_the_anchored_ref(self):
-        # The second wave's uploads are new blobs whose mints revert as
-        # DuplicateTokenId; each ref must still name the cid that the
-        # token's one confirmed mint anchors (0x01 + cid in dataOf).
+    For wallet access, where one mint is one tx; the run must keep its history.
+    """
+    return {event.field("token_id"): c.tx.payload.inline_data
+            for c in run.topology.chain.confirmations
+            for event in c.receipt.events if event.name == "Mint"}
+
+
+def data_record(run, rep: int) -> bytes:
+    return query_state(run.topology.chain.state, NFT_ID, "dataOf", (rep.to_bytes(32, "big"),))
+
+
+class TestMintHooks:
+    """Retrieval reads each token's data through the record in its dat: cell."""
+
+    def test_a_reverted_second_mint_leaves_the_first_blob_readable(self):
+        # The second wave uploads new blobs whose mints revert as
+        # DuplicateTokenId; each token's record still names the blob that
+        # its one confirmed mint carried, and retrieval reads that blob.
         mint = Step(StepKind.MINT_NFT, "alice", (("data_size", 768),))
         script = ScenarioScript(steps=(Step(StepKind.CONNECT_WALLET, "alice"), mint, mint,
                                        Step(StepKind.RETRIEVE_STATE, "alice")), repetitions=3)
-        run = ev._ScenarioRun(architecture(2), script, SimConfig(seed=42), NO_FAULTS)
+        run = ev._ScenarioRun(architecture(2), script, SimConfig(seed=42), NO_FAULTS,
+                              keep_history=True)
         stats = run.run()
-        state = run.topology.chain.state
-        assert len(run.refs) == 3
-        for rep, ref in run.refs.items():
-            assert isinstance(ref, LinkedRef)
-            anchored = query_state(state, NFT_ID, "dataOf", (rep.to_bytes(32, "big"),))
-            assert anchored == b"\x01" + ref.cid
+        data = random.Random(42 ^ 0xDA7A)
+        first_wave = [data.randbytes(768) for _ in range(3)]
+        carried = carried_records(run)
+        assert len(carried) == 3
+        for rep, blob in enumerate(first_wave):
+            record = data_record(run, rep)
+            assert record == carried[rep.to_bytes(32, "big")] == b"\x01" + identity.digest(blob)
+            assert run.topology.fabric.read(record) == blob
+        assert len(run.topology.fabric.store.blobs) == 6  # the second wave's blobs, never named
         assert stats.ops_succeeded == 3 + 3  # first mints and retrievals; second mints revert
 
     @pytest.mark.parametrize("second_mint", [False, True])
-    def test_a_mint_that_confirms_after_its_wave_stalled_is_hooked(self, second_mint):
+    def test_a_mint_that_confirms_after_its_wave_stalled_is_readable(self, second_mint):
         # Half the maintainers crash each round: the mint wave stalls with 4
-        # of its 12 mints unconfirmed, and those confirm in the next wave. Each
-        # upload is hooked when its own mint confirms, so the retrieval reads
-        # and verifies the blob the chain anchors, even when the next wave
-        # uploads new blobs for the same tokens (whose mints then revert).
+        # of its 12 mints unconfirmed, and those confirm in the next wave.
+        # Each token's record is the one its own mint carried, so retrieval
+        # reads and verifies that blob, even when the next wave uploads new
+        # blobs for the same tokens (whose mints then revert).
         mint = Step(StepKind.MINT_NFT, "alice", (("data_size", 768),))
         steps = nft_sale_script(repetitions=12).steps
         at = steps.index(mint) + 1
@@ -649,25 +652,53 @@ class TestMintHooks:
         run = ev._ScenarioRun(architecture(3), script, SimConfig(seed=4),
                               FaultPlan(maintainer_crash_prob=0.5), keep_history=True)
         stats = run.run()
-        minted = {int.from_bytes(event.field("token_id"), "big"): c.tx.tx_id
-                  for c in run.topology.chain.confirmations
-                  for event in c.receipt.events if event.name == "Mint"}
-        assert len(minted) == 12
-        assert {rep: ref.hook_tx for rep, ref in run.refs.items()} == minted
-        state = run.topology.chain.state
-        for rep, ref in run.refs.items():
-            anchored = query_state(state, NFT_ID, "dataOf", (rep.to_bytes(32, "big"),))
-            assert anchored == b"\x01" + ref.cid
+        carried = carried_records(run)
+        assert len(carried) == 12
+        fabric = run.topology.fabric
+        for rep in range(12):
+            record = data_record(run, rep)
+            assert record == carried[rep.to_bytes(32, "big")]
+            assert identity.digest(fabric.read(record)) == record[1:]
         if not second_mint:
             assert (stats.ops_attempted, stats.ops_succeeded) == (48, 44)
 
-    def test_an_emptied_upload_table_is_dropped_at_its_wave_settle(self):
-        # A dict keeps its table once emptied; the run swaps it for a new one.
-        run = ev._ScenarioRun(architecture(3), nft_sale_script(repetitions=200),
-                              SimConfig(seed=42), NO_FAULTS)
+    @pytest.mark.parametrize("type_id", [4, 5])
+    def test_retrieval_fails_only_where_the_executor_rewrote_the_record(self, type_id):
+        # A malicious executor that tampers outside the checked region
+        # silently rewrites some tokens' dat: records. Retrieval reads the
+        # record the chain holds, so it differs from a read of the record
+        # the mint carried only for a token whose cell was rewritten.
+        faults = FaultPlan(executor_behavior=ExecutorBehavior.MALICIOUS, tamper_target="unchecked")
+        run = ev._ScenarioRun(architecture(type_id), nft_sale_script(repetitions=12),
+                              SimConfig(seed=42), faults, keep_history=True)
         run.run()
-        assert len(run.refs) == 200
-        assert sys.getsizeof(run.uploads) == sys.getsizeof({})
+        bob, fabric, state = run.wallets["bob"], run.topology.fabric, run.topology.chain.state
+        carried = carried_records(run)
+        changed = []
+        for rep in range(12):
+            token = rep.to_bytes(32, "big")
+            try:
+                owned = query_state(state, NFT_ID, "ownerOf", (token,)) == bob.address.payload
+                fabric.read(carried[token])
+            except (QueryError, KeyError):
+                owned = False
+            if run._retrieve_ok(bob, rep) != owned:
+                changed.append(rep)
+                assert data_record(run, rep) != carried[token]
+        assert len(changed) == 3  # 38 of 48 ops read the carried records, 35 the chain's
+
+    def test_a_blob_tampered_after_its_mint_confirmed_fails_retrieval_as_a_mismatch(self):
+        script = nft_sale_script(repetitions=4)
+        run = ev._ScenarioRun(architecture(3), script, SimConfig(seed=42), NO_FAULTS)
+        fabric = run.topology.fabric
+        for step in script.steps:
+            run._run_step_wave(step)
+            if step.kind is StepKind.MINT_NFT:
+                fabric.store.tamper(data_record(run, 0)[1:], lambda blob: bytes([blob[0] ^ 1]) + blob[1:])
+        assert (run.stats.ops_attempted, run.stats.ops_succeeded) == (16, 15)
+        with pytest.raises(DigestMismatch):
+            fabric.read(data_record(run, 0))
+        assert all(run._retrieve_ok(run.wallets["bob"], rep) for rep in (1, 2, 3))
 
 
 class TestPoolLimit:

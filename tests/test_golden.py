@@ -65,7 +65,11 @@ FAULT_WIRING_PLANS = (
 )
 # Maintainer crashes draw from their own stream, apart from the message
 # delays, so the first plan's runs differ from a shared-stream chain's.
-FAULT_WIRING_SHA256 = "c716077e6f3461eeb6ef231451493c2e59c7f8af93d1d3dc36176562fe7fba62"
+# Retrieval reads each token's data through the record its dat: cell holds,
+# so a record the executor silently rewrote fails retrieval: under the first
+# plan, Types 4, 10 and 11 succeed on 85 ops (90, 90 and 89 when retrieval
+# read a ref the run kept), which moved this digest; the chains are unchanged.
+FAULT_WIRING_SHA256 = "31f042f365c30b435a10b02b6854a585b833ee9a3f405688865697bd9e91ac8f"
 
 
 def fault_wiring_digest() -> str:
@@ -134,7 +138,12 @@ def test_agent_events_and_retrieval_are_byte_identical():
 # production is the byzantine share of the maintainers (2/7, so it wins
 # some rounds and the honest branch still qualifies). The plan joined the
 # runs when compose began to wire that share, which moved this digest.
-RULE_AND_HYBRID_SHA256 = "995b5e41c7678f185e703f9aab88ef0ce421ebf5d32d4a943d53ce662c6d61c6"
+# Retrieval reads each token's data through its dat: record, so a record the
+# tampering executor rewrote fails retrieval: under the first plan every
+# hybrid-compute type (4, 5, 6, 10, 11, 12) succeeds on 35 of 48 ops under
+# both rules (38 when retrieval read a ref the run kept), which moved this
+# digest; the chains, event logs and roots are unchanged.
+RULE_AND_HYBRID_SHA256 = "b240e3edc36f8dd0a141492c7325d431d96127e810f11bd56564ba046cfc9844"
 RULE_AND_HYBRID_PLANS = (
     "storage_crash_prob = 0.3\nexecutor_behavior = Malicious\ntamper_target = unchecked\n",
     "byzantine_maintainers = 2\n",

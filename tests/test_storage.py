@@ -18,34 +18,34 @@ from w3sim.storage import (
     DEFAULT_INLINE_THRESHOLD,
     INLINE_CAP_BYTES,
     AllReplicasDown,
+    DigestMismatch,
     InlineTooLarge,
     InsufficientStorageNodes,
-    LinkedRef,
     NotFound,
     OffChainStore,
     Route,
     StorageError,
     StorageFabric,
     StoragePlan,
-    VerifyResult,
 )
 
 
-def fabric_for(route, n_nodes=3, confirmed=True, **plan_kwargs):
+def fabric_for(route, n_nodes=3, **plan_kwargs):
     plan = StoragePlan(route=route, **plan_kwargs)
-    return StorageFabric(plan, OffChainStore(n_nodes), is_confirmed=lambda _tx: confirmed)
+    return StorageFabric(plan, OffChainStore(n_nodes))
 
 
-def hooked(fabric, data, hook_tx):
-    """Put data off-chain and hook its ref to hook_tx."""
-    _, ref = fabric.put(data)
-    return LinkedRef(ref.cid, hook_tx)
+def stored(fabric, data):
+    """Put data off-chain; returns its cid, the body of its linked record."""
+    record = fabric.put(data)
+    assert record[:1] == b"\x01"
+    return record[1:]
 
 
 class TestPut:
     def test_onchain_inline(self):
         fabric = fabric_for(Route.ON_CHAIN)
-        assert fabric.put(b"x" * 1000) == (b"\x00" + b"x" * 1000, None)
+        assert fabric.put(b"x" * 1000) == b"\x00" + b"x" * 1000
 
     def test_onchain_too_large(self):
         fabric = fabric_for(Route.ON_CHAIN)
@@ -54,13 +54,13 @@ class TestPut:
 
     def test_hybrid_threshold(self):
         fabric = fabric_for(Route.HYBRID)
-        assert fabric.put(b"x" * 200) == (b"\x00" + b"x" * 200, None)
-        assert fabric.put(b"x" * 300)[1] == LinkedRef(identity.digest(b"x" * 300))
+        assert fabric.put(b"x" * 200) == b"\x00" + b"x" * 200
+        assert fabric.put(b"x" * 300) == b"\x01" + identity.digest(b"x" * 300)
 
     def test_hybrid_links_a_blob_between_the_cap_and_a_larger_threshold(self):
         fabric = fabric_for(Route.HYBRID, n_nodes=5, inline_threshold=2000)
-        assert fabric.put(b"x" * 1024) == (b"\x00" + b"x" * 1024, None)
-        assert fabric.put(b"x" * 1500)[1] == LinkedRef(identity.digest(b"x" * 1500))
+        assert fabric.put(b"x" * 1024) == b"\x00" + b"x" * 1024
+        assert fabric.put(b"x" * 1500) == b"\x01" + identity.digest(b"x" * 1500)
 
     def test_only_an_offchain_write_draws_storage_crashes(self, monkeypatch):
         draws = []
@@ -87,8 +87,7 @@ class TestPut:
     def test_default_replica_count_is_three(self):
         assert StoragePlan(route=Route.OFF_CHAIN).replicas == 3
         fabric = fabric_for(Route.OFF_CHAIN, n_nodes=5)
-        _, ref = fabric.put(b"replicated")
-        assert len(fabric.store.placement[ref.cid]) == 3
+        assert len(fabric.store.placement[stored(fabric, b"replicated")]) == 3
 
     def test_mode_mapping(self):
         sim = SimConfig(replicas=4, inline_threshold=128, inline_cap=512)
@@ -127,15 +126,78 @@ class TestRecordFormat:
             with pytest.raises(InlineTooLarge):
                 prepare_data(op, fabric)
             return
-        record, ref = prepare_data(op, fabric)
+        record = prepare_data(op, fabric)
         if not data:
-            assert (record, ref) == (b"", None)
+            assert record == b""
         elif plan.inlines(size):
-            assert (record, ref) == (b"\x00" + data, None)
+            assert record == b"\x00" + data
         else:
             cid = identity.digest(data)
-            assert (record, ref) == (b"\x01" + cid, LinkedRef(cid))
-            assert fabric.get(ref) == data
+            assert record == b"\x01" + cid
+            assert fabric.get(cid) == data
+
+
+class TestRead:
+    @pytest.mark.parametrize("route", list(Route))
+    @pytest.mark.parametrize("threshold", [DEFAULT_INLINE_THRESHOLD, 2 * INLINE_CAP_BYTES],
+                             ids=["threshold-below-cap", "threshold-above-cap"])
+    @settings(max_examples=40, deadline=None)
+    @given(size=st.integers(0, 2 * INLINE_CAP_BYTES))
+    @at_record_sizes
+    def test_reads_back_what_put_stored(self, route, threshold, size):
+        fabric = fabric_for(route, n_nodes=5, inline_threshold=threshold)
+        data = random.Random(size).randbytes(size)
+        if route is Route.ON_CHAIN and size > INLINE_CAP_BYTES or route is Route.OFF_CHAIN and not size:
+            return  # put refuses the blob (TestPut, TestRecordFormat)
+        assert fabric.read(fabric.put(data)) == data
+
+    def test_the_empty_record_of_an_op_without_data_reads_as_no_data(self):
+        fabric = fabric_for(Route.OFF_CHAIN)
+        assert fabric.read(prepare_data(UserOp(b"\x02" * 20, "mint"), fabric)) == b""
+
+    @pytest.mark.parametrize("make, error", [
+        (lambda cid: b"\x02" + cid, StorageError),            # unknown tag
+        (lambda cid: b"\xff", StorageError),                  # an empty record, each byte flipped
+        (lambda cid: b"\x01" + cid[:-1], StorageError),       # truncated
+        (lambda cid: b"\x01" + cid + b"\x00", StorageError),  # over-long
+        (lambda cid: b"\x01", StorageError),                  # a tag without a cid
+        (lambda cid: b"\x01" + identity.digest(b"never stored"), NotFound),
+    ], ids=["unknown-tag", "flipped-empty", "truncated", "over-long", "tag-only", "missing-cid"])
+    def test_a_record_storage_cannot_serve_raises(self, make, error):
+        fabric = fabric_for(Route.OFF_CHAIN)
+        cid = stored(fabric, b"content")
+        with pytest.raises(error):
+            fabric.read(make(cid))
+
+    def test_a_digest_mismatch_raises(self):
+        fabric = fabric_for(Route.OFF_CHAIN)
+        record = fabric.put(b"content")
+        fabric.store.tamper(record[1:], flip_first_byte)
+        with pytest.raises(DigestMismatch):
+            fabric.read(record)
+
+    def test_only_a_linked_read_draws_storage_crashes_once(self, monkeypatch):
+        draws = []
+        monkeypatch.setattr(OffChainStore, "sample_crashes",
+                            lambda store, rng, crash_prob: draws.append(crash_prob))
+        fabric = StorageFabric(StoragePlan(route=Route.HYBRID), OffChainStore(5),
+                               crash_prob=0.6, seed=1)
+        inline, linked = fabric.put(b"x" * 256), fabric.put(b"x" * 257)
+        draws.clear()
+        assert fabric.read(inline) == b"x" * 256
+        assert fabric.read(b"") == b""
+        assert draws == []
+        assert fabric.read(linked) == b"x" * 257
+        assert draws == [0.6]
+
+    def test_a_crashed_store_fails_a_linked_read(self):
+        fabric = fabric_for(Route.HYBRID)
+        inline, linked = fabric.put(b"x" * 256), fabric.put(b"x" * 257)
+        for i in range(3):
+            fabric.store.set_alive(i, False)
+        assert fabric.read(inline) == b"x" * 256
+        with pytest.raises(AllReplicasDown):
+            fabric.read(linked)
 
 
 class TestInlines:
@@ -161,65 +223,51 @@ class TestInlines:
 class TestGet:
     def test_any_two_failures_survive(self):
         fabric = fabric_for(Route.OFF_CHAIN, n_nodes=3)
-        _, ref = fabric.put(b"three copies")
+        cid = stored(fabric, b"three copies")
         for down in itertools.combinations(range(3), 2):
             for i in range(3):
                 fabric.store.set_alive(i, i not in down)
-            assert fabric.get(ref) == b"three copies"
+            assert fabric.get(cid) == b"three copies"
 
     def test_all_replicas_down(self):
         fabric = fabric_for(Route.OFF_CHAIN, n_nodes=3)
-        _, ref = fabric.put(b"gone")
+        cid = stored(fabric, b"gone")
         for i in range(3):
             fabric.store.set_alive(i, False)
         with pytest.raises(AllReplicasDown):
-            fabric.get(ref)
+            fabric.get(cid)
 
     def test_unknown_cid(self):
         fabric = fabric_for(Route.OFF_CHAIN)
         with pytest.raises(NotFound):
-            fabric.get(LinkedRef(cid=identity.digest(b"never stored")))
+            fabric.get(identity.digest(b"never stored"))
 
 
 class TestIntegrity:
     def test_roundtrip_verified(self):
         fabric = fabric_for(Route.OFF_CHAIN)
-        ref = hooked(fabric, b"content", b"\x01" * 32)
-        assert fabric.verify_integrity(ref, fabric.get(ref)) is VerifyResult.VERIFIED
-        assert bool(fabric.verify_integrity(ref, fabric.get(ref)))
+        cid = stored(fabric, b"content")
+        assert fabric.verify_integrity(cid, fabric.get(cid)) is True
 
     def test_flipped_byte_mismatch(self):
         fabric = fabric_for(Route.OFF_CHAIN)
-        ref = hooked(fabric, b"content", b"\x01" * 32)
-        fabric.store.tamper(ref.cid, lambda b: bytes([b[0] ^ 1]) + b[1:])
-        got = fabric.get(ref)
-        assert fabric.verify_integrity(ref, got) is VerifyResult.MISMATCH
-        assert not fabric.verify_integrity(ref, got)
-
-    def test_unconfirmed_hook_not_true(self):
-        fabric = fabric_for(Route.OFF_CHAIN, confirmed=False)
-        ref = hooked(fabric, b"content", b"\x01" * 32)
-        result = fabric.verify_integrity(ref, b"content")
-        assert result is VerifyResult.UNCONFIRMED
-        assert not result
-
-    def test_missing_hook_not_true(self):
-        fabric = fabric_for(Route.OFF_CHAIN)
-        _, ref = fabric.put(b"content")  # never hooked
-        assert fabric.verify_integrity(ref, b"content") is VerifyResult.UNCONFIRMED
+        cid = stored(fabric, b"content")
+        fabric.store.tamper(cid, lambda b: bytes([b[0] ^ 1]) + b[1:])
+        got = fabric.get(cid)
+        assert fabric.verify_integrity(cid, got) is False
 
     def test_tamper_detection_complete_1000_mutations(self):
         rng = random.Random(6)
         fabric = fabric_for(Route.OFF_CHAIN)
         data = rng.randbytes(512)
-        ref = hooked(fabric, data, b"\x03" * 32)
+        cid = stored(fabric, data)
         for _ in range(1_000):
             mutated = bytearray(data)
             for _ in range(rng.randrange(1, 4)):
                 mutated[rng.randrange(len(mutated))] ^= rng.randrange(1, 256)
             if bytes(mutated) == data:
                 continue
-            assert fabric.verify_integrity(ref, bytes(mutated)) is VerifyResult.MISMATCH
+            assert fabric.verify_integrity(cid, bytes(mutated)) is False
 
 
 class TestAllRoutesRoundtrip:
@@ -227,13 +275,13 @@ class TestAllRoutesRoundtrip:
         (Route.HYBRID, 700),   # above threshold: linked
         (Route.OFF_CHAIN, 300),
     ])
-    def test_put_then_verify_true_once_hooked(self, route, size):
+    def test_put_then_get_verifies(self, route, size):
         fabric = fabric_for(route, n_nodes=5)
         data = bytes(range(256))[:200] * 4
         data = data[:size]
-        ref = hooked(fabric, data, b"\x09" * 32)
-        assert fabric.get(ref) == data
-        assert fabric.verify_integrity(ref, fabric.get(ref)) is VerifyResult.VERIFIED
+        cid = stored(fabric, data)
+        assert fabric.get(cid) == data
+        assert fabric.verify_integrity(cid, fabric.get(cid)) is True
 
 
 class TestAvailabilityMonotonicity:
@@ -242,13 +290,13 @@ class TestAvailabilityMonotonicity:
         for replicas in (1, 2, 3, 4):
             rng = random.Random(42)
             fabric = fabric_for(Route.OFF_CHAIN, n_nodes=8, replicas=replicas)
-            ref = hooked(fabric, b"monotone", b"\x04" * 32)
+            cid = stored(fabric, b"monotone")
             ok = 0
             for _ in range(1_000):
                 for node_id in range(8):
                     fabric.store.set_alive(node_id, rng.random() >= 0.5)
                 try:
-                    fabric.get(ref)
+                    fabric.get(cid)
                     ok += 1
                 except AllReplicasDown:
                     pass
