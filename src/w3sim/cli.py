@@ -220,9 +220,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    _, matrix, name, content = _sweep_outputs(args, args.out)
+    reports, matrix, name, content = _sweep_outputs(args, args.out)
     mismatches = diff_against_reference(matrix)
     _write(args.out, name, content)
+    baseline = reports[1]
+    if not baseline.feasible:  # compare measures no row, so each would read as missing
+        print(f"the Type1 baseline is infeasible, so no row is measured: "
+              f"{baseline.infeasible_reason}")
+        return 1
     if mismatches:
         print(f"{len(mismatches)} mismatch(es) against the reference evaluation:")
         for m in mismatches:

@@ -103,6 +103,32 @@ def _token_id(rep: int) -> bytes:
     return rep.to_bytes(32, "big")
 
 
+class _Wave:
+    """One step's ops, known by their signer and the range of numbers they went out under.
+
+    A direct op's number is its transaction's nonce, an agent op's its
+    bundle sequence number. A step has one actor, whose numbers come one
+    after another and above every number used before, and the chain lets
+    each number succeed at most once. So a success within [first, next) is
+    one of the wave's ops, and a late one from an earlier wave falls below
+    first.
+    """
+
+    __slots__ = ("signer", "first", "next", "submitted", "succeeded")
+
+    def __init__(self, signer: bytes):
+        self.signer = signer
+        self.first = self.next = 0  # an empty range until the first op goes out
+        self.submitted = self.succeeded = 0
+
+    def add(self, number: int) -> None:
+        """Count an op that went out under number."""
+        if not self.submitted:
+            self.first = number
+        self.next = number + 1
+        self.submitted += 1
+
+
 class _ScenarioRun:
     """One architecture, one script, one fault plan, one seed.
 
@@ -135,16 +161,12 @@ class _ScenarioRun:
         for wallet in self.wallets.values():
             self.topology.chain.register_key(wallet.keypair)
         self.data_rng = Random(sim.seed ^ 0xDA7A)
-        # The wave's unconfirmed ops, by tx id or agent (origin, seq), to
-        # their repetition; _absorb moves each confirmed one to ok_reps.
-        self.pending: dict[object, int] = {}
-        self.ok_reps: set[int] = set()
+        self.wave = _Wave(b"")
         self.wave_stalled = False  # the chain stalled in this wave; its later ops fail
 
     # -- step helpers -----------------------------------------------------
 
-    def _submit(self, wallet: access.WalletClient, op: access.UserOp, rep: int,
-                inline: bytes = b""):
+    def _submit(self, wallet: access.WalletClient, op: access.UserOp, inline: bytes = b""):
         topo = self.topology
         self.stats.ops_attempted += 1
         if not self.wave_stalled and not self._has_slot():
@@ -153,15 +175,15 @@ class _ScenarioRun:
             return  # a stall ended the wave; its later ops fail unsubmitted
         try:
             if topo.agent is not None:
-                ticket = access.submit_via_agent(topo.agent, wallet.address.payload, op,
-                                                 topo.chain, self.sim.gas_schedule, inline=inline)
-                key = (ticket.origin, ticket.seq)
+                number = access.submit_via_agent(topo.agent, wallet.address.payload, op,
+                                                 topo.chain, self.sim.gas_schedule,
+                                                 inline=inline).seq
             else:
-                key = access.submit_direct(wallet, topo.chain, op, self.sim.gas_schedule,
-                                           inline=inline)
+                access.submit_direct(wallet, topo.chain, op, self.sim.gas_schedule, inline=inline)
+                number = wallet.nonce_cache - 1
         except access.AccessError:
             return  # op failed before reaching the chain
-        self.pending[key] = rep
+        self.wave.add(number)
 
     def _has_slot(self) -> bool:
         """True if the pool can take the transaction that the next op goes out in.
@@ -187,35 +209,37 @@ class _ScenarioRun:
             if self.faults == NO_FAULTS:
                 raise ScenarioInfeasible(
                     f"chain stalled: {chain.stall_rounds} rounds without progress "
-                    f"with {len(self.pending)} ops unconfirmed")
+                    f"with {self.wave.submitted - self.wave.succeeded} ops unconfirmed")
             self.wave_stalled = True
 
     def _absorb(self, confirmations) -> None:
-        """Settle the pending ops a round confirmed."""
+        """Count the wave's ops that a round confirmed as succeeded.
+
+        A direct op is its signer's transaction, found by (sender, nonce);
+        an agent op is an OpOk event of the bundle, found by (origin, seq).
+        """
+        wave = self.wave
         for c in confirmations:
             if not c.receipt.success:
                 continue  # a reverted tx failed, and its receipt has no events
-            keys = [c.tx.tx_id]
+            meta = c.tx.metadata
+            if meta.sender.payload == wave.signer and wave.first <= meta.nonce < wave.next:
+                wave.succeeded += 1
             for ev in c.receipt.events:
-                if ev.name == "OpOk":
-                    keys.append((ev.field("origin"), ev.field("seq")))
-            for key in keys:
-                rep = self.pending.pop(key, None)
-                if rep is not None:
-                    self.ok_reps.add(rep)
+                if (ev.name == "OpOk" and ev.field("origin") == wave.signer
+                        and wave.first <= ev.field("seq") < wave.next):
+                    wave.succeeded += 1
 
-    def _settle_wave(self) -> set[int]:
-        """Drain the chain; returns the repetitions whose op of this wave succeeded.
+    def _settle_wave(self) -> None:
+        """Drain the chain and count the wave's succeeded ops.
 
-        An op still pending once the chain drains or stalls failed.
+        An op still unconfirmed once the chain drains or stalls failed.
         """
         if not self.wave_stalled:
             self._drain()
-        ok_reps, self.ok_reps, self.pending = self.ok_reps, set(), {}
         self.wave_stalled = False
-        self.stats.ops_succeeded += len(ok_reps)
-        self.stats.onchain_ops += len(ok_reps)
-        return ok_reps
+        self.stats.ops_succeeded += self.wave.succeeded
+        self.stats.onchain_ops += self.wave.succeeded
 
     # -- steps --------------------------------------------------------------
 
@@ -245,6 +269,7 @@ class _ScenarioRun:
 
     def _run_step_wave(self, step: Step):
         wallet = self.wallets[step.actor]
+        self.wave = _Wave(wallet.address.payload)
         kind = step.kind
         if kind is StepKind.CREATE_IDENTITY:
             return  # identities were derived when the wallet was built
@@ -263,14 +288,14 @@ class _ScenarioRun:
                 except StorageError:
                     self.stats.ops_attempted += 1
                     continue
-                self._submit(wallet, op, rep, inline=inline)
+                self._submit(wallet, op, inline=inline)
             self._settle_wave()
             return
         if kind in (StepKind.LIST_NFT, StepKind.BUY_NFT):
             method = "list" if kind is StepKind.LIST_NFT else "buy"
             price = step.param("price").to_bytes(16, "big")
             for rep in range(self.script.repetitions):
-                self._submit(wallet, access.UserOp(MARKET_ID, method, args=(_token_id(rep), price)), rep)
+                self._submit(wallet, access.UserOp(MARKET_ID, method, args=(_token_id(rep), price)))
             self._settle_wave()
             return
         if kind is StepKind.RETRIEVE_STATE:

@@ -373,6 +373,9 @@ class ExecutorBehavior(Enum):
 # writes inside the on-chain checked region, or only writes outside it.
 TAMPER_TARGETS = ("auto", "checked", "unchecked")
 
+# bytes.translate table that flips every bit: a tampered value is the written one, inverted.
+_FLIP = bytes(b ^ 0xFF for b in range(256))
+
 
 @dataclass
 class DelegationPolicy:
@@ -675,7 +678,7 @@ def _run_op(ov: _TxOverlay, schedule: GasSchedule, policy: DelegationPolicy | No
         if pool:
             idx = aux.index(rng.choice(pool))
             slot, value = aux[idx]
-            bad = bytes(b ^ 0xFF for b in value) if value else b"\xff"
+            bad = value.translate(_FLIP) if value else b"\xff"
             aux[idx] = (slot, bad)
             if policy.is_checked(slot[1]):
                 tampered_checked = True

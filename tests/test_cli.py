@@ -29,6 +29,9 @@ repeat count=4
 """
 
 
+BASELINE_INFEASIBLE = "the Type1 baseline is infeasible, so no row is measured: "
+
+
 @pytest.fixture
 def scenario_runs(monkeypatch):
     """Every _ScenarioRun the command builds, in order."""
@@ -177,13 +180,27 @@ class TestMatrix:
         code, out, _ = run_cli(["matrix", "--seed", "42", "--scenario", scenario_file,
                                 "--config", str(config)], capsys)
         assert code == 1
-        assert "Type1.present: expected +1, measured +0" in out
+        assert "present" not in out  # the matrix goes to stdout, then the one reason line
+        assert out.endswith("\n" + BASELINE_INFEASIBLE + "chain stalled: 14 rounds without "
+                            "progress with 4 ops unconfirmed\n")
         report = tmp_path / "r.json"
         run_cli(["simulate", "--type", "1", "--seed", "42", "--scenario", scenario_file,
                  "--config", str(config), "--out", str(report)], capsys)
         record = json.loads(report.read_text())
         assert record["feasible"] is False
         assert record["infeasible_reason"].startswith("chain stalled: ")
+
+    def test_matrix_names_an_inline_too_large_baseline_once(self, tmp_path, capsys):
+        # Type1 keeps every blob on-chain, and 4096 bytes do not fit inline.
+        path = tmp_path / "big.scenario"
+        path.write_text(SMALL_SCENARIO.replace("data_size=512", "data_size=4096"))
+        out_file = tmp_path / "m.json"
+        code, out, _ = run_cli(["matrix", "--seed", "42", "--scenario", str(path),
+                                "--out", str(out_file)], capsys)
+        assert code == 1
+        [line] = out.splitlines()
+        assert line.startswith(BASELINE_INFEASIBLE + "InlineTooLarge: ")
+        assert json.loads(out_file.read_text()) == {"rows": []}
 
 
 class TestSweep:

@@ -10,13 +10,14 @@ import sys
 import weakref
 from collections import Counter
 from enum import Enum
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from test_golden import FAULT_WIRING_PLANS
 
+from w3sim import access, identity
 from w3sim import evaluation as ev
-from w3sim import identity
 from w3sim.access import AgentBehavior
 from w3sim.archetypes import FT_ID, NFT_ID, SimConfig, architecture
 from w3sim.consensus import (
@@ -772,6 +773,87 @@ class TestPoolLimit:
         report = run_scenario(architecture(1), FAST, DEFAULT_FAULTS, seed=42, sim=sim)
         assert not report.feasible
         assert report.infeasible_reason == stats.infeasible_reason
+
+
+class _KeyedRun(ev._ScenarioRun):
+    """A run that also counts its succeeded ops by op key, the reference for wave counting.
+
+    An op's key is its tx id, or its (origin, seq) for an agent op. A key is
+    pending from its submission until a success that names it arrives
+    within the wave, and an op still pending when its wave settles failed.
+    """
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.pending: set = set()
+        self.wave_ok: set = set()
+        self.keyed_succeeded = 0
+
+    def _absorb(self, confirmations) -> None:
+        super()._absorb(confirmations)
+        for c in confirmations:
+            if not c.receipt.success:
+                continue
+            for key in [c.tx.tx_id] + [(event.field("origin"), event.field("seq"))
+                                       for event in c.receipt.events if event.name == "OpOk"]:
+                if key in self.pending:
+                    self.pending.remove(key)
+                    self.wave_ok.add(key)
+
+    def _settle_wave(self) -> None:
+        super()._settle_wave()
+        self.keyed_succeeded += len(self.wave_ok)
+        self.pending, self.wave_ok = set(), set()
+
+    def _retrieve_ok(self, wallet, rep) -> bool:
+        ok = super()._retrieve_ok(wallet, rep)
+        self.keyed_succeeded += ok
+        return ok
+
+    def run(self) -> ev.RunStats:
+        direct, via_agent = access.submit_direct, access.submit_via_agent
+
+        def keyed_direct(*args, **kwargs):
+            tx_id = direct(*args, **kwargs)
+            self.pending.add(tx_id)
+            return tx_id
+
+        def keyed_via_agent(*args, **kwargs):
+            ticket = via_agent(*args, **kwargs)
+            self.pending.add((ticket.origin, ticket.seq))
+            return ticket
+
+        with mock.patch.object(access, "submit_direct", keyed_direct), \
+                mock.patch.object(access, "submit_via_agent", keyed_via_agent):
+            return super().run()
+
+
+class TestWaveCounting:
+    """A wave counts its ops by signer and number range, as many as a count by op key."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(type_id=st.integers(1, 12), reps=st.integers(1, 8), seed=st.integers(0, 2**16),
+           second_mint=st.booleans(),
+           faults=st.builds(FaultPlan, maintainer_crash_prob=st.sampled_from([0.0, 0.5]),
+                            byzantine_maintainers=st.integers(0, 3),
+                            storage_crash_prob=st.sampled_from([0.0, 0.6]),
+                            executor_behavior=st.sampled_from(ExecutorBehavior),
+                            tamper_target=st.sampled_from(TAMPER_TARGETS),
+                            agent_behavior=st.sampled_from(AgentBehavior)))
+    def test_the_range_count_equals_the_keyed_count(self, type_id, reps, seed, second_mint,
+                                                     faults):
+        # Crashed maintainers stall a wave and confirm its ops in a later
+        # one, a second mint wave of the same signer reverts on every token,
+        # and 3 silent maintainers of 7 stall every wave for good.
+        steps = nft_sale_script(repetitions=reps).steps
+        mint = next(step for step in steps if step.kind is StepKind.MINT_NFT)
+        at = steps.index(mint) + 1
+        script = ScenarioScript(steps=steps[:at] + (mint,) * second_mint + steps[at:],
+                                repetitions=reps)
+        run = _KeyedRun(architecture(type_id), script, SimConfig(seed=seed), faults)
+        stats = run.run()
+        assert stats.infeasible_reason is None
+        assert stats.ops_succeeded == run.keyed_succeeded
 
 
 class TestFaultFreeAvailability:

@@ -668,3 +668,7 @@ class TestDelegation:
         keys = [b"dat:" + bytes([i]) for i in range(64)]
         assert all(all_on.is_checked(k) for k in keys)
         assert not any(all_off.is_checked(k) for k in keys)
+
+    def test_the_tamper_table_inverts_every_byte(self):
+        flipped = bytes(range(256)).translate(vm._FLIP)
+        assert list(flipped) == [b ^ 0xFF for b in range(256)] == [255 - b for b in range(256)]
