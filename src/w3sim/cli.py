@@ -24,7 +24,6 @@ from .evaluation import (
     matrix_json,
     matrix_markdown,
     report_json,
-    run_sweep,
 )
 from .scenario import NO_FAULTS, nft_sale_script, parse_faults, parse_scenario, parse_settings
 
@@ -197,11 +196,18 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _sweep_outputs(args, out: str | None):
-    """The sweep's reports, its matrix, and the matrix's name and text; out is checked first."""
+def _sweep_outputs(args, out: str | None, whole: bool):
+    """The sweep's reports, its matrix, and the matrix's name and text; out is checked first.
+
+    Unless whole, a sweep whose Type1 baseline is infeasible stops after the
+    baseline's run shape: compare measures no row against that baseline.
+    """
     _check_out(out)
-    script, faults, sim = _run_inputs(args)
-    reports = run_sweep(script, faults, sim=sim, jobs=args.jobs)
+    reports = {}
+    for batch in evaluation._sweep_batches(*_run_inputs(args), args.jobs):
+        reports.update((report.type_id, report) for report in batch)
+        if not whole and not reports[1].feasible:
+            break
     matrix = compare(reports, reports[1])
     if args.format == "json":
         return reports, matrix, "matrix.json", matrix_json(matrix)
@@ -211,7 +217,7 @@ def _sweep_outputs(args, out: str | None):
 def cmd_sweep(args) -> int:
     out = "." if args.out is None else args.out
     folder = os.path.join(out, "")  # names a directory, which _write makes if missing
-    reports, _, name, content = _sweep_outputs(args, folder)
+    reports, _, name, content = _sweep_outputs(args, folder, whole=True)
     for type_id, report in sorted(reports.items()):
         _write(folder, f"report_type{type_id}.json", report_json(report))
     _write(folder, name, content)
@@ -220,7 +226,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    reports, matrix, name, content = _sweep_outputs(args, args.out)
+    reports, matrix, name, content = _sweep_outputs(args, args.out, whole=False)
     mismatches = diff_against_reference(matrix)
     _write(args.out, name, content)
     baseline = reports[1]

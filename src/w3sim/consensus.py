@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -105,8 +104,31 @@ class ConsensusConfig:
         # Strictly more than fraction*n votes, computed over exact rationals
         # so 2/3 of 9 demands 7, not a float-rounded 6. Cached: every round
         # reads it, and the config is frozen.
-        frac = Fraction(self.rule.fraction).limit_denominator(10_000)
-        return min(self.n_nodes, int(frac * self.n_nodes) + 1)
+        num, den = _limit_denominator(self.rule.fraction, 10_000)
+        return min(self.n_nodes, num * self.n_nodes // den + 1)
+
+
+def _limit_denominator(x: float, max_den: int) -> tuple[int, int]:
+    """The ratio p/q nearest x with q <= max_den, as Fraction(x).limit_denominator picks it.
+
+    Integer arithmetic only, so the package never imports fractions (and
+    with it decimal). The candidates are the last continued-fraction
+    convergent within the bound and the best semiconvergent past it; a tie
+    keeps the convergent.
+    """
+    num, den = x.as_integer_ratio()
+    if den <= max_den:
+        return num, den
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    while (q2 := q0 + n // d * q1) <= max_den:
+        p0, q0, p1, q1 = p1, q1, p0 + n // d * p1, q2
+        n, d = d, n % d
+    k = (max_den - q0) // q1
+    # p1/q1 lies d/(q1*den) from x; the semiconvergent lies 1/(q1*(q0+k*q1)) from p1/q1.
+    if 2 * d * (q0 + k * q1) <= den:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
 
 
 class RoundRecord(NamedTuple):

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import gc
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import partial
 from random import Random
@@ -764,11 +765,22 @@ def run_sweep(script: ScenarioScript | None = None, faults: FaultPlan | None = N
     seed, when given, replaces sim's seed. jobs > 1 spreads the shapes over
     that many worker processes, but no more than there are shapes.
     """
+    batches = _sweep_batches(*_inputs(script, faults, seed, sim), jobs)
+    reports = {report.type_id: report for batch in batches for report in batch}
+    return dict(sorted(reports.items()))
+
+
+def _sweep_batches(script: ScenarioScript, faults: FaultPlan, base: SimConfig,
+                   jobs: int) -> Iterator[list[MetricReport]]:
+    """run_sweep's reports, one list per run shape, the Type1 baseline's shape first.
+
+    With jobs == 1 each shape runs only when its list is asked for, so a
+    caller that stops after the baseline's list runs no other shape.
+    """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    script, faults, base = _inputs(script, faults, seed, sim)
     shapes: dict[tuple, list[ArchitectureType]] = {}
-    for arch in ALL_TYPES:
+    for arch in ALL_TYPES:  # Type1 first, so its shape is the first key
         shapes.setdefault(_run_shape(arch, script, base), []).append(arch)
     work = partial(_reports, script=script, faults=faults, base=base)
     # A process pool starts all its workers at once, so it gets no more than it can use.
@@ -777,10 +789,9 @@ def run_sweep(script: ScenarioScript | None = None, faults: FaultPlan | None = N
         from concurrent.futures import ProcessPoolExecutor  # a serial sweep never loads it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(work, shapes.values()))
+        yield from batches
     else:
-        batches = map(work, shapes.values())  # lazily: one shape's runs are held at a time
-    reports = {report.type_id: report for batch in batches for report in batch}
-    return dict(sorted(reports.items()))
+        yield from map(work, shapes.values())  # lazily: one shape's runs are held at a time
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ base cost plus per-component costs summed over the call.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import struct
@@ -150,6 +151,12 @@ def _u128(n: int) -> bytes:
     # Unsigned 128-bit wrap-around domain; negatives are guarded before
     # every debit, the mask only matters for corrupted counters.
     return (n & (2**128 - 1)).to_bytes(16, "big")
+
+
+@functools.lru_cache(maxsize=256)
+def _listing(price: int, seller: bytes) -> bytes:
+    """A market listing's stored value; equal listings share one bytes object."""
+    return _u128(price) + seller
 
 
 def _canon_params(params: dict) -> bytes:
@@ -529,7 +536,7 @@ def _market_call(ov: _TxOverlay, contract: ContractDef, sender: bytes, method: s
         owner = ov.sload(nft, b"own:" + token_id)
         if owner != sender:
             raise _Revert("NotOwner")
-        ov.sstore(cid, b"lst:" + token_id, _u128(price) + sender)
+        ov.sstore(cid, b"lst:" + token_id, _listing(price, sender))
         ov.emit("Listed", ("price", price), ("seller", sender), ("token_id", token_id))
     elif method == "buy":
         token_id, offered = args[0], _load_amount(args[1])

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -190,7 +192,8 @@ class TestMatrix:
         assert record["feasible"] is False
         assert record["infeasible_reason"].startswith("chain stalled: ")
 
-    def test_matrix_names_an_inline_too_large_baseline_once(self, tmp_path, capsys):
+    def test_matrix_names_an_inline_too_large_baseline_once(self, tmp_path, capsys,
+                                                           scenario_runs):
         # Type1 keeps every blob on-chain, and 4096 bytes do not fit inline.
         path = tmp_path / "big.scenario"
         path.write_text(SMALL_SCENARIO.replace("data_size=512", "data_size=4096"))
@@ -201,6 +204,16 @@ class TestMatrix:
         [line] = out.splitlines()
         assert line.startswith(BASELINE_INFEASIBLE + "InlineTooLarge: ")
         assert json.loads(out_file.read_text()) == {"rows": []}
+        # The baseline's run is the only one: no row is measured against it.
+        assert len(scenario_runs) == 1
+        # A sweep still runs and writes every type's report.
+        out_dir = tmp_path / "sweep"
+        assert run_cli(["sweep", "--seed", "42", "--scenario", str(path),
+                        "--out", str(out_dir)], capsys)[0] == 0
+        swept = run_sweep(parse_scenario(path.read_text()), seed=42)
+        for type_id, report in swept.items():
+            assert (out_dir / f"report_type{type_id}.json").read_text() == report_json(report)
+        assert len(swept) == 12 and sum(r.feasible for r in swept.values()) > 0
 
 
 class TestSweep:
@@ -409,6 +422,23 @@ def test_every_entry_point_gives_the_same_report(tmp_path, capsys, scenario_file
     single = report_json(run_scenario(architecture(type_id), parse_scenario(SMALL_SCENARIO),
                                       faults, seed=42))
     assert plain == dumped == single == report_json(swept[plan][type_id])
+
+
+def test_sweep_files_are_byte_identical_across_hash_seeds_and_jobs(tmp_path):
+    # A report must not depend on set or dict order under a hash seed, nor
+    # on which worker process ran its shape; each run is a fresh interpreter.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    scenario = os.path.join(root, "scenarios", "nft_sale.scenario")  # 30 repetitions
+    outputs = []
+    for hash_seed, jobs in (("0", "1"), ("1", "1"), ("0", "2")):
+        out = tmp_path / f"hash{hash_seed}-jobs{jobs}"
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONHASHSEED=hash_seed)
+        subprocess.run([sys.executable, "-m", "w3sim.cli", "sweep", "--seed", "42",
+                        "--scenario", scenario, "--jobs", jobs, "--out", str(out)],
+                       env=env, capture_output=True, timeout=120, check=True)
+        outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert len(outputs[0]) == 13
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_zero_jobs_exits_2(tmp_path, capsys, scenario_file):

@@ -18,6 +18,7 @@ from w3sim.consensus import (
     NodeBehavior,
     PoolFull,
     RuleKind,
+    _limit_denominator,
     chain_ndjson,
     make_block,
 )
@@ -114,6 +115,35 @@ class TestConfigRanges:
     def test_fixed_msg_delay_is_allowed(self):
         assert ConsensusConfig(msg_delay=(0, 0)).msg_delay == (0, 0)
         assert ConsensusConfig(msg_delay=(2, 2)).msg_delay == (2, 2)
+
+
+class TestQuorum:
+    @pytest.mark.parametrize("fraction, n, quorum", [
+        (2 / 3, 9, 7),  # float rounding would give 6
+        (0.33333, 3, 2),  # 0.33333 is taken as 1/3, not as 0.99999 of a vote
+        *((1.0, n, n) for n in (1, 4, 7, 10, 1_000_000)),
+    ])
+    def test_pinned(self, fraction, n, quorum):
+        assert ConsensusConfig(rule=ConsensusRule(fraction=fraction), n_nodes=n).quorum == quorum
+
+    @pytest.mark.parametrize("x, max_den, ratio", [(0.25, 2, (0, 1)), (0.75, 2, (1, 1)),
+                                                   (0.875, 4, (1, 1))])
+    def test_a_tie_keeps_the_convergent(self, x, max_den, ratio):
+        # x lies midway between the two candidates; no float in (0, 1] does at
+        # a bound of 10,000, so the tie is pinned at small bounds.
+        limited = Fraction(x).limit_denominator(max_den)
+        assert _limit_denominator(x, max_den) == (limited.numerator, limited.denominator) == ratio
+
+    @given(st.one_of(
+        st.floats(min_value=0, max_value=1, exclude_min=True),
+        st.integers(1, 20_000).flatmap(lambda q: st.integers(1, q).map(lambda p: p / q)),
+        st.integers(1, 6).flatmap(lambda k: st.integers(1, 10**k).map(lambda m: m / 10**k)),
+    ), st.integers(1, 10**6))
+    @settings(max_examples=500)
+    def test_equals_the_fraction_oracle(self, fraction, n):
+        # Fraction's own nearest ratio is the oracle for the integer arithmetic.
+        config = ConsensusConfig(rule=ConsensusRule(fraction=fraction), n_nodes=n)
+        assert config.quorum == min(n, int(Fraction(fraction).limit_denominator(10_000) * n) + 1)
 
 
 class TestSubmission:

@@ -494,14 +494,17 @@ class TestSharedRuns:
         assert str(err.value) == f"byzantine_maintainers must be <= n_nodes ({n_nodes}), got 9"
         assert calls == []
 
-    def test_importing_evaluation_loads_no_process_pool(self):
-        # Only a parallel sweep imports the pool.
-        code = "import sys, w3sim.evaluation; print('concurrent.futures' in sys.modules)"
+    def test_importing_the_package_loads_no_process_pool_and_no_fractions(self):
+        # Only a parallel sweep imports the pool. The quorum is integer
+        # arithmetic, so fractions, and with it decimal and numbers, stay
+        # unloaded; a fresh interpreter tells, as pytest and Hypothesis load decimal.
+        code = ("import sys, w3sim.evaluation, w3sim.cli; print(sorted({'concurrent.futures', "
+                "'fractions', 'decimal', 'numbers'} & sys.modules.keys()))")
         env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))), "src"))
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=60, check=True)
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout == "[]\n"
 
     def test_a_retrieval_wave_reads_the_chain_once(self, monkeypatch):
         calls = []

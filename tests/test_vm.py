@@ -187,6 +187,18 @@ class TestMarket:
         receipt = call(state, pauper_kp, pauper, MARKET, "buy", (token, amount(500)))
         assert receipt.reason == "InsufficientBalance"
 
+    def test_equal_listings_share_one_stored_value(self):
+        seller_kp, seller = wallet(b"seller")
+        state = fresh_state()
+        for n in range(1, 21):
+            token = n.to_bytes(32, "big")
+            call(state, seller_kp, seller, NFT, "mint", (token,), inline=b"\x00img")
+            assert call(state, seller_kp, seller, MARKET, "list", (token, amount(500))).success
+        listings = [v for k, v in state.storage[MARKET].items() if k.startswith(b"lst:")]
+        assert len(listings) == 20
+        assert listings[0] == amount(500) + seller.payload
+        assert len({id(v) for v in listings}) == 1
+
 
 class TestConservationFuzz:
     def test_ledger_oracle_10k_ops(self):
