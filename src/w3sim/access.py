@@ -68,10 +68,12 @@ def connect_wallet(client: WalletClient, service_id: str) -> str:
 
 
 def _next_nonce(client: WalletClient | Agent, chain: ChainNetwork) -> int:
-    confirmed = chain.expected_nonce(client.address.payload)
-    nonce = max(confirmed, client.nonce_cache)
-    client.nonce_cache = nonce + 1
-    return nonce
+    """The nonce client's next transaction goes out under.
+
+    It does not advance client.nonce_cache: the caller does that once the
+    chain has taken the transaction, so a rejected submission leaves no gap.
+    """
+    return max(chain.expected_nonce(client.address.payload), client.nonce_cache)
 
 
 # One int object per distinct gas limit, which every pending transaction
@@ -117,6 +119,7 @@ def submit_direct(client: WalletClient, chain: ChainNetwork, op: UserOp,
                                 args=op.args, inline_data=inline)
     tx = txcraft.build_transaction(client.keypair.secret_key, metadata, payload)
     chain.submit(tx)
+    client.nonce_cache = metadata.nonce + 1
     return tx.tx_id
 
 
@@ -220,6 +223,7 @@ def flush(agent: Agent, chain: ChainNetwork,
         tx_ids.append(tx.tx_id)
         if agent.behavior is AgentBehavior.HONEST:
             chain.submit(tx)
+        agent.nonce_cache = metadata.nonce + 1  # a withholding agent moves on as if it had sent
     return tx_ids
 
 

@@ -217,6 +217,11 @@ class ChainNetwork:
     confirmed block. run_round hands each round's confirmations to its
     caller. keep_history also keeps the block bodies, every Confirmation
     and the event log, which chain_ndjson and the event export need.
+
+    Its counters are txs_confirmed, the clock (now), gas_total,
+    bytes_total, safety_breaks, integrity_violations and discards: the
+    transactions dropped unconfirmed, counted per reason (StaleNonce, or
+    the TxError that validation raised), not kept by id.
     """
 
     def __init__(self, config: ConsensusConfig, state: vm.ContractState | None = None,
@@ -254,7 +259,7 @@ class ChainNetwork:
         self.confirmed_blocks: list[Block | BlockHeader] = [genesis]
         self.confirmations: list[Confirmation] | None = [] if keep_history else None
         self.confirmed_tick: dict[bytes, int] = {}
-        self.discards: list[tuple[bytes, str]] = []
+        self.discards: dict[str, int] = {}  # reason -> transactions dropped unconfirmed
         self.touch_index: dict[tuple[bytes, bytes], tuple[bytes, tuple[bytes, ...], int]] = {}
         self.gas_total = 0
         self.bytes_total = 0
@@ -323,9 +328,13 @@ class ChainNetwork:
                 drop.append(tx_id)  # stale; replay already confirmed
         for tx_id in drop:
             self.pool.pop(tx_id, None)
-            self.discards.append((tx_id, "StaleNonce"))
-            self._unconfirmed -= 1
+            self._discard("StaleNonce")
         return tuple(picked)
+
+    def _discard(self, reason: str) -> None:
+        """Count a submitted tx that leaves the chain unconfirmed."""
+        self.discards[reason] = self.discards.get(reason, 0) + 1
+        self._unconfirmed -= 1
 
     def _advance_clock(self, txs: int, block_bytes: int, block_gas: int):
         lo, hi = self.config.msg_delay
@@ -348,8 +357,7 @@ class ChainNetwork:
             try:
                 validate_transaction(tx, self.next_nonce.get(sender, 0), self.keys)
             except TxError as err:
-                self.discards.append((tx.tx_id, type(err).__name__))
-                self._unconfirmed -= 1
+                self._discard(type(err).__name__)
                 continue
             self.next_nonce[sender] = tx.metadata.nonce + 1
             _, receipt = vm.execute(self.state, tx, self.schedule, delegation=self.delegation,

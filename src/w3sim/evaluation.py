@@ -32,7 +32,7 @@ from __future__ import annotations
 import gc
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from functools import partial
 from random import Random
 
@@ -77,22 +77,38 @@ class ScenarioInfeasible(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, kw_only=True)
 class RunStats:
-    ops_attempted: int = 0
-    ops_succeeded: int = 0
-    onchain_ops: int = 0
-    txs_confirmed: int = 0
-    ticks: int = 0
-    gas_total: int = 0
-    violations: int = 0
-    infeasible_reason: str | None = None
+    """What one run counted, built once when the run ends.
 
-    def __post_init__(self):
-        # The chain's per-round trace, set when the run ends. A plain
-        # attribute, not a dataclass field, so asdict() and == cover the
-        # counters above only.
-        self.rounds: list[RoundRecord] = []
+    The op counts are the run's own; the transaction, clock, gas, fault
+    and discard counts are the chain's, and offchain_bytes (bytes written
+    off-chain, times the replicas that hold them) is the storage fabric's.
+    discards holds (reason, count) pairs, sorted by reason.
+    """
+
+    ops_attempted: int
+    ops_succeeded: int
+    onchain_ops: int
+    txs_confirmed: int
+    ticks: int
+    gas_total: int
+    safety_breaks: int
+    integrity_violations: int
+    discards: tuple[tuple[str, int], ...]
+    offchain_bytes: int
+    infeasible_reason: str | None
+    rounds: InitVar[list[RoundRecord]]
+
+    def __post_init__(self, rounds: list[RoundRecord]):
+        # The chain's per-round trace, kept as a plain attribute, not a
+        # field, so asdict() and == cover the counters above only.
+        object.__setattr__(self, "rounds", rounds)
+
+    @property
+    def violations(self) -> int:
+        """Undetected integrity breaks: safety breaks and silent tampers together."""
+        return self.safety_breaks + self.integrity_violations
 
 
 def actor_seed(seed: int, name: str) -> bytes:
@@ -150,7 +166,7 @@ class _ScenarioRun:
         self.script = script
         self.sim = sim
         self.faults = faults
-        self.stats = RunStats()
+        self.ops_attempted = self.ops_succeeded = self.onchain_ops = 0
         names = sorted({step.actor for step in script.steps})
         self.wallets = {
             name: access.WalletClient.create(actor_seed(sim.seed, name)) for name in names
@@ -169,7 +185,7 @@ class _ScenarioRun:
 
     def _submit(self, wallet: access.WalletClient, op: access.UserOp, inline: bytes = b""):
         topo = self.topology
-        self.stats.ops_attempted += 1
+        self.ops_attempted += 1
         if not self.wave_stalled and not self._has_slot():
             self._drain()  # the window is full: run the chain until it is quiescent
         if self.wave_stalled:
@@ -239,8 +255,8 @@ class _ScenarioRun:
         if not self.wave_stalled:
             self._drain()
         self.wave_stalled = False
-        self.stats.ops_succeeded += self.wave.succeeded
-        self.stats.onchain_ops += self.wave.succeeded
+        self.ops_succeeded += self.wave.succeeded
+        self.onchain_ops += self.wave.succeeded
 
     # -- steps --------------------------------------------------------------
 
@@ -252,21 +268,24 @@ class _ScenarioRun:
         # collector it had turned off stays off.
         collecting = gc.isenabled()
         gc.disable()
+        infeasible_reason = None
         try:
             for step in self.script.steps:
                 self._run_step_wave(step)
         except ScenarioInfeasible as err:
-            self.stats.infeasible_reason = str(err)
+            infeasible_reason = str(err)
         finally:
             if collecting:
                 gc.enable()
         chain = self.topology.chain
-        self.stats.txs_confirmed = chain.txs_confirmed
-        self.stats.ticks = chain.now
-        self.stats.gas_total = chain.gas_total
-        self.stats.violations = chain.integrity_violations + chain.safety_breaks
-        self.stats.rounds = chain.rounds
-        return self.stats
+        return RunStats(
+            ops_attempted=self.ops_attempted, ops_succeeded=self.ops_succeeded,
+            onchain_ops=self.onchain_ops, txs_confirmed=chain.txs_confirmed, ticks=chain.now,
+            gas_total=chain.gas_total, safety_breaks=chain.safety_breaks,
+            integrity_violations=chain.integrity_violations,
+            discards=tuple(sorted(chain.discards.items())),
+            offchain_bytes=self.topology.fabric.offchain_bytes,
+            infeasible_reason=infeasible_reason, rounds=chain.rounds)
 
     def _run_step_wave(self, step: Step):
         wallet = self.wallets[step.actor]
@@ -287,7 +306,7 @@ class _ScenarioRun:
                 except InlineTooLarge as err:  # only the on-chain route has nowhere else to put it
                     raise ScenarioInfeasible(f"InlineTooLarge: {err}") from err
                 except StorageError:
-                    self.stats.ops_attempted += 1
+                    self.ops_attempted += 1
                     continue
                 self._submit(wallet, op, inline=inline)
             self._settle_wave()
@@ -307,9 +326,9 @@ class _ScenarioRun:
             except access.NoConfirmedState:
                 served = False
             for rep in range(self.script.repetitions):
-                self.stats.ops_attempted += 1
+                self.ops_attempted += 1
                 if served and self._retrieve_ok(wallet, rep):
-                    self.stats.ops_succeeded += 1
+                    self.ops_succeeded += 1
             return
         raise ValueError(f"unhandled step kind {kind}")
 

@@ -17,6 +17,7 @@ from w3sim.access import (
     submit_via_agent,
 )
 from w3sim.archetypes import FT_ID, NFT_ID, SimConfig, architecture, compose
+from w3sim.consensus import ConsensusConfig, PoolFull
 from w3sim.vm import QueryError, query_state
 
 from test_consensus import confirmed_by
@@ -82,7 +83,7 @@ class TestDirectSubmission:
             txcraft.validate_transaction(forged, 0, topo.chain.keys)
         topo.chain.submit(forged)
         topo.chain.run_until_drained(max_rounds=30)
-        assert ("InvalidSignature" in dict((tid, r) for tid, r in topo.chain.discards).values())
+        assert topo.chain.discards == {"InvalidSignature": 1}
         assert forged.tx_id not in topo.chain.confirmed_tick
 
     def test_inline_too_large_surfaces(self):
@@ -191,6 +192,50 @@ class TestAgentBatching:
                  for c in topo.chain.confirmations
                  for ev in c.receipt.events if ev.name == "Transfer"]
         assert sorted(moved) == sorted(submitted)
+
+
+class TestRejectedSubmission:
+    """A submission the chain rejects uses up no nonce, so the signer's later txs confirm."""
+
+    def test_a_full_pool_leaves_the_wallet_nonce_unused(self):
+        topo, (w1, w2) = build_topology(consensus=ConsensusConfig(pool_capacity=1))
+        chain = topo.chain
+        connect_wallet(w1, "svc")
+        submit_direct(w1, chain, transfer_op(w2.address.payload, 1))
+        with pytest.raises(PoolFull):
+            submit_direct(w1, chain, transfer_op(w2.address.payload, 2))
+        assert w1.nonce_cache == 1
+        chain.run_until_drained()
+        tx_id = submit_direct(w1, chain, transfer_op(w2.address.payload, 2))
+        chain.run_until_drained()
+        assert chain.quiescent and tx_id in chain.confirmed_tick
+
+    def test_a_full_pool_leaves_the_agent_nonce_unused(self):
+        topo, (w1, w2) = build_topology(type_id=7, consensus=ConsensusConfig(pool_capacity=1))
+        agent, chain = topo.agent, topo.chain
+        for batch in range(2):
+            submit_via_agent(agent, w1.address.payload, transfer_op(w2.address.payload, 1), chain)
+            if batch:
+                with pytest.raises(PoolFull):
+                    flush(agent, chain)
+            else:
+                flush(agent, chain)
+        assert agent.nonce_cache == 1
+        chain.run_until_drained()
+        submit_via_agent(agent, w1.address.payload, transfer_op(w2.address.payload, 1), chain)
+        (tx_id,) = flush(agent, chain)
+        chain.run_until_drained()
+        assert chain.quiescent and tx_id in chain.confirmed_tick
+
+    def test_a_withholding_agent_still_moves_on(self):
+        topo, (w1, w2) = build_topology(type_id=7)
+        agent = topo.agent
+        agent.behavior = AgentBehavior.WITHHOLDING
+        for expected in (1, 2):
+            submit_via_agent(agent, w1.address.payload, transfer_op(w2.address.payload, 1),
+                             topo.chain)
+            flush(agent, topo.chain)
+            assert agent.nonce_cache == expected
 
 
 class TestRetrieval:

@@ -177,7 +177,7 @@ class TestKeys:
             txcraft.validate_transaction(tx, 0, fresh.keys)
         fresh.submit(tx)
         fresh.run_until_drained(max_rounds=30)
-        assert fresh.discards == [(tx.tx_id, "InvalidSignature")]
+        assert fresh.discards == {"InvalidSignature": 1}
         assert tx.tx_id not in fresh.confirmed_tick
         net.submit(tx)
         net.run_until_drained(max_rounds=30)
@@ -293,7 +293,33 @@ class TestMajorityChain:
         for i in range(40):
             net.submit(transfer_tx(kp, addr, i, sim_time=i))
         assert net.run_until_drained() == 5 + 6
-        assert net.quiescent and net.txs_confirmed == 40 and not net.discards
+        assert net.quiescent and net.txs_confirmed == 40 and net.discards == {}
+
+
+class TestConservation:
+    """Each tx the chain took confirms once, is discarded, or is still pending."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(nonces=st.lists(st.integers(0, 5), min_size=1, max_size=12),
+           forged=st.booleans(), majority=st.booleans(), seed=st.integers(0, 2**16))
+    def test_confirmed_and_discarded_account_for_every_submission(self, nonces, forged,
+                                                                 majority, seed):
+        # Repeated nonces go stale once the first confirms, a gap stalls the
+        # sender, and a sender whose key the chain lacks is discarded.
+        rule = ConsensusRule(kind=RuleKind.MAJORITY_CHAIN) if majority else None
+        net, kp, addr = make_network(seed=seed, rule=rule, keep_history=True)
+        for i, nonce in enumerate(nonces):
+            net.submit(transfer_tx(kp, addr, nonce, sim_time=i))
+        if forged:
+            stranger = identity.generate_keypair(b"stranger")
+            net.submit(transfer_tx(stranger, identity.derive_address(stranger.public_key), 0))
+        net.run_until_drained()
+        assert len(net.confirmations) == net.txs_confirmed  # no tx confirmed twice
+        settled = net.txs_confirmed + sum(net.discards.values())
+        assert settled <= len(net.seen_tx)
+        if net.quiescent:
+            assert settled == len(net.seen_tx)
+        assert net.discards.get("InvalidSignature", 0) == forged
 
 
 class TestStallRule:
@@ -355,7 +381,8 @@ class TestStallRule:
         stale = transfer_tx(kp, addr, 0, sim_time=1)
         net.submit(stale)
         assert net.run_until_drained() == 1
-        assert net.quiescent and net.discards == [(stale.tx_id, "StaleNonce")]
+        assert net.quiescent and net.discards == {"StaleNonce": 1}
+        assert stale.tx_id not in net.confirmed_tick
 
 
 class TestProbes:

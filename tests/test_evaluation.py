@@ -699,7 +699,7 @@ class TestMintHooks:
             run._run_step_wave(step)
             if step.kind is StepKind.MINT_NFT:
                 fabric.store.tamper(data_record(run, 0)[1:], lambda blob: bytes([blob[0] ^ 1]) + blob[1:])
-        assert (run.stats.ops_attempted, run.stats.ops_succeeded) == (16, 15)
+        assert (run.ops_attempted, run.ops_succeeded) == (16, 15)
         with pytest.raises(DigestMismatch):
             fabric.read(data_record(run, 0))
         assert all(run._retrieve_ok(run.wallets["bob"], rep) for rep in (1, 2, 3))
@@ -1210,6 +1210,64 @@ class TestRunInvariants:
             assert {owner: n for owner, n in counts.items() if n} == dict(held)
 
 
+class TestRunStats:
+    """A run's counts are one frozen record, built when the run ends."""
+
+    def test_the_record_is_frozen(self):
+        stats = run_raw(architecture(1), FAST, SimConfig(seed=42), NO_FAULTS)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stats.ops_succeeded = 0
+
+    def test_the_round_trace_stays_out_of_asdict_and_eq(self):
+        stats = run_raw(architecture(1), FAST, SimConfig(seed=42), NO_FAULTS)
+        assert stats.rounds and "rounds" not in dataclasses.asdict(stats)
+        assert dataclasses.replace(stats, rounds=[]) == stats
+
+    def test_violations_sum_the_breaks_kept_apart(self):
+        # Three equivocating maintainers of 7 break safety; a tampering
+        # executor writes outside the checked region unnoticed.
+        plan = parse_faults("byzantine_maintainers = 3\nbyz_mode = equivocate\n"
+                            "executor_behavior = Malicious\ntamper_target = unchecked\n")
+        stats = run_raw(architecture(4), FAST, SimConfig(seed=42), plan)
+        assert stats.safety_breaks and stats.integrity_violations
+        assert stats.violations == stats.safety_breaks + stats.integrity_violations
+
+    # Seed 42, fault-free, 300 repetitions. Type 3 writes each 768-byte blob
+    # to 3 replicas; Types 1 and 7 store on-chain. Type 2 inlines a 100-byte
+    # blob, so nothing goes off-chain, yet its report reads offchain_used:
+    # the flag is read off the type's label, not the run.
+    @pytest.mark.parametrize("type_id, data_size, expected", [
+        (3, 768, 768 * 300 * 3), (1, 768, 0), (7, 768, 0), (2, 100, 0)])
+    def test_offchain_bytes(self, type_id, data_size, expected):
+        script = nft_sale_script(data_size=data_size, repetitions=300)
+        stats = run_raw(architecture(type_id), script, SimConfig(seed=42), NO_FAULTS)
+        assert stats.offchain_bytes == expected
+        report = ev._report(architecture(type_id), script, NO_FAULTS, SimConfig(seed=42),
+                            stats, stats)
+        assert report.offchain_used is (type_id in (2, 3))
+
+    @settings(max_examples=40, deadline=None)
+    @given(type_id=st.integers(1, 12), reps=st.integers(1, 8), seed=st.integers(0, 2**16),
+           faults=st.sampled_from([NO_FAULTS, DEFAULT_FAULTS, parse_faults(FAULT_WIRING_PLANS[0]),
+                                   parse_faults(FAULT_WIRING_PLANS[1]),
+                                   parse_faults("byzantine_maintainers = 3\n")]),
+           majority=st.booleans())
+    def test_no_transaction_is_counted_twice(self, type_id, reps, seed, faults, majority):
+        # Three silent maintainers of 7 stall every wave, so the chain ends
+        # with transactions still pooled.
+        rule = ConsensusRule(kind=RuleKind.MAJORITY_CHAIN) if majority else ConsensusRule()
+        sim = SimConfig(seed=seed, consensus=ConsensusConfig(rule=rule))
+        run = ev._ScenarioRun(architecture(type_id), nft_sale_script(repetitions=reps), sim,
+                              faults, keep_history=True)
+        stats = run.run()
+        chain = run.topology.chain
+        assert len(chain.confirmations) == stats.txs_confirmed
+        settled = stats.txs_confirmed + sum(count for _, count in stats.discards)
+        assert settled <= len(chain.seen_tx)
+        if chain.quiescent:
+            assert settled == len(chain.seen_tx)
+
+
 class TestAcyclicRun:
     """A sub-run holds no reference cycle, so reference counting frees it.
 
@@ -1220,9 +1278,10 @@ class TestAcyclicRun:
     def test_a_finished_run_is_freed_without_the_collector(self, type_id):
         run = ev._ScenarioRun(architecture(type_id), FAST, SimConfig(seed=42), DEFAULT_FAULTS)
         chain = weakref.ref(run.topology.chain)
-        run.run()
+        stats = run.run()
         del run
-        assert chain() is None
+        assert chain() is None  # the record the run returned holds nothing of it
+        assert [name for name, value in vars(stats).items() if callable(value)] == []
 
     @pytest.mark.parametrize("type_id", [1, 4, 7, 10])
     def test_the_chain_holds_no_callable(self, type_id):

@@ -69,7 +69,11 @@ FAULT_WIRING_PLANS = (
 # so a record the executor silently rewrote fails retrieval: under the first
 # plan, Types 4, 10 and 11 succeed on 85 ops (90, 90 and 89 when retrieval
 # read a ref the run kept), which moved this digest; the chains are unchanged.
-FAULT_WIRING_SHA256 = "31f042f365c30b435a10b02b6854a585b833ee9a3f405688865697bd9e91ac8f"
+# RunStats keeps safety_breaks and integrity_violations apart, in place of
+# their sum, and adds discards and offchain_bytes, which moved this digest:
+# each record projected back onto the old keys (violations as the sum)
+# gives the digest before, 31f042f3...e91ac8f.
+FAULT_WIRING_SHA256 = "3203d23fcea57017acba226210f4c287501adc1509b81344ead1fddc2dced523"
 
 
 def fault_wiring_digest() -> str:
@@ -143,7 +147,9 @@ def test_agent_events_and_retrieval_are_byte_identical():
 # hybrid-compute type (4, 5, 6, 10, 11, 12) succeeds on 35 of 48 ops under
 # both rules (38 when retrieval read a ref the run kept), which moved this
 # digest; the chains, event logs and roots are unchanged.
-RULE_AND_HYBRID_SHA256 = "b240e3edc36f8dd0a141492c7325d431d96127e810f11bd56564ba046cfc9844"
+# The RunStats keys that moved FAULT_WIRING_SHA256 moved this digest too;
+# projected back onto the old keys, the records give b240e3ed...c9844.
+RULE_AND_HYBRID_SHA256 = "5e14e9f7ce556b5c6baccca28183c1e2160f662a9b9a4e8666e5fae26d139681"
 RULE_AND_HYBRID_PLANS = (
     "storage_crash_prob = 0.3\nexecutor_behavior = Malicious\ntamper_target = unchecked\n",
     "byzantine_maintainers = 2\n",
