@@ -6,7 +6,6 @@ For the majority chain: adversarial shares around the 51% threshold.
 """
 
 import argparse
-from fractions import Fraction
 
 from w3sim import identity, txcraft, vm
 from w3sim.consensus import (
@@ -39,7 +38,7 @@ def one_tx_state(tag: bytes):
 def bft_grid(seeds: int):
     print("quorum rule (2/3): confirmation rate per (n, f)")
     for n in (4, 7, 10):
-        quorum = int(Fraction(2, 3) * n) + 1
+        quorum = ConsensusConfig(n_nodes=n).quorum
         cells = []
         for f in range(0, n - quorum + 3):
             confirmed = 0

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import identity, storage, txcraft, vm
-from .consensus import ChainNetwork
+from .consensus import ChainNetwork, Confirmation
 
 
 class AccessError(Exception):
@@ -195,14 +195,17 @@ def flush(agent: Agent, chain: ChainNetwork,
           schedule: vm.GasSchedule = vm.DEFAULT_GAS_SCHEDULE) -> list[bytes]:
     """Emit one transaction per batch_size slice of the buffer.
 
-    A withholding agent clears its buffer and returns the would-be tx ids
-    without ever submitting; no protocol error surfaces, only the missing
+    A slice leaves the buffer only once the chain has taken its
+    transaction, so an op whose bundle the chain refused (PoolFull,
+    DuplicateTx) waits, in order, for the next flush. A withholding agent
+    clears its buffer and returns the would-be tx ids without ever
+    submitting; no protocol error surfaces, only the missing
     confirmations tell.
     """
     tx_ids: list[bytes] = []
-    buffered, agent.batch_buffer = agent.batch_buffer, []
-    for start in range(0, len(buffered), agent.batch_size):
-        chunk = buffered[start : start + agent.batch_size]
+    buffer = agent.batch_buffer
+    for _ in range(0, len(buffer), agent.batch_size):  # one pass per slice, each from the front
+        chunk = buffer[: agent.batch_size]
         ops = []
         inline_total = 0
         for ticket, op, inline in chunk:
@@ -223,6 +226,7 @@ def flush(agent: Agent, chain: ChainNetwork,
         tx_ids.append(tx.tx_id)
         if agent.behavior is AgentBehavior.HONEST:
             chain.submit(tx)
+        del buffer[: len(chunk)]
         agent.nonce_cache = metadata.nonce + 1  # a withholding agent moves on as if it had sent
     return tx_ids
 
@@ -240,23 +244,45 @@ def retrieve_state(chain: ChainNetwork, addr: identity.Address,
                    contract_id: bytes) -> RetrievedState:
     """Read the latest confirmed state slice for (addr, contract).
 
-    The slice is served from the chain's confirmed state, which by
-    persistence every honest maintainer's view agrees with.
+    The slice belongs to the latest successful confirmation that wrote to
+    the contract and names the address, as its sender or in an address
+    field of an event. Its values come from the chain's confirmed state,
+    which by persistence every honest maintainer's view agrees with. The
+    search reads the kept confirmations, so it needs a chain built with
+    keep_history and its cost grows with their number.
     """
-    entry = chain.touch_index.get((addr.payload, contract_id))
-    if entry is None:
-        raise NoConfirmedState(f"no confirmed transaction touches {addr.text} in {contract_id.hex()}")
-    tx_id, written_keys, tick = entry
-    values: dict[str, str] = {}
+    if chain.confirmations is None:
+        raise ValueError("chain kept no confirmations; build it with keep_history=True")
     payload = addr.payload
+    conf = next((c for c in reversed(chain.confirmations) if _touches(c, payload, contract_id)),
+                None)
+    if conf is None:
+        raise NoConfirmedState(f"no confirmed transaction touches {addr.text} in {contract_id.hex()}")
     # Only entries keyed by the address itself: any change to one of these
     # comes from a transaction that touches the address and so supersedes
-    # the index entry, which is what keeps retrieval stable in between.
-    mine = [key for key in written_keys if payload in key]
+    # this confirmation, which is what keeps retrieval stable in between.
+    mine = [key for cid, key in conf.receipt.writes if cid == contract_id and payload in key]
+    values: dict[str, str] = {}
     for key in _standard_keys(chain.state, contract_id, payload) + mine:
         raw = chain.state.get_storage(contract_id, key)
         values[key.hex()] = raw.hex() if raw is not None else ""
-    return RetrievedState(entries=tuple(sorted(values.items())), tx_id=tx_id, tick=tick)
+    return RetrievedState(entries=tuple(sorted(values.items())), tx_id=conf.tx.tx_id,
+                          tick=conf.tick)
+
+
+# Event fields whose value is an address: a transaction touches the
+# addresses they name as well as its sender.
+_ADDRESS_FIELDS = frozenset(("src", "dst", "owner", "seller", "buyer", "spender", "origin"))
+
+
+def _touches(conf: Confirmation, payload: bytes, contract_id: bytes) -> bool:
+    """True if conf succeeded, wrote to contract_id and names payload."""
+    receipt = conf.receipt
+    if not receipt.success or all(cid != contract_id for cid, _ in receipt.writes):
+        return False
+    return conf.tx.metadata.sender.payload == payload or any(
+        key in _ADDRESS_FIELDS and value == payload
+        for ev in receipt.events for key, value in ev.fields)
 
 
 def _standard_keys(state: vm.ContractState, contract_id: bytes, payload: bytes) -> list[bytes]:

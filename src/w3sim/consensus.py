@@ -33,9 +33,6 @@ from .vm import check_int
 
 ZERO_HASH = b"\x00" * 32
 
-# Event fields whose value is an address; the touch index keys on them.
-_ADDRESS_FIELDS = frozenset(("src", "dst", "owner", "seller", "buyer", "spender", "origin"))
-
 
 class ConsensusError(Exception):
     pass
@@ -213,10 +210,10 @@ class ChainNetwork:
     as InvalidSignature.
 
     The chain keeps state, not history: storage, pool, nonces, per-tx
-    confirmation ticks, the touch index, the round trace and a header per
-    confirmed block. run_round hands each round's confirmations to its
-    caller. keep_history also keeps the block bodies, every Confirmation
-    and the event log, which chain_ndjson and the event export need.
+    confirmation ticks, the round trace and a header per confirmed block.
+    run_round hands each round's confirmations to its caller. keep_history
+    also keeps the block bodies, every Confirmation and the event log,
+    which chain_ndjson, the event export and access.retrieve_state need.
 
     Its counters are txs_confirmed, the clock (now), gas_total,
     bytes_total, safety_breaks, integrity_violations and discards: the
@@ -260,7 +257,6 @@ class ChainNetwork:
         self.confirmations: list[Confirmation] | None = [] if keep_history else None
         self.confirmed_tick: dict[bytes, int] = {}
         self.discards: dict[str, int] = {}  # reason -> transactions dropped unconfirmed
-        self.touch_index: dict[tuple[bytes, bytes], tuple[bytes, tuple[bytes, ...], int]] = {}
         self.gas_total = 0
         self.bytes_total = 0
         self.safety_breaks = 0  # rounds in which two conflicting blocks both reached quorum
@@ -385,35 +381,9 @@ class ChainNetwork:
             confs.append(Confirmation(tx, receipt, block.block_hash, block.height, self.now))
             self.confirmed_tick[tx.tx_id] = self.now
             self._unconfirmed -= 1
-            self._index_touches(tx, receipt)
         if self.keep_history:
             self.confirmations.extend(confs)
         return confs
-
-    def _index_touches(self, tx: Transaction, receipt: vm.Receipt):
-        """Point (address, contract) at tx for the sender and every address its events name.
-
-        The entry keeps the contract's written keys once each, in
-        first-write order; a bundle rewrites some cells once per op.
-        """
-        if not receipt.success:
-            return
-        keys_by_contract: dict[bytes, dict[bytes, None]] = {}
-        for cid, key in receipt.writes:
-            keys = keys_by_contract.get(cid)
-            if keys is None:
-                keys = keys_by_contract[cid] = {}
-            keys[key] = None
-        addrs = {tx.metadata.sender.payload}
-        for ev in receipt.events:
-            for key, value in ev.fields:
-                if key in _ADDRESS_FIELDS:
-                    addrs.add(value)
-        index, tx_id, now = self.touch_index, tx.tx_id, self.now
-        for cid, keys in keys_by_contract.items():
-            entry = (tx_id, tuple(keys), now)
-            for addr in addrs:
-                index[(addr, cid)] = entry
 
     def _votes_for(self, offline: set[int]) -> int:
         votes = 0

@@ -319,15 +319,9 @@ class _ScenarioRun:
             self._settle_wave()
             return
         if kind is StepKind.RETRIEVE_STATE:
-            # No round runs within the wave, so one retrieval serves every repetition.
-            try:
-                served = bool(access.retrieve_state(self.topology.chain, wallet.address,
-                                                    NFT_ID).entries)
-            except access.NoConfirmedState:
-                served = False
             for rep in range(self.script.repetitions):
                 self.ops_attempted += 1
-                if served and self._retrieve_ok(wallet, rep):
+                if self._retrieve_ok(wallet, rep):
                     self.ops_succeeded += 1
             return
         raise ValueError(f"unhandled step kind {kind}")

@@ -39,6 +39,10 @@ def _amount(n):
 # ---------------------------------------------------------------------------
 
 
+# Event fields whose value is an address.
+ADDRESS_FIELDS = frozenset(("src", "dst", "owner", "seller", "buyer", "spender", "origin"))
+
+
 def _drive_definition1(type_id: int, target_txs: int) -> tuple[int, int]:
     """Randomized workload until target confirmed txs; retrieval checked
     against every confirmation. Returns (confirmed_txs, retrieval_checks)."""
@@ -60,14 +64,33 @@ def _drive_definition1(type_id: int, target_txs: int) -> tuple[int, int]:
     checks = 0
     token_counter = 0
 
+    # The touch rule, kept here as the oracle: a successful confirmation
+    # points (address, contract) at itself for its sender and every address
+    # its events name, in each contract it wrote to.
+    oracle: dict[tuple[bytes, bytes], tuple[bytes, int]] = {}
+
+    def index(confirmations):
+        for c in confirmations:
+            if not c.receipt.success:
+                continue
+            addrs = {c.tx.metadata.sender.payload}
+            addrs.update(value for ev in c.receipt.events for key, value in ev.fields
+                         if key in ADDRESS_FIELDS)
+            for cid in {cid for cid, _ in c.receipt.writes}:
+                for addr in addrs:
+                    oracle[(addr, cid)] = (c.tx.tx_id, c.tick)
+
     def check_all_keys():
         nonlocal checks
-        for (payload, cid), (tx_id, _keys, _tick) in list(chain.touch_index.items()):
+        for (payload, cid), (tx_id, tick) in oracle.items():
             addr = by_payload.get(payload)
             if addr is None:
-                continue  # proposer credits etc.
+                continue  # the agent, or an address no wallet holds
             got = access.retrieve_state(chain, addr, cid)
-            assert got.tx_id == tx_id
+            assert (got.tx_id, got.tick) == (tx_id, tick)
+            for key, value in got.entries:
+                raw = chain.state.get_storage(cid, bytes.fromhex(key))
+                assert value == (raw.hex() if raw is not None else "")
             prev = snapshots.get((payload, cid))
             if prev is not None and prev.tx_id == tx_id:
                 # Nothing newer confirmed for this key: must be bit-identical.
@@ -103,7 +126,7 @@ def _drive_definition1(type_id: int, target_txs: int) -> tuple[int, int]:
             access.flush(topo.agent, chain)
         guard = 0
         while not chain.quiescent and guard < 500:
-            chain.run_round()
+            index(chain.run_round())
             check_all_keys()
             guard += 1
     assert chain.integrity_violations == 0

@@ -227,6 +227,27 @@ class TestRejectedSubmission:
         chain.run_until_drained()
         assert chain.quiescent and tx_id in chain.confirmed_tick
 
+    def test_a_refused_bundle_keeps_its_ops_for_the_next_flush(self):
+        # One op per bundle: the second op's bundle meets a full pool, so the
+        # op stays buffered and goes out ahead of the third, under its own seq.
+        topo, (w1, w2) = build_topology(type_id=7, batch_size=1,
+                                        consensus=ConsensusConfig(pool_capacity=1))
+        agent, chain = topo.agent, topo.chain
+        submit_via_agent(agent, w1.address.payload, transfer_op(w2.address.payload, 1), chain)
+        with pytest.raises(PoolFull):
+            submit_via_agent(agent, w1.address.payload, transfer_op(w2.address.payload, 2), chain)
+        assert len(agent.batch_buffer) == 1
+        chain.run_until_drained()
+        with pytest.raises(PoolFull):  # the held op takes the one slot; the third waits
+            submit_via_agent(agent, w1.address.payload, transfer_op(w2.address.payload, 3), chain)
+        chain.run_until_drained()
+        flush(agent, chain)
+        chain.run_until_drained()
+        assert chain.quiescent and agent.batch_buffer == []
+        outcomes = [(ev.name, ev.field("seq")) for c in chain.confirmations
+                    for ev in c.receipt.events if ev.name in ("OpOk", "OpFailed")]
+        assert outcomes == [("OpOk", 0), ("OpOk", 1), ("OpOk", 2)]
+
     def test_a_withholding_agent_still_moves_on(self):
         topo, (w1, w2) = build_topology(type_id=7)
         agent = topo.agent

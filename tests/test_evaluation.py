@@ -506,19 +506,6 @@ class TestSharedRuns:
                               text=True, timeout=60, check=True)
         assert proc.stdout == "[]\n"
 
-    def test_a_retrieval_wave_reads_the_chain_once(self, monkeypatch):
-        calls = []
-        retrieve = ev.access.retrieve_state
-
-        def counting(*args):
-            calls.append(args)
-            return retrieve(*args)
-
-        monkeypatch.setattr(ev.access, "retrieve_state", counting)
-        stats = run_raw(architecture(2), FAST, SimConfig(seed=42), NO_FAULTS)
-        assert stats.ops_succeeded == stats.ops_attempted
-        assert len(calls) == 1
-
 
 class TestFaultPlanPaths:
     def test_withholding_agent_starves_agent_types_only(self):
@@ -857,6 +844,48 @@ class TestWaveCounting:
         stats = run.run()
         assert stats.infeasible_reason is None
         assert stats.ops_succeeded == run.keyed_succeeded
+
+
+class TestRetrievalMatchesOwnership:
+    """A wallet that owns a token has a confirmed NFT slice, and it equals the chain's state."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(type_id=st.integers(1, 12), reps=st.integers(1, 8), seed=st.integers(0, 2**16),
+           rule=st.sampled_from(RuleKind),
+           faults=st.builds(FaultPlan, byzantine_maintainers=st.integers(0, 3),
+                            storage_crash_prob=st.sampled_from([0.0, 0.6]),
+                            executor_behavior=st.sampled_from(ExecutorBehavior),
+                            tamper_target=st.sampled_from(TAMPER_TARGETS),
+                            agent_behavior=st.sampled_from(AgentBehavior)))
+    def test_every_owner_retrieves_the_confirmed_state(self, type_id, reps, seed, rule, faults):
+        sim = SimConfig(seed=seed, consensus=ConsensusConfig(rule=ConsensusRule(rule)))
+        run = ev._ScenarioRun(architecture(type_id), nft_sale_script(repetitions=reps), sim,
+                              faults, keep_history=True)
+        run.run()
+        chain = run.topology.chain
+        state = chain.state
+        owned = Counter()
+        for rep in range(reps):
+            with contextlib.suppress(QueryError):
+                owned[query_state(state, NFT_ID, "ownerOf", (ev._token_id(rep),))] += 1
+        for wallet in run.wallets.values():
+            payload = wallet.address.payload
+            if not owned[payload]:
+                continue
+            got = access.retrieve_state(chain, wallet.address, NFT_ID)
+            for key, value in got.entries:
+                raw = state.get_storage(NFT_ID, bytes.fromhex(key))
+                assert value == (raw.hex() if raw is not None else "")
+            if not chain.integrity_violations:  # a silent tamper may have rewritten the count
+                count = dict(got.entries)[(b"cnt:" + payload).hex()]
+                assert int(count, 16) == owned[payload]
+
+    def test_a_chain_without_history_has_nothing_to_search(self):
+        run = ev._ScenarioRun(architecture(1), nft_sale_script(repetitions=1),
+                              SimConfig(seed=42), NO_FAULTS)
+        run.run()
+        with pytest.raises(ValueError, match="keep_history=True"):
+            access.retrieve_state(run.topology.chain, run.wallets["bob"].address, NFT_ID)
 
 
 class TestFaultFreeAvailability:
