@@ -1,14 +1,18 @@
 """Client-side entry points: data preparation, browser-wallet submission,
 agent batching, and confirmed-state retrieval.
 
-prepare_data is the one route from an op's data to the chain: it stores
-the data by the storage plan and returns the tagged on-chain record
-(0x00 + data inline, 0x01 + cid linked) that either submission carries.
+An op is one call record from client to chain, the txcraft.TxPayload it
+makes: contract, method, args and its on-chain data record.
+prepare_data(data, fabric) is the one route from an op's data to the
+chain: it stores the data by the storage plan and returns that tagged
+record (0x00 + data inline, 0x01 + cid linked).
 
-A wallet must connect before it can submit. An agent is a custodial
-intermediary: registered users hand it operations, it bundles up to
-batch_size of them into one transaction signed with the agent key, and
-the chain attributes each embedded operation to its originating user.
+A wallet must connect before it can submit, and signs each call as its
+own transaction. An agent is a custodial intermediary: registered users
+hand it calls, it buffers each as the vm.BundleOp it will encode, and
+bundles up to batch_size of them into one transaction signed with the
+agent key; the chain attributes each embedded op to its originating user.
+Both modes sign through one helper, so one place builds an envelope.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import identity, storage, txcraft, vm
-from .consensus import ChainNetwork, Confirmation
+from .consensus import ChainNetwork, Confirmation, PoolFull
 
 
 class AccessError(Exception):
@@ -35,16 +39,6 @@ class UnregisteredUser(AccessError):
 
 class NoConfirmedState(AccessError):
     pass
-
-
-@dataclass(frozen=True, slots=True)
-class UserOp:
-    """One application-level request, before it becomes a transaction."""
-
-    contract_id: bytes
-    method: str
-    args: tuple[bytes, ...] = ()
-    data: bytes = b""
 
 
 @dataclass
@@ -65,15 +59,6 @@ def connect_wallet(client: WalletClient, service_id: str) -> str:
     if client.session is None:
         client.session = service_id
     return client.session
-
-
-def _next_nonce(client: WalletClient | Agent, chain: ChainNetwork) -> int:
-    """The nonce client's next transaction goes out under.
-
-    It does not advance client.nonce_cache: the caller does that once the
-    chain has taken the transaction, so a rejected submission leaves no gap.
-    """
-    return max(chain.expected_nonce(client.address.payload), client.nonce_cache)
 
 
 # One int object per distinct gas limit, which every pending transaction
@@ -99,46 +84,46 @@ def contract_address(contract_id: bytes) -> identity.Address:
                             text=identity.encode_base16(contract_id))
 
 
-def submit_direct(client: WalletClient, chain: ChainNetwork, op: UserOp,
-                  schedule: vm.GasSchedule = vm.DEFAULT_GAS_SCHEDULE,
-                  inline: bytes = b"") -> bytes:
-    """Build, sign and submit one transaction for one request; returns tx id.
+def _signed(signer: WalletClient | Agent, chain: ChainNetwork, payload: txcraft.TxPayload,
+            gas_limit: int) -> txcraft.Transaction:
+    """Sign payload as signer's next transaction on chain.
 
-    inline is the op's on-chain data record, as prepare_data returns it.
+    The nonce is the chain's expected one, or past it if signer has sent
+    more; signer.nonce_cache is not advanced: the caller does that once
+    the chain has taken the transaction, so a refused one leaves no gap.
     """
-    if client.session is None:
-        raise NotConnected("connect the wallet before submitting")
+    cid = payload.contract_id
     metadata = txcraft.TxMetadata(
-        sender=client.address,
-        receiver=contract_address(op.contract_id) if op.contract_id else client.address,
-        nonce=_next_nonce(client, chain),
-        gas_limit=_gas_limit_for(len(inline), schedule),
+        sender=signer.address,
+        receiver=contract_address(cid) if cid else signer.address,
+        nonce=max(chain.expected_nonce(signer.address.payload), signer.nonce_cache),
+        gas_limit=gas_limit,
         sim_time=chain.now,
     )
-    payload = txcraft.TxPayload(contract_id=op.contract_id, method=op.method,
-                                args=op.args, inline_data=inline)
-    tx = txcraft.build_transaction(client.keypair.secret_key, metadata, payload)
+    return txcraft.build_transaction(signer.keypair.secret_key, metadata, payload)
+
+
+def submit_direct(client: WalletClient, chain: ChainNetwork, call: txcraft.TxPayload,
+                  schedule: vm.GasSchedule = vm.DEFAULT_GAS_SCHEDULE) -> bytes:
+    """Sign and submit one call as the wallet's own transaction; returns tx id."""
+    if client.session is None:
+        raise NotConnected("connect the wallet before submitting")
+    tx = _signed(client, chain, call, _gas_limit_for(len(call.inline_data), schedule))
     chain.submit(tx)
-    client.nonce_cache = metadata.nonce + 1
+    client.nonce_cache = tx.metadata.nonce + 1
     return tx.tx_id
 
 
-def prepare_data(op: UserOp, fabric: storage.StorageFabric) -> bytes:
-    """Route op.data through the storage plan; returns its on-chain record, empty without data."""
-    if not op.data:
+def prepare_data(data: bytes, fabric: storage.StorageFabric) -> bytes:
+    """Route data through the storage plan; returns its on-chain record, empty without data."""
+    if not data:
         return b""
-    return fabric.put(op.data)
+    return fabric.put(data)
 
 
 class AgentBehavior(Enum):
     HONEST = "Honest"
     WITHHOLDING = "Withholding"
-
-
-@dataclass(frozen=True, slots=True)
-class BundleTicket:
-    origin: bytes
-    seq: int
 
 
 @dataclass
@@ -150,7 +135,7 @@ class Agent:
     batch_size: int = 10
     behavior: AgentBehavior = AgentBehavior.HONEST
     registered_users: set[bytes] = field(default_factory=set)
-    batch_buffer: list[tuple[BundleTicket, UserOp, bytes]] = field(default_factory=list)
+    batch_buffer: list[vm.BundleOp] = field(default_factory=list)
     nonce_cache: int = 0
     _seqs: dict[bytes, int] = field(default_factory=dict)
 
@@ -170,25 +155,28 @@ class Agent:
             state.set_storage(vm.SYSTEM_CONTRACT_ID, b"agt:" + self.address.payload + user, b"\x01")
 
 
-def submit_via_agent(agent: Agent, user_payload: bytes, op: UserOp,
+def submit_via_agent(agent: Agent, user_payload: bytes, call: txcraft.TxPayload,
                      chain: ChainNetwork,
-                     schedule: vm.GasSchedule = vm.DEFAULT_GAS_SCHEDULE,
-                     inline: bytes = b"") -> BundleTicket:
-    """Buffer a registered user's operation; flushes when the buffer fills.
+                     schedule: vm.GasSchedule = vm.DEFAULT_GAS_SCHEDULE) -> vm.BundleOp:
+    """Buffer a registered user's call; returns the buffered op as the user's handle.
 
-    The user has already stored the op's data and hands the agent its
-    on-chain record, inline, so the buffered entry is submission-ready.
-    The automatic flush prices its bundles with `schedule`.
+    A full buffer flushes, pricing its bundles with `schedule`. If the
+    pool refuses a bundle (PoolFull), its ops stay buffered, so the op is
+    still returned and the next flush sends it or raises.
     """
     if user_payload not in agent.registered_users:
         raise UnregisteredUser(user_payload.hex())
     seq = agent._seqs.get(user_payload, 0)
     agent._seqs[user_payload] = seq + 1
-    ticket = BundleTicket(origin=user_payload, seq=seq)
-    agent.batch_buffer.append((ticket, op, inline))
+    op = vm.BundleOp(user_payload, seq, call.contract_id, call.method, call.args,
+                     call.inline_data)
+    agent.batch_buffer.append(op)
     if len(agent.batch_buffer) >= agent.batch_size:
-        flush(agent, chain, schedule)
-    return ticket
+        try:
+            flush(agent, chain, schedule)
+        except PoolFull:
+            pass
+    return op
 
 
 def flush(agent: Agent, chain: ChainNetwork,
@@ -205,29 +193,17 @@ def flush(agent: Agent, chain: ChainNetwork,
     tx_ids: list[bytes] = []
     buffer = agent.batch_buffer
     for _ in range(0, len(buffer), agent.batch_size):  # one pass per slice, each from the front
-        chunk = buffer[: agent.batch_size]
-        ops = []
-        inline_total = 0
-        for ticket, op, inline in chunk:
-            inline_total += len(inline)
-            ops.append(vm.BundleOp(ticket.origin, ticket.seq, op.contract_id, op.method,
-                                   op.args, inline))
-        blob = vm.encode_bundle(ops)
-        target = ops[0].contract_id if ops else b"\x00" * 20
-        metadata = txcraft.TxMetadata(
-            sender=agent.address,
-            receiver=contract_address(target),
-            nonce=_next_nonce(agent, chain),
-            gas_limit=schedule.base_tx + schedule.per_inline_byte * inline_total + 70_000 * len(ops),
-            sim_time=chain.now,
-        )
-        payload = txcraft.TxPayload(contract_id=target, method=vm.BUNDLE_METHOD, args=(blob,))
-        tx = txcraft.build_transaction(agent.keypair.secret_key, metadata, payload)
+        ops = buffer[: agent.batch_size]
+        payload = txcraft.TxPayload(contract_id=ops[0].contract_id, method=vm.BUNDLE_METHOD,
+                                    args=(vm.encode_bundle(ops),))
+        inline_total = sum(len(op.inline_data) for op in ops)
+        tx = _signed(agent, chain, payload,
+                     schedule.base_tx + schedule.per_inline_byte * inline_total + 70_000 * len(ops))
         tx_ids.append(tx.tx_id)
         if agent.behavior is AgentBehavior.HONEST:
             chain.submit(tx)
-        del buffer[: len(chunk)]
-        agent.nonce_cache = metadata.nonce + 1  # a withholding agent moves on as if it had sent
+        del buffer[: len(ops)]
+        agent.nonce_cache = tx.metadata.nonce + 1  # a withholding agent moves on as if it had sent
     return tx_ids
 
 

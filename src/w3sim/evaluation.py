@@ -36,7 +36,7 @@ from dataclasses import InitVar, dataclass, replace
 from functools import partial
 from random import Random
 
-from . import access, vm
+from . import access, txcraft, vm
 from .archetypes import (
     ALL_TYPES,
     NFT_ID,
@@ -183,7 +183,7 @@ class _ScenarioRun:
 
     # -- step helpers -----------------------------------------------------
 
-    def _submit(self, wallet: access.WalletClient, op: access.UserOp, inline: bytes = b""):
+    def _submit(self, wallet: access.WalletClient, call: txcraft.TxPayload):
         topo = self.topology
         self.ops_attempted += 1
         if not self.wave_stalled and not self._has_slot():
@@ -192,11 +192,10 @@ class _ScenarioRun:
             return  # a stall ended the wave; its later ops fail unsubmitted
         try:
             if topo.agent is not None:
-                number = access.submit_via_agent(topo.agent, wallet.address.payload, op,
-                                                 topo.chain, self.sim.gas_schedule,
-                                                 inline=inline).seq
+                number = access.submit_via_agent(topo.agent, wallet.address.payload, call,
+                                                 topo.chain, self.sim.gas_schedule).seq
             else:
-                access.submit_direct(wallet, topo.chain, op, self.sim.gas_schedule, inline=inline)
+                access.submit_direct(wallet, topo.chain, call, self.sim.gas_schedule)
                 number = wallet.nonce_cache - 1
         except access.AccessError:
             return  # op failed before reaching the chain
@@ -299,23 +298,22 @@ class _ScenarioRun:
         if kind is StepKind.MINT_NFT:
             size = step.param("data_size")
             for rep in range(self.script.repetitions):
-                data = self.data_rng.randbytes(size)
-                op = access.UserOp(NFT_ID, "mint", args=(_token_id(rep),), data=data)
                 try:
-                    inline = access.prepare_data(op, self.topology.fabric)
+                    record = access.prepare_data(self.data_rng.randbytes(size),
+                                                 self.topology.fabric)
                 except InlineTooLarge as err:  # only the on-chain route has nowhere else to put it
                     raise ScenarioInfeasible(f"InlineTooLarge: {err}") from err
                 except StorageError:
                     self.ops_attempted += 1
                     continue
-                self._submit(wallet, op, inline=inline)
+                self._submit(wallet, txcraft.TxPayload(NFT_ID, "mint", (_token_id(rep),), record))
             self._settle_wave()
             return
         if kind in (StepKind.LIST_NFT, StepKind.BUY_NFT):
             method = "list" if kind is StepKind.LIST_NFT else "buy"
             price = step.param("price").to_bytes(16, "big")
             for rep in range(self.script.repetitions):
-                self._submit(wallet, access.UserOp(MARKET_ID, method, args=(_token_id(rep), price)))
+                self._submit(wallet, txcraft.TxPayload(MARKET_ID, method, (_token_id(rep), price)))
             self._settle_wave()
             return
         if kind is StepKind.RETRIEVE_STATE:

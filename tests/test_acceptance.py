@@ -104,20 +104,18 @@ def _drive_definition1(type_id: int, target_txs: int) -> tuple[int, int]:
         kind = rng.random()
         if kind < 0.5:
             dst = rng.choice(wallets).address.payload
-            op = access.UserOp(FT_ID, "transfer", args=(dst, _amount(rng.randrange(1, 500))))
+            call = txcraft.TxPayload(FT_ID, "transfer", (dst, _amount(rng.randrange(1, 500))))
         elif kind < 0.8:
             dst = rng.choice(wallets).address.payload
-            op = access.UserOp(FT_ID, "approve", args=(dst, _amount(rng.randrange(1, 500))))
+            call = txcraft.TxPayload(FT_ID, "approve", (dst, _amount(rng.randrange(1, 500))))
         else:
             token_counter += 1
-            op = access.UserOp(NFT_ID, "mint",
-                               args=(token_counter.to_bytes(32, "big"),),
-                               data=rng.randbytes(32))
-        inline = access.prepare_data(op, topo.fabric)
+            call = txcraft.TxPayload(NFT_ID, "mint", (token_counter.to_bytes(32, "big"),),
+                                     access.prepare_data(rng.randbytes(32), topo.fabric))
         if topo.agent is not None:
-            access.submit_via_agent(topo.agent, w.address.payload, op, chain, inline=inline)
+            access.submit_via_agent(topo.agent, w.address.payload, call, chain)
         else:
-            access.submit_direct(w, chain, op, inline=inline)
+            access.submit_direct(w, chain, call)
 
     while len(chain.confirmations) < target_txs:
         for _ in range(48):
@@ -258,21 +256,20 @@ def test_criterion_4_nft_running_example(capsys):
 
     data = random.Random(42).randbytes(900)  # above the hybrid threshold
     token = (1).to_bytes(32, "big")
-    mint_op = access.UserOp(NFT_ID, "mint", args=(token,), data=data)
-    inline = access.prepare_data(mint_op, fabric)
-    assert inline[0] == 1  # linked: the mint carries the cid hook
-    access.submit_direct(alice, chain, mint_op, inline=inline)
+    record = access.prepare_data(data, fabric)
+    assert record[0] == 1  # linked: the mint carries the cid hook
+    access.submit_direct(alice, chain, txcraft.TxPayload(NFT_ID, "mint", (token,), record))
     chain.run_until_drained()
     assert vm.query_state(chain.state, NFT_ID, "ownerOf", (token,)) == alice.address.payload
 
     price = 1_234
-    access.submit_direct(alice, chain, access.UserOp(
-        MARKET_ID, "list", args=(token, _amount(price))))
+    access.submit_direct(alice, chain, txcraft.TxPayload(
+        MARKET_ID, "list", (token, _amount(price))))
     chain.run_until_drained()
 
     supply_before = vm.query_state(chain.state, FT_ID, "totalSupply")
-    buy_tx = access.submit_direct(bob, chain, access.UserOp(
-        MARKET_ID, "buy", args=(token, _amount(price))))
+    buy_tx = access.submit_direct(bob, chain, txcraft.TxPayload(
+        MARKET_ID, "buy", (token, _amount(price))))
     chain.run_until_drained()
 
     buy_receipt = next(c.receipt for c in chain.confirmations if c.tx.tx_id == buy_tx)
@@ -343,8 +340,8 @@ def test_criterion_6_agent_batching():
     w1, w2 = wallets
     for i in range(25):
         access.submit_via_agent(topo.agent, w1.address.payload,
-                                access.UserOp(FT_ID, "transfer",
-                                              args=(w2.address.payload, _amount(1))),
+                                txcraft.TxPayload(FT_ID, "transfer",
+                                                  (w2.address.payload, _amount(1))),
                                 topo.chain)
     access.flush(topo.agent, topo.chain)
     topo.chain.run_until_drained()
@@ -361,8 +358,8 @@ def test_criterion_6_agent_batching():
                        registered_users=tuple(w.address.payload for w in wallets))
     withheld.agent.behavior = access.AgentBehavior.WITHHOLDING
     access.submit_via_agent(withheld.agent, w1.address.payload,
-                            access.UserOp(FT_ID, "transfer",
-                                          args=(w2.address.payload, _amount(1))),
+                            txcraft.TxPayload(FT_ID, "transfer",
+                                              (w2.address.payload, _amount(1))),
                             withheld.chain)
     would_be = access.flush(withheld.agent, withheld.chain)  # raises nothing
     assert would_be

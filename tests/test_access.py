@@ -1,4 +1,7 @@
+import contextlib
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from w3sim import identity, storage, txcraft
 from w3sim.access import (
@@ -7,7 +10,6 @@ from w3sim.access import (
     NoConfirmedState,
     NotConnected,
     UnregisteredUser,
-    UserOp,
     WalletClient,
     connect_wallet,
     contract_address,
@@ -36,7 +38,7 @@ def build_topology(type_id=1, n_users=2, seed=7, **sim_kwargs):
 
 
 def transfer_op(dst, amount=10):
-    return UserOp(FT_ID, "transfer", args=(dst, amount.to_bytes(16, "big")))
+    return txcraft.TxPayload(FT_ID, "transfer", (dst, amount.to_bytes(16, "big")))
 
 
 class TestWalletSessions:
@@ -89,9 +91,8 @@ class TestDirectSubmission:
     def test_inline_too_large_surfaces(self):
         topo, (w1, _) = build_topology(type_id=1)
         connect_wallet(w1, "svc")
-        op = UserOp(NFT_ID, "mint", args=((1).to_bytes(32, "big"),), data=b"x" * 4096)
         with pytest.raises(storage.InlineTooLarge):
-            prepare_data(op, topo.fabric)  # before any transaction is built
+            prepare_data(b"x" * 4096, topo.fabric)  # before any transaction is built
 
     def test_one_receiver_address_per_contract(self):
         topo, (w1, w2) = build_topology()
@@ -230,16 +231,18 @@ class TestRejectedSubmission:
     def test_a_refused_bundle_keeps_its_ops_for_the_next_flush(self):
         # One op per bundle: the second op's bundle meets a full pool, so the
         # op stays buffered and goes out ahead of the third, under its own seq.
+        # The call still hands the user the buffered op.
         topo, (w1, w2) = build_topology(type_id=7, batch_size=1,
                                         consensus=ConsensusConfig(pool_capacity=1))
         agent, chain = topo.agent, topo.chain
         submit_via_agent(agent, w1.address.payload, transfer_op(w2.address.payload, 1), chain)
-        with pytest.raises(PoolFull):
-            submit_via_agent(agent, w1.address.payload, transfer_op(w2.address.payload, 2), chain)
-        assert len(agent.batch_buffer) == 1
+        second = submit_via_agent(agent, w1.address.payload, transfer_op(w2.address.payload, 2),
+                                  chain)
+        assert second.seq == 1 and agent.batch_buffer == [second]
         chain.run_until_drained()
-        with pytest.raises(PoolFull):  # the held op takes the one slot; the third waits
-            submit_via_agent(agent, w1.address.payload, transfer_op(w2.address.payload, 3), chain)
+        third = submit_via_agent(agent, w1.address.payload, transfer_op(w2.address.payload, 3),
+                                 chain)
+        assert third.seq == 2 and agent.batch_buffer == [third]  # the held op took the one slot
         chain.run_until_drained()
         flush(agent, chain)
         chain.run_until_drained()
@@ -247,6 +250,32 @@ class TestRejectedSubmission:
         outcomes = [(ev.name, ev.field("seq")) for c in chain.confirmations
                     for ev in c.receipt.events if ev.name in ("OpOk", "OpFailed")]
         assert outcomes == [("OpOk", 0), ("OpOk", 1), ("OpOk", 2)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(batch_size=st.integers(1, 4), pool_capacity=st.integers(1, 3),
+           drains=st.lists(st.booleans(), min_size=1, max_size=12))
+    def test_every_buffered_op_confirms_once_in_order(self, batch_size, pool_capacity, drains):
+        # drains[i]: run the chain dry before op i; without it the automatic
+        # flush may meet a full pool, and the op still comes back as a handle.
+        topo, (w1, w2) = build_topology(type_id=7, batch_size=batch_size,
+                                        consensus=ConsensusConfig(pool_capacity=pool_capacity))
+        agent, chain = topo.agent, topo.chain
+        handles = []
+        for i, drain in enumerate(drains):
+            if drain:
+                chain.run_until_drained()
+            handles.append(submit_via_agent(agent, w1.address.payload,
+                                            transfer_op(w2.address.payload, i + 1), chain))
+        while agent.batch_buffer:
+            chain.run_until_drained()
+            with contextlib.suppress(PoolFull):
+                flush(agent, chain)
+        chain.run_until_drained()
+        n = len(drains)
+        assert [op.seq for op in handles] == list(range(n))
+        outcomes = [(ev.name, ev.field("seq")) for c in chain.confirmations
+                    for ev in c.receipt.events if ev.name in ("OpOk", "OpFailed")]
+        assert outcomes == [("OpOk", seq) for seq in range(n)]
 
     def test_a_withholding_agent_still_moves_on(self):
         topo, (w1, w2) = build_topology(type_id=7)
@@ -317,9 +346,8 @@ class TestIntegrityAgainstConfirmation:
         connect_wallet(w1, "svc")
         data = b"Z" * 400
         token = (1).to_bytes(32, "big")
-        op = UserOp(NFT_ID, "mint", args=(token,), data=data)
-        record = prepare_data(op, topo.fabric)
-        submit_direct(w1, topo.chain, op, inline=record)
+        record = prepare_data(data, topo.fabric)
+        submit_direct(w1, topo.chain, txcraft.TxPayload(NFT_ID, "mint", (token,), record))
         with pytest.raises(QueryError):
             query_state(topo.chain.state, NFT_ID, "dataOf", (token,))
         topo.chain.run_until_drained()

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from w3sim import access, identity, txcraft, vm
+from w3sim import identity, txcraft, vm
 from w3sim.consensus import (
     ZERO_HASH,
     BlockHeader,
@@ -505,9 +505,7 @@ def per_transaction_records():
     block = make_block(1, ZERO_HASH, (tx,), net.state.state_root, 0)
     header = BlockHeader(1, ZERO_HASH, block.state_root, 0, block.block_hash)
     return [tx.metadata, tx.payload, tx, tx.signature, receipt, block, header,
-            Confirmation(tx, receipt, block.block_hash, 1, 3),
-            access.UserOp(FT, "balanceOf", (addr.payload,)),
-            access.BundleTicket(addr.payload, 4)]
+            Confirmation(tx, receipt, block.block_hash, 1, 3)]
 
 
 class TestCompactRecords:

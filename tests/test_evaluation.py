@@ -809,9 +809,9 @@ class _KeyedRun(ev._ScenarioRun):
             return tx_id
 
         def keyed_via_agent(*args, **kwargs):
-            ticket = via_agent(*args, **kwargs)
-            self.pending.add((ticket.origin, ticket.seq))
-            return ticket
+            op = via_agent(*args, **kwargs)
+            self.pending.add((op.origin, op.seq))
+            return op
 
         with mock.patch.object(access, "submit_direct", keyed_direct), \
                 mock.patch.object(access, "submit_via_agent", keyed_via_agent):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from w3sim import identity
-from w3sim.access import UserOp, prepare_data
+from w3sim.access import prepare_data
 from w3sim.archetypes import (
     AccessMode,
     ComputeMode,
@@ -120,13 +120,12 @@ class TestRecordFormat:
         fabric = fabric_for(route, n_nodes=5)
         plan = fabric.plan
         data = random.Random(size).randbytes(size)
-        op = UserOp(b"\x02" * 20, "mint", data=data)
         if data and plan.inlines(size) and size > plan.inline_cap:
             assert route is Route.ON_CHAIN  # the only route with nowhere else to put it
             with pytest.raises(InlineTooLarge):
-                prepare_data(op, fabric)
+                prepare_data(data, fabric)
             return
-        record = prepare_data(op, fabric)
+        record = prepare_data(data, fabric)
         if not data:
             assert record == b""
         elif plan.inlines(size):
@@ -153,7 +152,7 @@ class TestRead:
 
     def test_the_empty_record_of_an_op_without_data_reads_as_no_data(self):
         fabric = fabric_for(Route.OFF_CHAIN)
-        assert fabric.read(prepare_data(UserOp(b"\x02" * 20, "mint"), fabric)) == b""
+        assert fabric.read(prepare_data(b"", fabric)) == b""
 
     @pytest.mark.parametrize("make, error", [
         (lambda cid: b"\x02" + cid, StorageError),            # unknown tag
