@@ -1,9 +1,10 @@
 import contextlib
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from w3sim import identity, storage, txcraft
+from w3sim import identity, storage, txcraft, vm
 from w3sim.access import (
     AgentBehavior,
     prepare_data,
@@ -193,6 +194,36 @@ class TestAgentBatching:
                  for c in topo.chain.confirmations
                  for ev in c.receipt.events if ev.name == "Transfer"]
         assert sorted(moved) == sorted(submitted)
+
+    def test_handles_are_the_ops_the_bundles_carry(self):
+        topo, (w1, w2) = build_topology(type_id=7, batch_size=3)
+        agent, chain = topo.agent, topo.chain
+        calls = [transfer_op(w2.address.payload, i + 1) for i in range(5)]
+        handles = [submit_via_agent(agent, w1.address.payload, call, chain) for call in calls]
+        for seq, (handle, call) in enumerate(zip(handles, calls)):
+            assert isinstance(handle, vm.BundleOp)
+            assert handle == (w1.address.payload, seq, call.contract_id, call.method,
+                              call.args, call.inline_data)
+            assert pickle.loads(pickle.dumps(handle)) == handle
+        flush(agent, chain)
+        chain.run_until_drained()
+        carried = [op for c in chain.confirmations for op in vm.decode_bundle(c.tx.payload.args[0])]
+        assert carried == handles
+
+    def test_both_modes_sign_one_envelope_form(self):
+        topo, (w1, w2) = build_topology(type_id=7, batch_size=1)
+        chain = topo.chain
+        connect_wallet(w1, "svc")
+        submit_direct(w1, chain, transfer_op(w2.address.payload, 1))
+        submit_via_agent(topo.agent, w1.address.payload, transfer_op(w2.address.payload, 2), chain)
+        chain.run_until_drained()
+        assert [c.tx.metadata.sender for c in chain.confirmations] == [w1.address,
+                                                                        topo.agent.address]
+        keys = {w1.address.payload: w1.keypair, topo.agent.address.payload: topo.agent.keypair}
+        for c in chain.confirmations:
+            assert c.tx.metadata.receiver == contract_address(FT_ID)
+            assert c.tx.metadata.nonce == 0
+            txcraft.validate_transaction(c.tx, 0, keys)  # a good signature, nonce 0
 
 
 class TestRejectedSubmission:
