@@ -84,6 +84,12 @@ def contract_address(contract_id: bytes) -> identity.Address:
                             text=identity.encode_base16(contract_id))
 
 
+def _check_room(chain: ChainNetwork) -> None:
+    """Raise PoolFull before signing a transaction that the pool would refuse."""
+    if not chain.has_room():
+        raise PoolFull(f"pool at capacity {chain.config.pool_capacity}")
+
+
 def _signed(signer: WalletClient | Agent, chain: ChainNetwork, payload: txcraft.TxPayload,
             gas_limit: int) -> txcraft.Transaction:
     """Sign payload as signer's next transaction on chain.
@@ -108,6 +114,7 @@ def submit_direct(client: WalletClient, chain: ChainNetwork, call: txcraft.TxPay
     """Sign and submit one call as the wallet's own transaction; returns tx id."""
     if client.session is None:
         raise NotConnected("connect the wallet before submitting")
+    _check_room(chain)
     tx = _signed(client, chain, call, _gas_limit_for(len(call.inline_data), schedule))
     chain.submit(tx)
     client.nonce_cache = tx.metadata.nonce + 1
@@ -185,14 +192,18 @@ def flush(agent: Agent, chain: ChainNetwork,
 
     A slice leaves the buffer only once the chain has taken its
     transaction, so an op whose bundle the chain refused (PoolFull,
-    DuplicateTx) waits, in order, for the next flush. A withholding agent
+    DuplicateTx) waits, in order, for the next flush; an honest agent
+    signs no bundle while the pool is full. A withholding agent
     clears its buffer and returns the would-be tx ids without ever
     submitting; no protocol error surfaces, only the missing
     confirmations tell.
     """
     tx_ids: list[bytes] = []
     buffer = agent.batch_buffer
+    honest = agent.behavior is AgentBehavior.HONEST
     for _ in range(0, len(buffer), agent.batch_size):  # one pass per slice, each from the front
+        if honest:
+            _check_room(chain)
         ops = buffer[: agent.batch_size]
         payload = txcraft.TxPayload(contract_id=ops[0].contract_id, method=vm.BUNDLE_METHOD,
                                     args=(vm.encode_bundle(ops),))
@@ -200,7 +211,7 @@ def flush(agent: Agent, chain: ChainNetwork,
         tx = _signed(agent, chain, payload,
                      schedule.base_tx + schedule.per_inline_byte * inline_total + 70_000 * len(ops))
         tx_ids.append(tx.tx_id)
-        if agent.behavior is AgentBehavior.HONEST:
+        if honest:
             chain.submit(tx)
         del buffer[: len(ops)]
         agent.nonce_cache = tx.metadata.nonce + 1  # a withholding agent moves on as if it had sent

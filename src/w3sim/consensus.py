@@ -210,10 +210,13 @@ class ChainNetwork:
     as InvalidSignature.
 
     The chain keeps state, not history: storage, pool, nonces, per-tx
-    confirmation ticks, the round trace and a header per confirmed block.
-    run_round hands each round's confirmations to its caller. keep_history
-    also keeps the block bodies, every Confirmation and the event log,
-    which chain_ndjson, the event export and access.retrieve_state need.
+    confirmation ticks, the round trace and the tip, the latest confirmed
+    block's header, as the one entry of confirmed_blocks (genesis at
+    first). run_round hands each round's confirmations to its caller.
+    keep_history also keeps every block with its body, every Confirmation
+    and the event log, which check_persistence, chain_ndjson, the event
+    export and access.retrieve_state need. confirmed_blocks[-1] is the tip
+    either way.
 
     Its counters are txs_confirmed, the clock (now), gas_total,
     bytes_total, safety_breaks, integrity_violations and discards: the
@@ -268,10 +271,14 @@ class ChainNetwork:
 
     # -- submission ---------------------------------------------------------
 
+    def has_room(self) -> bool:
+        """True if the pool can take one more transaction; submit raises PoolFull otherwise."""
+        return len(self.pool) < self.config.pool_capacity
+
     def submit(self, tx: Transaction) -> None:
         if tx.tx_id in self.seen_tx:
             raise DuplicateTx(tx.tx_id.hex())
-        if len(self.pool) >= self.config.pool_capacity:
+        if not self.has_room():
             raise PoolFull(f"pool at capacity {self.config.pool_capacity}")
         self.seen_tx.add(tx.tx_id)
         self.pool[tx.tx_id] = tx
@@ -367,13 +374,18 @@ class ChainNetwork:
 
     def _confirm(self, block: Block, receipts: list[tuple[Transaction, vm.Receipt]],
                  block_gas: int, block_bytes: int) -> list[Confirmation]:
-        """Pay a maintainer proposer the block's gas, append the block, confirm its txs now."""
+        """Pay a maintainer proposer the block's gas, make the block the tip, confirm its txs now.
+
+        With history the block joins the log; without, its header replaces the tip.
+        """
         if block_gas and block.proposer >= 0:
             self.state.credit_native(self.nodes[block.proposer].address.payload, block_gas)
-        if not self.keep_history:
-            block = BlockHeader(block.height, block.parent_hash, block.state_root, block.proposer,
-                                block.block_hash)
-        self.confirmed_blocks.append(block)
+        if self.keep_history:
+            self.confirmed_blocks.append(block)
+        else:
+            self.confirmed_blocks[-1] = BlockHeader(block.height, block.parent_hash,
+                                                    block.state_root, block.proposer,
+                                                    block.block_hash)
         self.gas_total += block_gas
         self.bytes_total += block_bytes
         confs = []
@@ -400,8 +412,8 @@ class ChainNetwork:
         # Rotates from node 1: this round is round len(self.rounds) + 1.
         proposer = self.nodes[(len(self.rounds) + 1) % self.config.n_nodes]
         offline = {node.node_id for node in self.nodes if self._offline(node)}
-        height = len(self.confirmed_blocks)
-        parent = self.confirmed_blocks[-1].block_hash
+        tip = self.confirmed_blocks[-1]
+        height, parent = tip.height + 1, tip.block_hash
 
         txs: tuple[Transaction, ...] | None = None  # None: no block this round
         if proposer.node_id in offline or (
@@ -498,8 +510,11 @@ class ChainNetwork:
         """True iff the confirmed blocks form one hash-linked chain from genesis.
 
         Every honest maintainer serves this one confirmed log, so a single
-        linked chain is what persistence means here.
+        linked chain is what persistence means here. Needs a chain built
+        with keep_history: without it only the tip is kept.
         """
+        if not self.keep_history:
+            raise ValueError("chain kept only its tip block; build it with keep_history=True")
         blocks = self.confirmed_blocks
         return all(block.height == i for i, block in enumerate(blocks)) and all(
             child.parent_hash == parent.block_hash for parent, child in zip(blocks, blocks[1:]))

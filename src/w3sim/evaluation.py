@@ -210,7 +210,7 @@ class _ScenarioRun:
         topo = self.topology
         if topo.agent is not None and topo.agent.batch_buffer:
             return True
-        return len(topo.chain.pool) < topo.chain.config.pool_capacity
+        return topo.chain.has_room()
 
     def _drain(self):
         """Flush the agent and run the chain until it is quiescent or stalls."""

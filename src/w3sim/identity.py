@@ -1,12 +1,13 @@
 """Key pairs, blockchain addresses, and simulator-grade signing.
 
 Every digest in the simulator is SHA-256. Key pairs are deterministic
-digest chains over a caller-supplied seed; signatures are digests over
-(secret key, message), and verification re-derives the digest from the
-signer's key pair. The module keeps no state: a chain holds the key pairs
-whose signatures it accepts (ChainNetwork.register_key). The function
-surface mirrors a real scheme so an actual signature algorithm can be
-swapped in without touching callers.
+digest chains over a caller-supplied seed; a signature is its bytes, the
+32-byte digest over (secret key, message), and verification re-derives
+the digest from the signer's key pair. The module keeps no state: a
+chain holds the key pairs whose signatures it accepts
+(ChainNetwork.register_key). The function surface mirrors a real scheme
+so an actual signature algorithm can be swapped in without touching
+callers.
 """
 
 from __future__ import annotations
@@ -56,11 +57,6 @@ class Address:
 
     def __str__(self) -> str:
         return self.text
-
-
-@dataclass(frozen=True, slots=True)
-class Signature:
-    tag: bytes
 
 
 def generate_keypair(seed: bytes) -> KeyPair:
@@ -128,15 +124,15 @@ def decode_base16(text: str) -> bytes:
     return bytes.fromhex(text[2:])
 
 
-def sign(sk: bytes, message: bytes) -> Signature:
-    """Simulated signature: a digest binding the secret key to the message."""
-    return Signature(tag=digest(b"w3/sig" + sk + message))
+def sign(sk: bytes, message: bytes) -> bytes:
+    """Simulated signature: the 32-byte digest binding the secret key to the message."""
+    return digest(b"w3/sig" + sk + message)
 
 
-def verify(kp: KeyPair, message: bytes, sig: Signature) -> bool:
+def verify(kp: KeyPair, message: bytes, sig: bytes) -> bool:
     """True iff sig was produced over message by kp's secret key.
 
     Simulator-grade: the verifier holds the signer's key pair, so it
     re-derives the digest; a real scheme needs only the public key.
     """
-    return sig.tag == digest(b"w3/sig" + kp.secret_key + message)
+    return sig == digest(b"w3/sig" + kp.secret_key + message)

@@ -10,7 +10,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from . import identity
-from .identity import Address, KeyPair, Signature
+from .identity import Address, KeyPair
 
 
 class TxError(Exception):
@@ -58,7 +58,7 @@ class TxPayload:
 class Transaction:
     metadata: TxMetadata
     payload: TxPayload
-    signature: Signature
+    signature: bytes
     tx_id: bytes
 
     def wire_bytes(self) -> bytes:
@@ -69,7 +69,7 @@ class Transaction:
         m, p = self.metadata, self.payload
         return (_WIRE_FIXED + len(m.sender.payload) + len(m.receiver.payload)
                 + len(p.contract_id) + len(p.method.encode()) + len(p.inline_data)
-                + 4 * len(p.args) + sum(map(len, p.args)) + len(self.signature.tag))
+                + 4 * len(p.args) + sum(map(len, p.args)) + len(self.signature))
 
 
 def _ser_bytes(b: bytes) -> bytes:
@@ -101,12 +101,12 @@ def signing_bytes(metadata: TxMetadata, payload: TxPayload) -> bytes:
 
 
 def serialize_transaction(tx: Transaction) -> bytes:
-    return signing_bytes(tx.metadata, tx.payload) + _ser_bytes(tx.signature.tag)
+    return signing_bytes(tx.metadata, tx.payload) + _ser_bytes(tx.signature)
 
 
 # Fixed part of serialize_transaction, for Transaction.wire_size: seven
 # 4-byte length prefixes (sender, receiver, contract_id, method, arg count,
-# inline_data, signature tag) and three u64 fields (nonce, gas_limit,
+# inline_data, signature) and three u64 fields (nonce, gas_limit,
 # sim_time). Each arg adds its own 4-byte prefix. Keep in step with the
 # serializers above.
 _WIRE_FIXED = 7 * 4 + 3 * 8
@@ -119,7 +119,7 @@ def build_transaction(sk: bytes, metadata: TxMetadata, payload: TxPayload) -> Tr
         raise SenderKeyMismatch("secret key does not control metadata.sender")
     blob = signing_bytes(metadata, payload)
     sig = identity.sign(sk, blob)
-    body = blob + _ser_bytes(sig.tag)
+    body = blob + _ser_bytes(sig)
     return Transaction(metadata=metadata, payload=payload, signature=sig, tx_id=identity.digest(body))
 
 

@@ -162,7 +162,7 @@ def _bft_run(n, f, seed, byz_mode):
     state.set_storage(FT_ID, b"bal:" + addr.payload, _amount(10_000))
     state.set_storage(FT_ID, b"sup:", _amount(10_000))
     net = ChainNetwork(ConsensusConfig(n_nodes=n), state, seed=seed,
-                       behaviors=behaviors, byz_mode=byz_mode)
+                       behaviors=behaviors, byz_mode=byz_mode, keep_history=True)
     net.register_key(kp)
     metadata = txcraft.TxMetadata(sender=addr, receiver=addr, nonce=0,
                                   gas_limit=100_000, sim_time=0)
@@ -201,7 +201,7 @@ def test_criterion_2_consensus_thresholds():
             net = ChainNetwork(
                 ConsensusConfig(rule=mc_rule, n_nodes=9), state, seed=seed,
                 behaviors=[NodeBehavior.BYZANTINE] * 4 + [NodeBehavior.HONEST] * 5,
-                adversarial_share=share)
+                adversarial_share=share, keep_history=True)
             net.register_key(kp)
             metadata = txcraft.TxMetadata(sender=addr, receiver=addr, nonce=0,
                                           gas_limit=100_000, sim_time=0)

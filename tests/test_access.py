@@ -20,19 +20,19 @@ from w3sim.access import (
     submit_via_agent,
 )
 from w3sim.archetypes import FT_ID, NFT_ID, SimConfig, architecture, compose
-from w3sim.consensus import ConsensusConfig, PoolFull
+from w3sim.consensus import ConsensusConfig, PoolFull, chain_ndjson
 from w3sim.vm import QueryError, query_state
 
 from test_consensus import confirmed_by
 
 
-def build_topology(type_id=1, n_users=2, seed=7, **sim_kwargs):
+def build_topology(type_id=1, n_users=2, seed=7, keep_history=True, **sim_kwargs):
     wallets = [WalletClient.create(b"acc-user-%d-%d" % (seed, i)) for i in range(n_users)]
     funded = {w.address.payload: 100_000 for w in wallets}
     topo = compose(architecture(type_id), SimConfig(seed=seed, **sim_kwargs),
                    funded=funded,
                    registered_users=tuple(w.address.payload for w in wallets),
-                   keep_history=True)
+                   keep_history=keep_history)
     for w in wallets:
         topo.chain.register_key(w.keypair)
     return topo, wallets
@@ -80,7 +80,7 @@ class TestDirectSubmission:
         payload = txcraft.TxPayload(contract_id=FT_ID, method="transfer",
                                     args=(w2.address.payload, (1).to_bytes(16, "big")))
         sig = identity.sign(rotated.secret_key, txcraft.signing_bytes(metadata, payload))
-        body = txcraft.signing_bytes(metadata, payload) + len(sig.tag).to_bytes(4, "big") + sig.tag
+        body = txcraft.signing_bytes(metadata, payload) + len(sig).to_bytes(4, "big") + sig
         forged = txcraft.Transaction(metadata, payload, sig, identity.digest(body))
         with pytest.raises(txcraft.InvalidSignature):
             txcraft.validate_transaction(forged, 0, topo.chain.keys)
@@ -229,6 +229,38 @@ class TestAgentBatching:
 class TestRejectedSubmission:
     """A submission the chain rejects uses up no nonce, so the signer's later txs confirm."""
 
+    @pytest.fixture
+    def signed(self, monkeypatch):
+        """The envelopes signed during the test, counted through txcraft.build_transaction."""
+        envelopes = []
+        build = txcraft.build_transaction
+
+        def counted(*args):
+            envelopes.append(build(*args))
+            return envelopes[-1]
+
+        monkeypatch.setattr(txcraft, "build_transaction", counted)
+        return envelopes
+
+    def test_a_full_pool_signs_no_wallet_transaction(self, signed):
+        topo, (w1, w2) = build_topology(consensus=ConsensusConfig(pool_capacity=1))
+        connect_wallet(w1, "svc")
+        tx_id = submit_direct(w1, topo.chain, transfer_op(w2.address.payload, 1))
+        with pytest.raises(PoolFull):
+            submit_direct(w1, topo.chain, transfer_op(w2.address.payload, 2))
+        assert [tx.tx_id for tx in signed] == [tx_id] and w1.nonce_cache == 1
+
+    def test_a_full_pool_signs_no_bundle(self, signed):
+        # Each call after the first finds the one slot taken: its automatic
+        # flush refuses before signing, and the op waits in the buffer.
+        topo, (w1, w2) = build_topology(type_id=7, batch_size=1,
+                                        consensus=ConsensusConfig(pool_capacity=1))
+        agent, chain = topo.agent, topo.chain
+        ops = [submit_via_agent(agent, w1.address.payload, transfer_op(w2.address.payload, i),
+                                chain) for i in range(1, 6)]
+        assert [tx.tx_id for tx in signed] == list(chain.pool)
+        assert agent.batch_buffer == ops[1:] and agent.nonce_cache == 1
+
     def test_a_full_pool_leaves_the_wallet_nonce_unused(self):
         topo, (w1, w2) = build_topology(consensus=ConsensusConfig(pool_capacity=1))
         chain = topo.chain
@@ -320,6 +352,18 @@ class TestRejectedSubmission:
 
 
 class TestRetrieval:
+    def test_a_chain_without_history_refuses_what_needs_its_log(self):
+        topo, (w1, w2) = build_topology(keep_history=False)
+        chain = topo.chain
+        connect_wallet(w1, "svc")
+        submit_direct(w1, chain, transfer_op(w2.address.payload, 3))
+        chain.run_until_drained()
+        assert chain.txs_confirmed == 1 and len(chain.confirmed_blocks) == 1
+        for needs_history in (chain.check_persistence, lambda: chain_ndjson(chain),
+                              lambda: retrieve_state(chain, w1.address, FT_ID)):
+            with pytest.raises(ValueError, match="keep_history"):
+                needs_history()
+
     def test_before_any_confirmation(self):
         topo, (w1, _) = build_topology()
         with pytest.raises(NoConfirmedState):

@@ -219,7 +219,7 @@ class TestBftQuorum:
         # 100 seeded runs within the tolerance bound: no round sees both halves reach quorum.
         for seed in range(100):
             net, kp, addr = make_network(n=7, byzantine=2, byz_mode=ByzantineMode.EQUIVOCATE,
-                                         seed=seed)
+                                         seed=seed, keep_history=True)
             for i in range(6):
                 net.submit(transfer_tx(kp, addr, i, sim_time=i))
             for _ in range(40):
@@ -264,7 +264,8 @@ class TestMajorityChain:
     def test_majority_adversary_adversarial_branch_confirms(self):
         for seed in range(100):
             net, kp, addr = make_network(n=9, byzantine=5, seed=seed,
-                                         rule=self.mc_rule(), adversarial_share=0.55)
+                                         rule=self.mc_rule(), adversarial_share=0.55,
+                                         keep_history=True)
             tx = transfer_tx(kp, addr, 0)
             net.submit(tx)
             for _ in range(120):
@@ -282,7 +283,7 @@ class TestMajorityChain:
         net.submit(transfer_tx(kp, addr, 0))
         for _ in range(80):
             net.run_round()
-        assert len(net.confirmed_blocks) == 1  # genesis only
+        assert net.confirmed_blocks[-1].height == 0  # genesis only
 
 
     def test_one_sender_fills_every_block(self):
@@ -387,7 +388,7 @@ class TestStallRule:
 
 class TestProbes:
     def test_persistence_all_honest(self):
-        net, kp, addr = make_network(n=5, seed=21)
+        net, kp, addr = make_network(n=5, seed=21, keep_history=True)
         for i in range(5):
             net.submit(transfer_tx(kp, addr, i, sim_time=i))
         for _ in range(10):
@@ -404,7 +405,7 @@ class TestProbes:
         assert net.check_persistence()
 
     def test_persistence_detects_a_broken_link(self):
-        net, kp, addr = make_network(n=4, seed=23)
+        net, kp, addr = make_network(n=4, seed=23, keep_history=True)
         net.submit(transfer_tx(kp, addr, 0))
         for _ in range(4):
             net.run_round()
@@ -453,7 +454,7 @@ class TestDeterminismAndOrder:
         assert len(block_order) == 20
 
     def test_quorum_proposers_rotate_from_node_one(self):
-        net, _, _ = make_network(n=4)
+        net, _, _ = make_network(n=4, keep_history=True)
         for _ in range(6):
             net.run_round()  # an honest proposer confirms an empty block each round
         assert [b.proposer for b in net.confirmed_blocks] == [-1, 1, 2, 3, 0, 1, 2]
@@ -504,7 +505,7 @@ def per_transaction_records():
     receipt = vm.execute(net.state, tx)[1]
     block = make_block(1, ZERO_HASH, (tx,), net.state.state_root, 0)
     header = BlockHeader(1, ZERO_HASH, block.state_root, 0, block.block_hash)
-    return [tx.metadata, tx.payload, tx, tx.signature, receipt, block, header,
+    return [tx.metadata, tx.payload, tx, receipt, block, header,
             Confirmation(tx, receipt, block.block_hash, 1, 3)]
 
 

@@ -172,17 +172,23 @@ class TestSignatures:
                 mutated[pos] ^= delta
                 assert not verify(kp, bytes(mutated), sig)
 
+    def test_a_signature_is_its_32_byte_digest(self):
+        sig = sign(generate_keypair(b"plain").secret_key, b"payload")
+        assert type(sig) is bytes and len(sig) == 32
+
     def test_flipped_sig_fails(self):
         kp = generate_keypair(b"flipper2")
         sig = sign(kp.secret_key, b"payload")
-        bad = identity.Signature(tag=bytes([sig.tag[0] ^ 1]) + sig.tag[1:])
-        assert not verify(kp, b"payload", bad)
+        for pos in range(len(sig)):
+            bad = sig[:pos] + bytes([sig[pos] ^ 1]) + sig[pos + 1:]
+            assert not verify(kp, b"payload", bad)
+        assert not verify(kp, b"payload", sig[:-1])
 
     def test_random_forgeries_fail(self):
         kp = generate_keypair(b"forgery-target")
         rng = random.Random(13)
         for _ in range(10_000):
-            forged = identity.Signature(tag=rng.randbytes(32))
+            forged = rng.randbytes(32)
             assert not verify(kp, b"the message", forged)
 
     def test_module_keeps_no_mutable_state(self):

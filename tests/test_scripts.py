@@ -55,5 +55,14 @@ def test_heap_profile():
         words = header.split()
         end, peak = float(words[5]), float(words[8])
         assert 0 < end <= peak and words[6] == words[9] == "MB"
-    sites = [line for line in lines if not line.startswith("type ")]
+    held = [line.split() for line in lines if line.startswith("  held ")]
+    sites = [line for line in lines if not line.startswith(("type ", "  held "))]
     assert len(sites) == 4 and all(" MB " in site and " blocks " in site for site in sites)
+    # Per type, at the largest drain: the bytes and objects each container holds.
+    names = ["chain.pool", "chain.seen_tx", "chain.confirmed_tick", "chain.confirmed_blocks",
+             "chain.rounds", "chain.state.storage", "fabric.store"]
+    assert [row[1] for row in held] == names * 2
+    for row in held:
+        assert float(row[2]) >= 0 and row[3] == "MB" and int(row[4]) > 0 and row[5] == "objects"
+    type_1 = {row[1]: int(row[4]) for row in held[:len(names)]}
+    assert type_1["chain.pool"] > 1 and type_1["chain.state.storage"] > 1  # the wave's txs wait
