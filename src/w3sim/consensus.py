@@ -265,8 +265,8 @@ class ChainNetwork:
         self.safety_breaks = 0  # rounds in which two conflicting blocks both reached quorum
         self.integrity_violations = 0  # delegated writes tampered outside the checked region
         self._unconfirmed = 0
-        self._honest_branch: list[Block] = [genesis]
-        self._adv_branch: list[Block] = [genesis]
+        self._honest_branch: list[Block | BlockHeader] = [genesis]
+        self._adv_branch: list[Block | BlockHeader] = [genesis]
         self._mc_confirmed_upto = 0
 
     # -- submission ---------------------------------------------------------
@@ -478,7 +478,7 @@ class ChainNetwork:
             proposer = -2
         else:
             branch = self._honest_branch
-            txs = self._pack_block(branch[self._mc_confirmed_upto + 1:])
+            txs = self._pack_block(branch[self._mc_confirmed_upto + 1 - branch[0].height:])
             proposer = (len(self.rounds) + 1) % self.config.n_nodes
             for tx in txs:
                 self.pool.pop(tx.tx_id, None)
@@ -493,15 +493,19 @@ class ChainNetwork:
         if qualifying is None:
             return confs
         k = self.config.rule.confirm_depth
-        deep_enough = len(qualifying) - 1 - k  # highest index buried k deep
+        base = qualifying[0].height
+        deep_enough = qualifying[-1].height - k  # highest height buried k deep
         while self._mc_confirmed_upto < deep_enough:
             self._mc_confirmed_upto += 1
-            pending = qualifying[self._mc_confirmed_upto]
+            pending = qualifying[self._mc_confirmed_upto - base]
             receipts, block_gas = self._execute_txs(pending.txs, pending.height)
             confs.extend(self._confirm(pending, receipts, block_gas,
                                        sum(tx.wire_size() for tx in pending.txs)))
             # The branch keeps what the confirmed log keeps (a header, by default).
-            qualifying[self._mc_confirmed_upto] = self.confirmed_blocks[-1]
+            qualifying[self._mc_confirmed_upto - base] = self.confirmed_blocks[-1]
+        # Keep what proposals read: each branch's tip and its blocks above the confirmed height.
+        for branch in (self._honest_branch, self._adv_branch):
+            del branch[:min(self._mc_confirmed_upto + 1, branch[-1].height) - branch[0].height]
         return confs
 
     # -- probes --------------------------------------------------------------

@@ -31,10 +31,11 @@ from __future__ import annotations
 
 import gc
 import json
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import InitVar, dataclass, replace
 from functools import partial
 from random import Random
+from typing import NamedTuple
 
 from . import access, txcraft, vm
 from .archetypes import (
@@ -586,7 +587,47 @@ def stakeholder_benefits(arch: ArchitectureType) -> tuple[int, int, int]:
 
 MERGED_GROUPS: tuple[tuple[int, ...], ...] = ((1,), (2, 3), (4,), (5, 6), (7,), (8, 9), (10,), (11, 12))
 
-MEASURED_COLUMNS = ("performance_sign", "scalability_sign", "gas_trend_sign", "availability_trend_sign")
+
+class Measured(NamedTuple):
+    """A column's measured source: a report field, banded against the Type1 baseline's."""
+    report_field: str  # averaged over a row's types
+    better: int  # 1 if a higher value is better, -1 if a lower one is
+    sign_key: str  # the sign cell, +1 where the row is better
+
+
+class Column(NamedTuple):
+    """One matrix column. Without a rule its dot cell is 0 in a measured matrix."""
+    key: str  # the dot cell
+    header: str  # the markdown heading
+    dots: tuple[int, ...]  # the reference dot cell of each MERGED_GROUPS row
+    rule: Callable[[ArchitectureType], int] | None = None  # a row's dot cell from its effective type
+    measured: Measured | None = None  # its sign cell's reference is the sign of the dots
+
+
+# The published columns, in order: moving a column from rule to measured is one entry.
+COLUMNS: tuple[Column, ...] = (
+    Column("performance", "Performance", (0, 2, 1, 2, 1, 2, 2, 3),
+           measured=Measured("tps", 1, "performance_sign")),
+    Column("scalability", "Scalability", (0, 2, 1, 2, 1, 2, 2, 3),
+           measured=Measured("scalability_slope", 1, "scalability_sign")),
+    Column("gas", "Gas Cost", (0, 1, 1, 2, 1, 2, 2, 3), lambda a: rule_scores(a).gas,
+           Measured("gas_total", -1, "gas_trend_sign")),
+    Column("security", "Security", (0, -1, -2, -3, 0, -1, -2, -3),
+           lambda a: rule_scores(a).security),
+    Column("anonymity", "Anonymity", (0, 0, 0, 0, -3, -3, -3, -3),
+           lambda a: rule_scores(a).anonymity),
+    Column("confidentiality", "Confidentiality", (0, 2, 2, 2, 0, 2, 2, 2),
+           lambda a: rule_scores(a).confidentiality),
+    Column("availability", "Availability", (0, -2, -2, -2, 0, -2, -2, -2),
+           lambda a: rule_scores(a).availability,
+           Measured("availability", 1, "availability_trend_sign")),
+    Column("usability", "Usability", (0, 1, 1, 2, 1, 2, 2, 3), lambda a: rule_scores(a).usability),
+    Column("user", "Web3 User", (0, 1, 1, 2, 1, 2, 2, 3), lambda a: stakeholder_benefits(a)[0]),
+    Column("provider", "Service Provider", (0, -1, -1, -2, -1, -2, -2, -3),
+           lambda a: stakeholder_benefits(a)[1]),
+    Column("maintainer", "BC Maintainer", (0, -1, -1, -2, -1, -2, -2, -3),
+           lambda a: stakeholder_benefits(a)[2]),
+)
 
 
 def _group_label(group: tuple[int, ...]) -> str:
@@ -628,59 +669,22 @@ class OrdinalMatrix:
         return self.row(label).cell(column)
 
 
-def _row(group, **cells) -> MatrixRow:
-    return MatrixRow(
-        label=_group_label(group),
-        tuple_label=_group_tuple_label(group),
-        types=group,
-        cells=tuple(sorted(cells.items())),
-    )
-
-
-def _sign(dots: int) -> int:
-    return (dots > 0) - (dots < 0)
+def _row(group, dots: Callable[[Column], int], sign: Callable[[Column], int]) -> MatrixRow:
+    """group's row: each column's dot cell, and each measured column's sign cell."""
+    cells = {}
+    for col in COLUMNS:
+        cells[col.key] = dots(col)
+        if col.measured:
+            cells[col.measured.sign_key] = sign(col)
+    return MatrixRow(label=_group_label(group), tuple_label=_group_tuple_label(group),
+                     types=group, cells=tuple(sorted(cells.items())))
 
 
 def reference_matrix() -> OrdinalMatrix:
-    """The pinned reference evaluation: signed dot counts per merged row.
-
-    Measured-trend expectations are the sign of the corresponding dot count.
-    """
-    dots = {
-        (1,): dict(performance=0, scalability=0, gas=0, security=0, anonymity=0,
-                   confidentiality=0, availability=0, usability=0,
-                   user=0, provider=0, maintainer=0),
-        (2, 3): dict(performance=2, scalability=2, gas=1, security=-1, anonymity=0,
-                     confidentiality=2, availability=-2, usability=1,
-                     user=1, provider=-1, maintainer=-1),
-        (4,): dict(performance=1, scalability=1, gas=1, security=-2, anonymity=0,
-                   confidentiality=2, availability=-2, usability=1,
-                   user=1, provider=-1, maintainer=-1),
-        (5, 6): dict(performance=2, scalability=2, gas=2, security=-3, anonymity=0,
-                     confidentiality=2, availability=-2, usability=2,
-                     user=2, provider=-2, maintainer=-2),
-        (7,): dict(performance=1, scalability=1, gas=1, security=0, anonymity=-3,
-                   confidentiality=0, availability=0, usability=1,
-                   user=1, provider=-1, maintainer=-1),
-        (8, 9): dict(performance=2, scalability=2, gas=2, security=-1, anonymity=-3,
-                     confidentiality=2, availability=-2, usability=2,
-                     user=2, provider=-2, maintainer=-2),
-        (10,): dict(performance=2, scalability=2, gas=2, security=-2, anonymity=-3,
-                    confidentiality=2, availability=-2, usability=2,
-                    user=2, provider=-2, maintainer=-2),
-        (11, 12): dict(performance=3, scalability=3, gas=3, security=-3, anonymity=-3,
-                       confidentiality=2, availability=-2, usability=3,
-                       user=3, provider=-3, maintainer=-3),
-    }
-    rows = []
-    for group in MERGED_GROUPS:
-        cells = dict(dots[group])
-        cells["performance_sign"] = _sign(cells["performance"])
-        cells["scalability_sign"] = _sign(cells["scalability"])
-        cells["gas_trend_sign"] = _sign(cells["gas"])
-        cells["availability_trend_sign"] = _sign(cells["availability"])
-        rows.append(_row(group, **cells))
-    return OrdinalMatrix(rows=tuple(rows))
+    """The pinned reference evaluation: signed dot counts per merged row, and their signs."""
+    return OrdinalMatrix(rows=tuple(
+        _row(group, lambda col: col.dots[i], lambda col: (col.dots[i] > 0) - (col.dots[i] < 0))
+        for i, group in enumerate(MERGED_GROUPS)))
 
 
 def banded_sign(value: float, baseline: float, eps: float = DEAD_BAND) -> int:
@@ -704,23 +708,13 @@ def compare(reports: dict[int, MetricReport], baseline: MetricReport,
         if not members or not all(m.feasible for m in members) or not baseline.feasible:
             continue  # infeasible runs carry no comparable metrics
         eff = _effective_arch(members[0])
-        scores = rule_scores(eff)
-        user, provider, maintainer = stakeholder_benefits(eff)
 
-        def mean(attr):
-            return sum(getattr(m, attr) for m in members) / len(members)
+        def sign(col: Column) -> int:
+            field, better, _ = col.measured
+            mean = sum(getattr(m, field) for m in members) / len(members)
+            return better * banded_sign(mean, getattr(baseline, field), eps)
 
-        cells = dict(
-            performance=0, scalability=0,  # measured-only columns carry no rule dots
-            gas=scores.gas, security=scores.security, anonymity=scores.anonymity,
-            confidentiality=scores.confidentiality, availability=scores.availability,
-            usability=scores.usability, user=user, provider=provider, maintainer=maintainer,
-            performance_sign=banded_sign(mean("tps"), baseline.tps, eps),
-            scalability_sign=banded_sign(mean("scalability_slope"), baseline.scalability_slope, eps),
-            gas_trend_sign=-banded_sign(mean("gas_total"), baseline.gas_total, eps),
-            availability_trend_sign=banded_sign(mean("availability"), baseline.availability, eps),
-        )
-        rows.append(_row(group, **cells))
+        rows.append(_row(group, lambda col: col.rule(eff) if col.rule else 0, sign))
     return OrdinalMatrix(rows=tuple(rows))
 
 
@@ -741,10 +735,6 @@ class Mismatch:
         return f"{self.row}.{self.column}: expected {self.expected:+d}, measured {self.measured:+d}"
 
 
-RULE_CHECK_COLUMNS = ("security", "anonymity", "confidentiality", "availability",
-                      "usability", "gas", "user", "provider", "maintainer")
-
-
 def diff_against_reference(measured: OrdinalMatrix,
                            reference: OrdinalMatrix | None = None) -> list[Mismatch]:
     """Exact equality on rule-scored columns, sign agreement on measured ones."""
@@ -756,10 +746,13 @@ def diff_against_reference(measured: OrdinalMatrix,
         except KeyError:
             mismatches.append(Mismatch(ref_row.label, "present", 1, 0))
             continue
-        for column in RULE_CHECK_COLUMNS + MEASURED_COLUMNS:
-            if got_row.cell(column) != ref_row.cell(column):
-                mismatches.append(Mismatch(ref_row.label, column,
-                                           ref_row.cell(column), got_row.cell(column)))
+        for col in COLUMNS:
+            checked = ((col.key,) if col.rule else ()) + \
+                ((col.measured.sign_key,) if col.measured else ())
+            for column in checked:
+                if got_row.cell(column) != ref_row.cell(column):
+                    mismatches.append(Mismatch(ref_row.label, column,
+                                               ref_row.cell(column), got_row.cell(column)))
     return mismatches
 
 
@@ -826,31 +819,31 @@ def _fmt_cell(v: int) -> str:
     return f"{v:+d}" if v else "0"
 
 
+def _md_line(cells: list[str]) -> str:
+    return "| " + " | ".join(cells) + " |"
+
+
 def matrix_markdown(matrix: OrdinalMatrix, title: str = "Architecture evaluation") -> str:
-    """Markdown table mirroring the published layout: properties then stakeholders."""
-    header = ("| Architecture | Performance | Scalability | Gas Cost | Security | Anonymity "
-              "| Confidentiality | Availability | Usability | Web3 User | Service Provider | BC Maintainer |")
-    sep = "|" + "---|" * 12
-    lines = [f"### {title}", "", header, sep]
+    """Markdown table mirroring the published layout: properties then stakeholders.
+
+    A column without a rule shows its measured sign where its dot cell is 0.
+    """
+    lines = [f"### {title}", "", _md_line(["Architecture"] + [col.header for col in COLUMNS]),
+             "|" + "---|" * (len(COLUMNS) + 1)]
     for r in matrix.rows:
-        perf = _fmt_cell(r.cell("performance")) if r.cell("performance") else _fmt_cell(r.cell("performance_sign"))
-        scal = _fmt_cell(r.cell("scalability")) if r.cell("scalability") else _fmt_cell(r.cell("scalability_sign"))
-        cells = [
-            f"{r.tuple_label} - {r.label}", perf, scal,
-            _fmt_cell(r.cell("gas")), _fmt_cell(r.cell("security")), _fmt_cell(r.cell("anonymity")),
-            _fmt_cell(r.cell("confidentiality")), _fmt_cell(r.cell("availability")),
-            _fmt_cell(r.cell("usability")), _fmt_cell(r.cell("user")),
-            _fmt_cell(r.cell("provider")), _fmt_cell(r.cell("maintainer")),
-        ]
-        lines.append("| " + " | ".join(cells) + " |")
-    lines.append("")
-    lines.append("Measured trends (sign vs Type1 baseline):")
-    lines.append("")
-    lines.append("| Architecture | performance | scalability | gas | availability |")
-    lines.append("|---|---|---|---|---|")
+        cells = [f"{r.tuple_label} - {r.label}"]
+        for col in COLUMNS:
+            value = r.cell(col.key)
+            if not value and col.rule is None:
+                value = r.cell(col.measured.sign_key)
+            cells.append(_fmt_cell(value))
+        lines.append(_md_line(cells))
+    measured = [col for col in COLUMNS if col.measured]
+    lines += ["", "Measured trends (sign vs Type1 baseline):", "",
+              _md_line(["Architecture"] + [col.key for col in measured]),
+              "|" + "---|" * (len(measured) + 1)]
     for r in matrix.rows:
-        lines.append("| {} | {} | {} | {} | {} |".format(
-            r.label, _fmt_cell(r.cell("performance_sign")), _fmt_cell(r.cell("scalability_sign")),
-            _fmt_cell(r.cell("gas_trend_sign")), _fmt_cell(r.cell("availability_trend_sign"))))
+        lines.append(_md_line([r.label] + [_fmt_cell(r.cell(col.measured.sign_key))
+                                           for col in measured]))
     lines.append("")
     return "\n".join(lines)

@@ -249,7 +249,7 @@ class TestMajorityChain:
             net.run_round()
         # The block holding the tx is buried exactly confirm_depth deep.
         tx_height = net.confirmed_tick and [b.height for b in net.confirmed_blocks if tx in b.txs][0]
-        assert len(net._honest_branch) - 1 >= tx_height + 3
+        assert net._honest_branch[-1].height >= tx_height + 3
 
     def test_minority_adversary_honest_branch_confirms(self):
         for seed in range(100):

@@ -125,6 +125,14 @@ class TestReferenceMatrix:
         row = reference_matrix().row("Type1")
         assert all(value == 0 for _, value in row.cells)
 
+    def test_each_column_has_a_dot_per_row_and_a_source(self):
+        keys = [col.key for col in ev.COLUMNS]
+        keys += [col.measured.sign_key for col in ev.COLUMNS if col.measured]
+        assert len(set(keys)) == len(keys)
+        for col in ev.COLUMNS:
+            assert len(col.dots) == len(MERGED_GROUPS), col.key
+            assert col.rule or col.measured, col.key
+
     def test_measured_signs_are_dot_signs(self):
         ref = reference_matrix()
         for row in ref.rows:
@@ -1230,7 +1238,7 @@ class TestRunInvariants:
         balances = sum(int.from_bytes(v, "big") for k, v in ft.items() if k.startswith(b"bal:"))
         assert int.from_bytes(ft[b"sup:"], "big") == balances
         assert chain.check_persistence()
-        assert len(chain.confirmed_tick) == chain.txs_confirmed
+        assert len(chain.confirmations) == chain.txs_confirmed
         if stats.violations == 0:
             nft = chain.state.storage.get(NFT_ID, {})
             held = Counter(v for k, v in nft.items() if k.startswith(b"own:"))
@@ -1447,10 +1455,10 @@ class TestHistory:
         assert chain.confirmations is None and chain.state.event_log is None
         [tip] = chain.confirmed_blocks  # the chain holds one block: its tip's header
         assert type(tip) is BlockHeader
-        assert chain.txs_confirmed == len(chain.confirmed_tick) > 0
         # The same run with history holds them all: the probe sees retention.
         kept = ev._ScenarioRun(architecture(type_id), script, sim, NO_FAULTS, keep_history=True)
         kept.run()
+        assert chain.txs_confirmed == len(kept.topology.chain.confirmations) > 0
         grown = self.held() - before
         assert grown["Receipt"] == grown["Confirmation"] == kept.topology.chain.txs_confirmed
         assert grown["Block"] > 0
@@ -1458,3 +1466,20 @@ class TestHistory:
         assert (tip.block_hash, tip.height, tip.state_root) == \
             (log[-1].block_hash, log[-1].height, log[-1].state_root)
         assert tip.height == len(log) - 1 > 0
+
+    @pytest.mark.parametrize("faults", [NO_FAULTS, parse_faults("byzantine_maintainers = 2\n")],
+                             ids=["fault-free", "byzantine"])
+    def test_majority_chain_branches_keep_only_their_tip_and_unconfirmed_blocks(self, faults):
+        rule = ConsensusRule(kind=RuleKind.MAJORITY_CHAIN)
+        sim = SimConfig(seed=42, consensus=ConsensusConfig(rule=rule))
+        script = nft_sale_script(repetitions=600)
+        runs = [ev._ScenarioRun(architecture(1), script, sim, faults, keep_history=keep)
+                for keep in (False, True)]
+        lean, kept = (run.run() for run in runs)
+        assert lean == kept and lean.ops_succeeded > 0
+        chain = runs[0].topology.chain
+        assert chain.confirmed_blocks[-1].height > 200  # far more blocks than a branch keeps
+        for branch in (chain._honest_branch, chain._adv_branch):
+            assert 1 <= len(branch) <= rule.confirm_depth + 2
+            assert [b.height for b in branch] == list(range(branch[0].height,
+                                                            branch[-1].height + 1))

@@ -52,6 +52,29 @@ def test_default_sweep_outcomes_are_byte_identical():
     assert golden_digest(with_config=False) == OUTCOME_SHA256
 
 
+
+# The matrix as `matrix --format markdown` writes it: the reference
+# evaluation, the default seed-42 sweep's measured matrix, and the same
+# sweep under a withholding agent. Under that plan Type7's main-table
+# availability prints its rule cell, 0, while its measured availability
+# trend reads -1: a column with a rule prints the rule's cell, and only a
+# column without one falls back to its measured sign.
+MATRIX_MARKDOWN_SHA256 = "f89311fa4d0078520fbe319ddeada6c0e12a8e77d0c2372f1cf9bb02256e5afe"
+WITHHOLDING = "agent_behavior = Withholding\n"
+
+
+def matrix_markdown_digest() -> str:
+    h = hashlib.sha256()
+    h.update(ev.matrix_markdown(ev.reference_matrix()).encode())
+    for faults in (DEFAULT_FAULTS, parse_faults(WITHHOLDING)):
+        reports = ev.run_sweep(nft_sale_script(), faults, seed=42)
+        h.update(ev.matrix_markdown(ev.compare(reports, reports[1])).encode())
+    return h.hexdigest()
+
+
+def test_matrix_markdown_is_byte_identical():
+    assert matrix_markdown_digest() == MATRIX_MARKDOWN_SHA256
+
 # Every fault-plan field the topology wires: maintainer crashes, byzantine
 # maintainers, flaky storage, a tampering executor, a withholding agent.
 # Types 4, 7 and 10 store on-chain, so Type11 is the one run where the
@@ -98,7 +121,7 @@ def test_fault_wiring_is_byte_identical():
 # The seed-42 fault-free agent runs, one per compute mode: every event the
 # chain logged, as `--dump-events` writes it, and what retrieve_state
 # serves each actor for each contract. Pins the event records, the bundle
-# decoding and the touch index that retrieval reads.
+# decoding and what retrieval answers from the kept confirmations.
 AGENT_EVENTS_SHA256 = "8245d1120ea6380eebef200857692d3d7d33fb916e641be3bc62d39fdec1c681"
 
 
